@@ -348,15 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", type=float, default=0.0)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument(
-        "--estimator", choices=["exact", "heuristic", "bracket"], default="bracket"
-    )
+    p.add_argument("--estimator", choices=["exact", "bracket"], default="bracket")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("RFLCS_WORKERS", "1")),
-    )
+    # A string default goes through type=int at parse time, so a malformed
+    # RFLCS_WORKERS is a usage error of this subcommand only.
+    p.add_argument("--workers", type=int, default=os.environ.get("RFLCS_WORKERS", "1"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 

@@ -45,14 +45,14 @@ class SweepConfig:
     master_seed: int
     rho: float = 0.0
     xi: float = 0.0
-    estimator: str = "bracket"  # exact | heuristic | bracket
+    estimator: str = "bracket"  # exact | bracket
     n_override: Optional[int] = None
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.estimator not in ("exact", "heuristic", "bracket"):
-            raise ValueError("estimator must be exact, heuristic or bracket")
+        if self.estimator not in ("exact", "bracket"):
+            raise ValueError("estimator must be exact or bracket")
         if self.estimator == "exact" and any(k > K_MAX_EXACT for k in self.k_list):
             raise ValueError(
                 f"estimator=exact requires every k <= {K_MAX_EXACT}"

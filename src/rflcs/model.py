@@ -78,23 +78,25 @@ class Instance:
 
     @classmethod
     def from_json(cls, text: str) -> "Instance":
+        """Parse an instance; a malformed document raises ValueError."""
         doc = json.loads(text)
-        planted = None
-        if doc.get("planted") is not None:
-            p = doc["planted"]
-            planted = PlantedCertificate(
-                z=tuple(p["z"]),
-                positions_x=tuple(p["positions_x"]),
-                positions_y=tuple(p["positions_y"]),
-            )
-        return cls(
-            n=doc["n"],
-            k=doc["k"],
-            x=tuple(doc["x"]),
-            y=tuple(doc["y"]),
-            seed=doc.get("seed", 0),
-            planted=planted,
-        )
+        if not isinstance(doc, dict):
+            raise ValueError("malformed instance JSON: not an object")
+        try:
+            planted = None
+            if doc.get("planted") is not None:
+                p = doc["planted"]
+                planted = PlantedCertificate(
+                    z=tuple(p["z"]),
+                    positions_x=tuple(p["positions_x"]),
+                    positions_y=tuple(p["positions_y"]),
+                )
+            n, k, x, y = doc["n"], doc["k"], tuple(doc["x"]), tuple(doc["y"])
+            if not all(type(v) is int for v in (n, k, *x, *y)):
+                raise TypeError("n, k and symbols must be integers")
+            return cls(n=n, k=k, x=x, y=y, seed=doc.get("seed", 0), planted=planted)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed instance JSON: {exc!r}") from exc
 
 
 @dataclass(frozen=True)

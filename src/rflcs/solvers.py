@@ -147,14 +147,6 @@ def degree_one_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int,
     return edges
 
 
-def degree_one_permutation(inst: Instance) -> list[int]:
-    """Permutation induced by the degree-1 subgraph: j-ranks read in i-order."""
-    edges = degree_one_edges(inst.x, inst.y)
-    js = [j for _, j, _ in edges]
-    rank = {j: r for r, j in enumerate(sorted(js))}
-    return [rank[j] for j in js]
-
-
 # ---------------------------------------------------------------------------
 # Exact repetition-free solver
 
@@ -372,24 +364,20 @@ def rflcs_bruteforce(inst: Instance) -> SolveResult:
 @dataclass(frozen=True)
 class SegmentPlan:
     """Aligned-block segmentation: b = floor(n / n_tilde) segments of size
-    n_tilde, with the leftover either dropped or folded into the last block."""
+    n_tilde, with the leftover folded into the last block."""
 
     n_tilde: int
-    leftover: str = "fold-into-last"
 
     def __post_init__(self):
         if self.n_tilde < 1:
             raise ValueError("segment size must be positive")
-        if self.leftover not in ("drop", "fold-into-last"):
-            raise ValueError("leftover must be 'drop' or 'fold-into-last'")
 
     def segments(self, n: int) -> list[tuple[int, int]]:
         b = n // self.n_tilde
         if b == 0:
-            return [(0, n)] if n and self.leftover == "fold-into-last" else []
+            return [(0, n)] if n else []
         bounds = [(i * self.n_tilde, (i + 1) * self.n_tilde) for i in range(b)]
-        if self.leftover == "fold-into-last":
-            bounds[-1] = (bounds[-1][0], n)
+        bounds[-1] = (bounds[-1][0], n)
         return bounds
 
 

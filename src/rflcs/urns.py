@@ -3,28 +3,38 @@
 The classical (k, s) model throws s balls independently and uniformly
 into k urns; the grouped (k, s_vec) model places, for each group i, one
 ball into every urn of a uniform s_i-subset.  Both track the number of
-urns left empty.  Exact distributions are computed in integer arithmetic
-(inclusion-exclusion for the classical model, full enumeration over
-subset combinations for the grouped one), so they carry no floating
-cancellation error and serve as zero-tolerance oracles for the
-dominance check.
+urns left empty.  The classical model is the grouped one with s groups
+of size 1.
+
+Both exact distributions come from one integer Markov chain on h, the
+number of occupied urns (Feller Vol. 1, section II.11): group i moves h
+to h + j with weight C(k - h, j) * C(h, s_i - j), over the denominator
+prod_i C(k, s_i).  Integer weights carry no cancellation error, so the
+pmf entries are correctly rounded rationals and the dominance check
+compares them exactly.  One gate, EXACT_COST_MAX, caps the chain's work
+before anything is allocated.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, repeat
+from math import comb
 
 import numpy as np
 
 from .errors import CapacityError
 from .rng import RngStream
 
-CLASSICAL_EXACT_K_MAX = 30
-CLASSICAL_EXACT_S_MAX = 200
-GROUPED_EXACT_COMBOS_MAX = 10_000_000
-_MC_CHUNK = 50_000_000  # max draws held in memory at once
+# Cap on the exact chain's cost: k + 1 pmf entries plus one per (h, j) update.
+EXACT_COST_MAX = 500_000
+# Draws held in memory at once by the classical sampler; its samples do not
+# depend on this value.
+_CLASSICAL_CHUNK_DRAWS = 4_000_000
+# Stream layout of the grouped sampler: trials are drawn in blocks of
+# max(1, GROUPED_BLOCK_CELLS // k), and within a block one (block x k) array
+# of uniforms per group, in s_vec order.  Changing it changes the samples.
+GROUPED_BLOCK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -47,21 +57,6 @@ class GroupedUrnSpec:
         return len(self.s_vec)
 
 
-@dataclass(frozen=True)
-class OccupancySample:
-    empty_count: int
-    model: str  # "grouped" | "classical"
-
-
-def classical_urn_sample(k: int, s: int, rng: RngStream) -> OccupancySample:
-    """One draw of the empty-urn count Y for the classical (k, s) model."""
-    if k < 1 or s < 0:
-        raise ValueError("require k >= 1 and s >= 0")
-    g = rng.generator()
-    counts = np.bincount(g.integers(0, k, size=s), minlength=k)
-    return OccupancySample(empty_count=int(np.sum(counts == 0)), model="classical")
-
-
 def classical_urn_empty_counts(k: int, s: int, trials: int, rng: RngStream) -> np.ndarray:
     """Vectorized batch of Y draws; chunked to bound memory."""
     if k < 1 or s < 0 or trials < 1:
@@ -70,7 +65,7 @@ def classical_urn_empty_counts(k: int, s: int, trials: int, rng: RngStream) -> n
     if s == 0:
         return np.full(trials, k, dtype=np.int64)
     out = np.empty(trials, dtype=np.int64)
-    chunk = max(1, _MC_CHUNK // max(s, 1))
+    chunk = max(1, _CLASSICAL_CHUNK_DRAWS // s)
     done = 0
     while done < trials:
         m = min(chunk, trials - done)
@@ -82,18 +77,8 @@ def classical_urn_empty_counts(k: int, s: int, trials: int, rng: RngStream) -> n
     return out
 
 
-def grouped_urn_sample(spec: GroupedUrnSpec, rng: RngStream) -> OccupancySample:
-    """One draw of the empty-urn count X for the grouped (k, s_vec) model."""
-    g = rng.generator()
-    hit = np.zeros(spec.k, dtype=bool)
-    for si in spec.s_vec:
-        if si:
-            hit[g.choice(spec.k, size=si, replace=False)] = True
-    return OccupancySample(empty_count=int(spec.k - hit.sum()), model="grouped")
-
-
 def grouped_urn_empty_counts(spec: GroupedUrnSpec, trials: int, rng: RngStream) -> np.ndarray:
-    """Vectorized batch of X draws.
+    """Vectorized batch of X draws, in the block layout of GROUPED_BLOCK_CELLS.
 
     Per group, a uniform s_i-subset per trial is obtained by ranking i.i.d.
     uniforms over the k urns, which is exchangeable hence uniform over
@@ -103,10 +88,10 @@ def grouped_urn_empty_counts(spec: GroupedUrnSpec, trials: int, rng: RngStream) 
         raise ValueError("trials must be >= 1")
     g = rng.generator()
     out = np.empty(trials, dtype=np.int64)
-    chunk = max(1, _MC_CHUNK // max(spec.k * max(spec.b, 1), 1))
+    block = max(1, GROUPED_BLOCK_CELLS // spec.k)
     done = 0
     while done < trials:
-        m = min(chunk, trials - done)
+        m = min(block, trials - done)
         hit = np.zeros((m, spec.k), dtype=bool)
         for si in spec.s_vec:
             if si == 0:
@@ -119,54 +104,62 @@ def grouped_urn_empty_counts(spec: GroupedUrnSpec, trials: int, rng: RngStream) 
     return out
 
 
-def classical_urn_exact(k: int, s: int) -> list[float]:
-    """Exact distribution of Y by inclusion-exclusion, integer arithmetic.
+def _chain_cost(k: int, groups, n_groups: int) -> int:
+    """k + 1 plus the chain's (h, j) updates, counted until EXACT_COST_MAX is
+    passed.  Every group makes at least one update, so k + 1 + n_groups is a
+    lower bound that refuses long group lists without walking them."""
+    cost, lo, hi = k + 1, 0, 0
+    if cost + n_groups > EXACT_COST_MAX:
+        return cost + n_groups
+    for si in groups:
+        for h in range(lo, hi + 1):
+            cost += min(si, k - h) - max(0, si - h) + 1
+            if cost > EXACT_COST_MAX:
+                return cost
+        lo, hi = max(lo, si), min(k, hi + si)
+    return cost
 
-    P(Y = m) = C(k,m) * sum_j (-1)^j C(k-m,j) ((k-m-j)/k)^s.
+
+def _occupancy_counts(k: int, groups, n_groups: int) -> tuple[list[int], int]:
+    """Placements leaving e = 0..k urns empty, and the number of placements.
+
+    ``groups()`` returns a fresh iterable of the n_groups group sizes.
+    Occupied counts reachable after each group form the interval [lo, hi].
     """
+    if _chain_cost(k, groups(), n_groups) > EXACT_COST_MAX:
+        raise CapacityError(
+            f"exact urn distribution limited to cost {EXACT_COST_MAX} "
+            "(k + 1 plus one per occupancy-chain update)"
+        )
+    lo = hi = 0
+    w = [1]  # w[h - lo]: placements leaving h urns occupied
+    total = 1
+    for si in groups():
+        nlo, nhi = max(lo, si), min(k, hi + si)
+        nw = [0] * (nhi - nlo + 1)
+        for h in range(lo, hi + 1):
+            wh = w[h - lo]
+            for j in range(max(0, si - h), min(si, k - h) + 1):
+                nw[h + j - nlo] += wh * comb(k - h, j) * comb(h, si - j)
+        lo, hi, w = nlo, nhi, nw
+        total *= comb(k, si)
+    counts = [0] * (k + 1)
+    for h in range(lo, hi + 1):
+        counts[k - h] = w[h - lo]
+    return counts, total
+
+
+def classical_urn_exact(k: int, s: int) -> list[float]:
+    """Exact distribution of Y over 0..k empty urns."""
     if k < 1 or s < 0:
         raise ValueError("require k >= 1 and s >= 0")
-    if k > CLASSICAL_EXACT_K_MAX or s > CLASSICAL_EXACT_S_MAX:
-        raise CapacityError(
-            f"classical_urn_exact limited to k <= {CLASSICAL_EXACT_K_MAX}, "
-            f"s <= {CLASSICAL_EXACT_S_MAX}"
-        )
-    denom = k**s
-    probs = []
-    for m in range(k + 1):
-        num = 0
-        for j in range(k - m + 1):
-            term = math.comb(k - m, j) * (k - m - j) ** s
-            num += -term if j % 2 else term
-        probs.append(math.comb(k, m) * num / denom)
-    return probs
+    counts, total = _occupancy_counts(k, lambda: repeat(1, s), s)
+    return [c / total for c in counts]
 
 
 def grouped_urn_exact(spec: GroupedUrnSpec) -> list[float]:
-    """Exact distribution of X by enumerating all subset combinations."""
-    total = 1
-    for si in spec.s_vec:
-        total *= math.comb(spec.k, si)
-    if total > GROUPED_EXACT_COMBOS_MAX:
-        raise CapacityError(
-            f"grouped_urn_exact limited to {GROUPED_EXACT_COMBOS_MAX} combinations "
-            f"(requested {total})"
-        )
-    masks_per_group = []
-    for si in spec.s_vec:
-        masks = []
-        for combo in combinations(range(spec.k), si):
-            m = 0
-            for u in combo:
-                m |= 1 << u
-            masks.append(m)
-        masks_per_group.append(masks)
-    counts = [0] * (spec.k + 1)
-    for choice in product(*masks_per_group):
-        union = 0
-        for m in choice:
-            union |= m
-        counts[spec.k - union.bit_count()] += 1
+    """Exact distribution of X over 0..k empty urns."""
+    counts, total = _occupancy_counts(spec.k, lambda: spec.s_vec, spec.b)
     return [c / total for c in counts]
 
 
@@ -177,68 +170,39 @@ def survival_from_pmf(pmf) -> np.ndarray:
 
 
 def survival_from_samples(samples, k: int) -> np.ndarray:
-    """Empirical S(t) = P(value >= t) for t = 0..k."""
-    samples = np.asarray(samples)
-    pmf = np.bincount(samples.astype(np.int64), minlength=k + 1) / len(samples)
-    return survival_from_pmf(pmf)
+    """Empirical S(t) = P(value >= t) for t = 0..k.
+
+    Tail counts are summed as integers and divided once, so S(0) is
+    exactly 1 and S never increases.
+    """
+    counts = np.bincount(np.asarray(samples, dtype=np.int64), minlength=k + 1)
+    return np.cumsum(counts[::-1])[::-1] / len(samples)
 
 
 @dataclass(frozen=True)
 class DominanceReport:
-    """max_t [S_X(t) - S_Y(t)] with the threshold used to flag a violation."""
+    """margin = max_t [S_X(t) - S_Y(t)]; a violation is a positive margin."""
 
     k: int
     s_vec: tuple[int, ...]
-    exact: bool
     margin: float
-    threshold: float
     violation: bool
-    trials: int = 0
 
 
-def dominance_check(spec: GroupedUrnSpec, trials: int, rng: RngStream) -> DominanceReport:
+def dominance_check(spec: GroupedUrnSpec) -> DominanceReport:
     """Compare survival functions of X (grouped) and Y (classical, same s).
 
-    Exact enumeration is used when both exact routines are in capacity;
-    otherwise Monte Carlo with a 4-combined-standard-error flag.
+    Exact: with tail counts Sx, Sy over denominators Dx, Dy, X is
+    dominated by Y when Sx(t) * Dy <= Sy(t) * Dx at every t.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    exact_ok = True
-    try:
-        px = grouped_urn_exact(spec)
-        py = classical_urn_exact(spec.k, spec.s)
-    except CapacityError:
-        exact_ok = False
-    if exact_ok:
-        sx = survival_from_pmf(px)
-        sy = survival_from_pmf(py)
-        margin = float(np.max(sx - sy))
-        return DominanceReport(
-            k=spec.k,
-            s_vec=spec.s_vec,
-            exact=True,
-            margin=margin,
-            threshold=0.0,
-            violation=margin > 0.0,
-        )
-    xs = grouped_urn_empty_counts(spec, trials, rng.substream(0))
-    ys = classical_urn_empty_counts(spec.k, spec.s, trials, rng.substream(1))
-    sx = survival_from_samples(xs, spec.k)
-    sy = survival_from_samples(ys, spec.k)
-    diff = sx - sy
-    t_star = int(np.argmax(diff))
-    margin = float(diff[t_star])
-    se = math.sqrt(
-        sx[t_star] * (1 - sx[t_star]) / trials + sy[t_star] * (1 - sy[t_star]) / trials
-    )
-    threshold = 4.0 * se
+    cx, dx = _occupancy_counts(spec.k, lambda: spec.s_vec, spec.b)
+    cy, dy = _occupancy_counts(spec.k, lambda: repeat(1, spec.s), spec.s)
+    tail_x = accumulate(reversed(cx))
+    tail_y = accumulate(reversed(cy))
+    worst = max(a * dy - b * dx for a, b in zip(tail_x, tail_y))
     return DominanceReport(
         k=spec.k,
         s_vec=spec.s_vec,
-        exact=False,
-        margin=margin,
-        threshold=threshold,
-        violation=margin > threshold,
-        trials=trials,
+        margin=worst / (dx * dy),
+        violation=worst > 0,
     )

@@ -2,7 +2,9 @@
 implementation paths they check."""
 
 import json
+import math
 import pathlib
+from itertools import combinations, product
 
 import pytest
 
@@ -63,3 +65,34 @@ def enumerate_canonical(inst: Instance):
 
     rec(-1, -1, set(), [])
     return best[0], best[1]
+
+
+def classical_urn_inclusion_exclusion(k: int, s: int) -> list[float]:
+    """Exact pmf of the classical empty-urn count by inclusion-exclusion:
+    P(Y = m) = C(k,m) * sum_j (-1)^j C(k-m,j) ((k-m-j)/k)^s."""
+    denom = k**s
+    probs = []
+    for m in range(k + 1):
+        num = 0
+        for j in range(k - m + 1):
+            term = math.comb(k - m, j) * (k - m - j) ** s
+            num += -term if j % 2 else term
+        probs.append(math.comb(k, m) * num / denom)
+    return probs
+
+
+def grouped_urn_enumeration(k: int, s_vec) -> list[float]:
+    """Exact pmf of the grouped empty-urn count by enumerating every
+    combination of one s_i-subset per group."""
+    masks_per_group = [
+        [sum(1 << u for u in combo) for combo in combinations(range(k), si)]
+        for si in s_vec
+    ]
+    counts = [0] * (k + 1)
+    for choice in product(*masks_per_group):
+        union = 0
+        for m in choice:
+            union |= m
+        counts[k - union.bit_count()] += 1
+    total = math.prod(len(masks) for masks in masks_per_group)
+    return [c / total for c in counts]

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import time
 
 import pytest
 
@@ -87,8 +89,46 @@ class TestUrnCommands:
         assert code == EXIT_USAGE and "error" in err
 
     def test_urn_exact_capacity(self, capsys):
-        code, _, err = run_cli(capsys, "urn-exact", "--k", "40", "--s", "5")
+        start = time.monotonic()
+        code, _, err = run_cli(capsys, "urn-exact", "--k", "1000000000", "--s", "1000000000")
         assert code == EXIT_CAPACITY and "capacity" in err
+        assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--k", "40", "--s", "5"), ("--k", "30", "--s-vec", "15,15"), ("--k", "50", "--s-vec", "10,10,10,10,10")],
+    )
+    def test_urn_exact_beyond_former_limits(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "urn-exact", *argv)
+        assert code == EXIT_OK
+        assert math.isclose(math.fsum(json.loads(out)), 1.0, abs_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--k", "7", "--s-vec", "2,3,3,2"), "0f76cbc0508c89df114f69a901255d62121dbe11d923fb2ad28a5d065ee95893"),
+            (("--k", "30", "--s", "200"), "1d20eeb87505187d894152ed82622923cdc4c46d195813b432e94e3f11d6c0c2"),
+            (("--k", "6", "--s-vec", "2,2,3"), "9dabf20bb41dc0a9d32c4ff6456111bec407bf9ad61d064896b7be5fc9062ea2"),
+        ],
+    )
+    def test_urn_exact_bytes_pinned(self, capsys, argv, digest):
+        # the digests were taken from the enumeration and inclusion-exclusion
+        # implementations the occupancy chain replaced
+        code, out, _ = run_cli(capsys, "urn-exact", *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_urn_survival_rounding_regression(self, capsys):
+        # this seed used to sum the survival to 1 + 2^-52 and exit 2 with
+        # "math domain error" in the stderr column
+        code, out, err = run_cli(
+            capsys, "urn", "--k", "50", "--s-vec", "10,10,10,10,10",
+            "--trials", "50000", "--seed", "1844546741",
+        )
+        assert code == EXIT_OK, err
+        survival = [float(line.split(",")[4]) for line in out.strip().split("\n")[1:]]
+        assert survival[0] == 1.0
+        assert all(b <= a for a, b in zip(survival, survival[1:]))
 
 
 class TestBoundsCommand:
@@ -189,3 +229,29 @@ class TestExitCodes:
     def test_missing_input_file(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--input", "/nonexistent.json", "--method", "exact")
         assert code == EXIT_USAGE
+
+    def test_malformed_workers_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("RFLCS_WORKERS", "abc")
+        code, out, _ = run_cli(capsys, "bounds", "--op", "lambda", "--k", "10", "--s", "10")
+        assert code == EXIT_OK and json.loads(out)["op"] == "lambda"
+        code, _, err = run_cli(
+            capsys, "sweep", "--regime", "2", "--k-list", "4", "--rho", "1",
+            "--trials", "2", "--seed", "21",
+        )
+        assert code == EXIT_USAGE and "abc" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 2, "k": 3, "x": [0, 1]},
+            {"n": 2, "k": 3, "x": [0, "a"], "y": [1, 2]},
+            {"n": 2, "k": 3, "x": [0, 1.5], "y": [1, 2]},
+            [0, 1],
+        ],
+        ids=["missing-key", "string-symbol", "float-symbol", "not-an-object"],
+    )
+    def test_malformed_instance(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "solve", "--input", str(path), "--method", "exact")
+        assert code == EXIT_USAGE and out == "" and "malformed instance" in err

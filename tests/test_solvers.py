@@ -10,7 +10,6 @@ from rflcs.solvers import (
     SegmentPlan,
     canonical_matching,
     degree_one_edges,
-    degree_one_permutation,
     lcs_length,
     lis_indices,
     lis_length,
@@ -76,10 +75,6 @@ class TestDegreeOne:
     def test_repeated_symbols_excluded(self):
         edges = degree_one_edges([0, 1, 0, 2], [2, 1, 3, 3])
         assert edges == [(1, 1, 1), (3, 0, 2)]
-
-    def test_permutation(self):
-        inst = Instance(n=3, k=3, x=(0, 1, 2), y=(2, 1, 0))
-        assert degree_one_permutation(inst) == [2, 1, 0]
 
 
 class TestExactSolver:
@@ -151,18 +146,13 @@ class TestSegmentPlan:
     def test_fold_into_last(self):
         assert SegmentPlan(4).segments(10) == [(0, 4), (4, 10)]
 
-    def test_drop(self):
-        assert SegmentPlan(4, leftover="drop").segments(10) == [(0, 4), (4, 8)]
-
     def test_short_input(self):
         assert SegmentPlan(4).segments(3) == [(0, 3)]
-        assert SegmentPlan(4, leftover="drop").segments(3) == []
+        assert SegmentPlan(4).segments(0) == []
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             SegmentPlan(0)
-        with pytest.raises(ValueError):
-            SegmentPlan(3, leftover="wrap")
 
 
 class TestHeuristic:
