@@ -92,6 +92,8 @@ def coupon_tail(k: int, xi: float) -> tuple[int, float]:
 
 def occupancy_tail(k: int, s: int, a: float) -> float:
     """(e s^2 / (k a))^a, clamped to 1 from above; bounds P(k - Y <= s - a)."""
+    if k < 1:
+        raise ValueError("k must be positive")
     if a <= 0:
         raise ValueError("a must be positive")
     base = math.e * s * s / (k * a)

@@ -38,7 +38,6 @@ from .generators import gen_planted_pair, gen_uniform_pair
 from .model import Instance
 from .rng import RngStream
 from .solvers import (
-    K_MAX_EXACT,
     SegmentPlan,
     lcs_length,
     rflcs_bruteforce,
@@ -70,11 +69,15 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _parse_s_vec(text: str) -> tuple[int, ...]:
+def _finite_float(text: str) -> float:
+    """Type of every float flag: no bound or regime is defined at nan or inf."""
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid group sizes {text!r}") from exc
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -111,7 +114,7 @@ def cmd_solve(args) -> int:
     if args.method == "lcs":
         res = lcs_length(inst.x, inst.y)
     elif args.method == "exact":
-        res = rflcs_exact(inst, k_max_exact=args.k_max)
+        res = rflcs_exact(inst)
     elif args.method == "brute":
         res = rflcs_bruteforce(inst)
     else:
@@ -208,6 +211,8 @@ def cmd_bounds(args) -> int:
             "tail_at_xi": rt.tail(args.xi),
         }
     elif op in ("p1", "p2"):
+        if args.n is None:
+            raise ValueError(f"--op {op} requires --n")
         params = BoundParams(
             k=args.k,
             n=args.n,
@@ -298,14 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--per-segment", choices=["exact", "lis"], default="exact", dest="per_segment"
     )
-    p.add_argument("--k-max", type=int, default=K_MAX_EXACT, dest="k_max")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("urn", help="Monte Carlo urn survival table (CSV)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, default=None)
-    p.add_argument("--s-vec", type=_parse_s_vec, default=None, dest="s_vec")
+    p.add_argument("--s-vec", type=_parse_int_list, default=None, dest="s_vec")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
@@ -314,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("urn-exact", help="exact empty-urn distribution (JSON)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, default=None)
-    p.add_argument("--s-vec", type=_parse_s_vec, default=None, dest="s_vec")
+    p.add_argument("--s-vec", type=_parse_int_list, default=None, dest="s_vec")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_urn_exact)
 
@@ -326,17 +330,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--s", type=int, default=0)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--r", type=float, default=0.0)
-    p.add_argument("--x", type=float, default=0.0)
-    p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--xi", type=float, default=0.0)
-    p.add_argument("--p-below", type=float, default=0.0, dest="p_below")
+    p.add_argument("--a", type=_finite_float, default=0.0)
+    p.add_argument("--t", type=_finite_float, default=0.0)
+    p.add_argument("--r", type=_finite_float, default=0.0)
+    p.add_argument("--x", type=_finite_float, default=0.0)
+    p.add_argument("--rho", type=_finite_float, default=0.0)
+    p.add_argument("--xi", type=_finite_float, default=0.0)
+    p.add_argument("--p-below", type=_finite_float, default=0.0, dest="p_below")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--n-tilde", type=int, default=1, dest="n_tilde")
     p.add_argument("--b", type=int, default=1)
-    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--delta", type=_finite_float, default=0.1)
     p.add_argument("--regime", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bounds)
@@ -344,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="regime sweep (CSV)")
     p.add_argument("--regime", type=int, required=True, choices=[1, 2, 3])
     p.add_argument("--k-list", type=_parse_int_list, required=True, dest="k_list")
-    p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--xi", type=float, default=0.0)
+    p.add_argument("--rho", type=_finite_float, default=0.0)
+    p.add_argument("--xi", type=_finite_float, default=0.0)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--estimator", choices=["exact", "bracket"], default="bracket")
@@ -382,7 +386,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
@@ -22,7 +23,7 @@ from .errors import CapacityError
 from .generators import gen_uniform_pair
 from .rng import RngStream
 from .solvers import (
-    K_MAX_EXACT,
+    M_MAX_EXACT,
     SegmentPlan,
     _RfEngine,
     lcs_length,
@@ -53,9 +54,10 @@ class SweepConfig:
             raise ValueError("trials must be >= 1")
         if self.estimator not in ("exact", "bracket"):
             raise ValueError("estimator must be exact or bracket")
-        if self.estimator == "exact" and any(k > K_MAX_EXACT for k in self.k_list):
+        # m <= k, so no trial of an accepted sweep reaches the solver's m gate.
+        if self.estimator == "exact" and any(k > M_MAX_EXACT for k in self.k_list):
             raise ValueError(
-                f"estimator=exact requires every k <= {K_MAX_EXACT}"
+                f"estimator=exact requires every k <= {M_MAX_EXACT}"
             )
 
 
@@ -117,7 +119,7 @@ def _sweep_trial(args: tuple[int, int, int, int, int, str]) -> tuple[int, int]:
         val = rflcs_exact(inst).length
         return val, val
     plan = SegmentPlan(n_tilde=math.ceil(k**0.75))
-    per_segment = "exact" if k <= K_MAX_EXACT else "lis"
+    per_segment = "exact" if k <= M_MAX_EXACT else "lis"
     lower = segment_merge_heuristic(inst, plan, per_segment=per_segment).length
     upper = min(lcs_length(inst.x, inst.y).length, k)
     return lower, upper
@@ -126,39 +128,39 @@ def _sweep_trial(args: tuple[int, int, int, int, int, str]) -> tuple[int, int]:
 def run_regime_sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
     """One row per k: Monte Carlo estimates of E[R] with theory overlays."""
     rows = []
-    for k_idx, k in enumerate(config.k_list):
-        rt = regime_target(
-            config.regime, k, rho=config.rho, xi=config.xi, n=config.n_override
-        )
-        n = config.n_override if config.n_override is not None else rt.n
-        jobs = [
-            (config.master_seed, k_idx, trial, n, k, config.estimator)
-            for trial in range(config.trials)
-        ]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_sweep_trial, jobs, chunksize=8))
-        else:
-            results = [_sweep_trial(j) for j in jobs]
-        lowers = np.array([r[0] for r in results], dtype=float)
-        uppers = np.array([r[1] for r in results], dtype=float)
-        point = lowers  # exact: lower == upper; bracket: report the floor
-        stderr = float(point.std(ddof=1) / math.sqrt(len(point))) if len(point) > 1 else 0.0
-        rows.append(
-            SweepRow(
-                regime=config.regime,
-                k=k,
-                n=n,
-                trials=config.trials,
-                mean_R=float(point.mean()),
-                stderr=stderr,
-                lower=float(lowers.mean()),
-                upper=float(uppers.mean()),
-                theory_target=rt.target,
-                tail_xi=config.xi,
-                tail_value=rt.tail(config.xi),
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for k_idx, k in enumerate(config.k_list):
+            rt = regime_target(
+                config.regime, k, rho=config.rho, xi=config.xi, n=config.n_override
             )
-        )
+            n = config.n_override if config.n_override is not None else rt.n
+            jobs = [
+                (config.master_seed, k_idx, trial, n, k, config.estimator)
+                for trial in range(config.trials)
+            ]
+            if pool is not None:
+                results = list(pool.map(_sweep_trial, jobs, chunksize=8))
+            else:
+                results = [_sweep_trial(j) for j in jobs]
+            lowers = np.array([r[0] for r in results], dtype=float)
+            uppers = np.array([r[1] for r in results], dtype=float)
+            point = lowers  # exact: lower == upper; bracket: report the floor
+            stderr = float(point.std(ddof=1) / math.sqrt(len(point))) if len(point) > 1 else 0.0
+            rows.append(
+                SweepRow(
+                    regime=config.regime,
+                    k=k,
+                    n=n,
+                    trials=config.trials,
+                    mean_R=float(point.mean()),
+                    stderr=stderr,
+                    lower=float(lowers.mean()),
+                    upper=float(uppers.mean()),
+                    theory_target=rt.target,
+                    tail_xi=config.xi,
+                    tail_value=rt.tail(config.xi),
+                )
+            )
     return SweepReport(rows=tuple(rows))
 
 
@@ -173,8 +175,9 @@ class SaturationStats:
 
 def run_fixed_k_saturation(k: int, n: int, trials: int, rng: RngStream) -> SaturationStats:
     """Mean exact R over seeded trials at fixed alphabet size."""
-    if k > K_MAX_EXACT:
-        raise CapacityError(f"run_fixed_k_saturation requires k <= {K_MAX_EXACT}")
+    # m <= k, so no trial reaches the solver's m gate mid-batch.
+    if k > M_MAX_EXACT:
+        raise CapacityError(f"run_fixed_k_saturation requires k <= {M_MAX_EXACT}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     vals = np.array(
@@ -207,11 +210,14 @@ def uniformity_test_exhaustive(n: int, k: int) -> UniformityReport:
     with at least one instance, every l-subset of [0, k) must occur
     exactly the same number of times.
     """
-    total = k ** (2 * n)
-    if total > UNIFORMITY_PAIRS_MAX:
+    if n < 0 or k < 1:
+        raise ValueError("require n >= 0 and k >= 1")
+    # n > 12 is refused first, so k ** (2 n) never grows huge: for k >= 2 it
+    # already means more than 4^12 > UNIFORMITY_PAIRS_MAX pairs.
+    if n > 12 or (total := k ** (2 * n)) > UNIFORMITY_PAIRS_MAX:
         raise CapacityError(
-            f"uniformity_test_exhaustive limited to {UNIFORMITY_PAIRS_MAX} pairs "
-            f"(requested {total})"
+            f"uniformity_test_exhaustive limited to n <= 12 and "
+            f"{UNIFORMITY_PAIRS_MAX} pairs (requested {k}^{2 * n})"
         )
     size_counts: dict[int, int] = {}
     subset_counts: dict[int, dict[frozenset, int]] = {}

@@ -6,8 +6,12 @@ derived seed is recorded on the instance for provenance.
 
 from __future__ import annotations
 
+from .errors import CapacityError
 from .model import Instance, PlantedCertificate
 from .rng import RngStream
+
+# gen_planted_pair draws a permutation of [0, k), so k sets its memory.
+PLANTED_K_MAX = 10**7
 
 
 def gen_uniform_pair(n: int, k: int, rng: RngStream) -> Instance:
@@ -36,6 +40,8 @@ def gen_planted_pair(n: int, k: int, l: int, rng: RngStream) -> Instance:
         raise ValueError("k must be positive")
     if not (0 <= l <= min(n, k)):
         raise ValueError("planted length must satisfy 0 <= l <= min(n, k)")
+    if k > PLANTED_K_MAX:
+        raise CapacityError(f"planted generation limited to k <= {PLANTED_K_MAX}")
     g = rng.generator()
     x = [int(c) for c in g.integers(0, k, size=n)]
     y = [int(c) for c in g.integers(0, k, size=n)]

@@ -9,7 +9,7 @@ sequences rather than trusting cached fields.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 
@@ -118,12 +118,19 @@ EMPTY_MATCHING = NoncrossingMatching(edges=(), symbols=())
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A solver's answer: length, witness matching, symbol set, method tag."""
+    """A solver's answer: a witness matching and the method that found it.
+    Length and symbol set are read off the witness."""
 
-    length: int
     witness: NoncrossingMatching
-    symbol_set: frozenset[int] = field(default_factory=frozenset)
-    method: str = "exact"
+    method: str
+
+    @property
+    def length(self) -> int:
+        return len(self.witness)
+
+    @property
+    def symbol_set(self) -> frozenset[int]:
+        return frozenset(self.witness.symbols)
 
 
 def is_subsequence(z: Sequence[int], x: Sequence[int]) -> bool:

@@ -6,7 +6,7 @@ which some ordering of S embeds as a common subsequence.  Running it on
 the reversed sequences yields suffix-feasibility queries, from which the
 canonical (lexicographically smallest) maximum witness is recovered
 greedily edge by edge.  Complexity is O(2^m * n) for m symbols common to
-both sides, so it is gated behind a configurable alphabet cap.
+both sides, so it is gated behind a fixed cap on m.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 from .errors import CapacityError
 from .model import (
-    EMPTY_MATCHING,
     Instance,
     NoncrossingMatching,
     SolveResult,
@@ -26,7 +25,7 @@ from .model import (
     matching_from_edges,
 )
 
-K_MAX_EXACT = 20
+M_MAX_EXACT = 20
 N_MAX_BRUTE = 12
 
 
@@ -65,30 +64,11 @@ def lcs_length(x: Sequence[int], y: Sequence[int]) -> SolveResult:
     witness = NoncrossingMatching(
         edges=tuple(edges), symbols=tuple(x[i] for i, _ in edges)
     )
-    return SolveResult(
-        length=table[nx][ny],
-        witness=witness,
-        symbol_set=frozenset(witness.symbols),
-        method="lcs",
-    )
+    return SolveResult(witness=witness, method="lcs")
 
 
 # ---------------------------------------------------------------------------
 # Longest increasing subsequence (patience style, O(t log t))
-
-
-def lis_length(perm: Sequence[int]) -> int:
-    """Length of a longest strictly increasing subsequence of distinct ints."""
-    if len(set(perm)) != len(perm):
-        raise ValueError("lis_length requires distinct elements")
-    tails: list[int] = []
-    for v in perm:
-        pos = bisect_left(tails, v)
-        if pos == len(tails):
-            tails.append(v)
-        else:
-            tails[pos] = v
-    return len(tails)
 
 
 def lis_indices(perm: Sequence[int]) -> list[int]:
@@ -185,6 +165,11 @@ class _RfEngine:
         self.n = len(x)
         self.syms = sorted(set(x) & set(y))
         self.m = len(self.syms)
+        if self.m > M_MAX_EXACT:
+            raise CapacityError(
+                f"exact solver limited to {M_MAX_EXACT} symbols common to both "
+                f"sequences (got {self.m})"
+            )
         self.bit = {c: 1 << i for i, c in enumerate(self.syms)}
         self._frontiers: Optional[dict[int, list[tuple[int, int]]]] = None
 
@@ -291,34 +276,16 @@ class _RfEngine:
         return edges
 
 
-def rflcs_exact(inst: Instance, k_max_exact: int = K_MAX_EXACT) -> SolveResult:
-    """Exact repetition-free LCS with the canonical maximum witness."""
-    if inst.k > k_max_exact:
-        raise CapacityError(
-            f"rflcs_exact requires k <= {k_max_exact} (got k={inst.k})"
-        )
-    engine = _RfEngine(inst.x, inst.y)
-    edges = engine.canonical_edges()
-    witness = matching_from_edges(inst, edges)
-    return SolveResult(
-        length=len(edges),
-        witness=witness,
-        symbol_set=frozenset(witness.symbols),
-        method="exact",
-    )
+def rflcs_exact(inst: Instance) -> SolveResult:
+    """Exact repetition-free LCS with the canonical maximum witness: the
+    unique minimum, under lexicographic order on sorted edge lists, among
+    maximum repetition-free noncrossing matchings.
 
-
-def canonical_matching(inst: Instance, k_max_exact: int = K_MAX_EXACT) -> NoncrossingMatching:
-    """The unique minimum, under lexicographic order on sorted edge lists,
-    among maximum repetition-free noncrossing matchings."""
-    engine = _RfEngine(inst.x, inst.y)
-    # The DP is exponential in the number of symbols common to both sides,
-    # not in the nominal k, so small instances are fine at any k.
-    if engine.m > k_max_exact and inst.n > N_MAX_BRUTE:
-        raise CapacityError(
-            f"canonical_matching requires k <= {k_max_exact} or n <= {N_MAX_BRUTE}"
-        )
-    return matching_from_edges(inst, engine.canonical_edges())
+    Raises CapacityError when more than M_MAX_EXACT symbols occur in both
+    sequences, whatever the nominal k.
+    """
+    edges = _RfEngine(inst.x, inst.y).canonical_edges()
+    return SolveResult(witness=matching_from_edges(inst, edges), method="exact")
 
 
 def rflcs_bruteforce(inst: Instance) -> SolveResult:
@@ -348,13 +315,7 @@ def rflcs_bruteforce(inst: Instance) -> SolveResult:
             j += 1
         best_len = len(z)
         best_edges = edges
-    witness = matching_from_edges(inst, best_edges)
-    return SolveResult(
-        length=best_len,
-        witness=witness,
-        symbol_set=frozenset(witness.symbols),
-        method="brute",
-    )
+    return SolveResult(witness=matching_from_edges(inst, best_edges), method="brute")
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +346,6 @@ def segment_merge_heuristic(
     inst: Instance,
     plan: SegmentPlan,
     per_segment: str = "exact",
-    k_max_exact: int = K_MAX_EXACT,
 ) -> SolveResult:
     """Solve aligned segments independently, concatenate, then drop all but
     the leftmost edge of every repeated symbol.
@@ -400,12 +360,7 @@ def segment_merge_heuristic(
         sx = inst.x[lo:hi]
         sy = inst.y[lo:hi]
         if per_segment == "exact":
-            engine = _RfEngine(sx, sy)
-            if engine.m > k_max_exact:
-                raise CapacityError(
-                    f"segment alphabet {engine.m} exceeds k_max_exact={k_max_exact}"
-                )
-            seg_edges = engine.canonical_edges()
+            seg_edges = _RfEngine(sx, sy).canonical_edges()
             edges.extend((lo + i, lo + j) for i, j in seg_edges)
         else:
             deg1 = degree_one_edges(sx, sy)
@@ -419,10 +374,4 @@ def segment_merge_heuristic(
             continue
         seen.add(c)
         kept.append((i, j))
-    witness = matching_from_edges(inst, kept)
-    return SolveResult(
-        length=len(kept),
-        witness=witness,
-        symbol_set=frozenset(witness.symbols),
-        method="heuristic",
-    )
+    return SolveResult(witness=matching_from_edges(inst, kept), method="heuristic")

@@ -11,8 +11,9 @@ number of occupied urns (Feller Vol. 1, section II.11): group i moves h
 to h + j with weight C(k - h, j) * C(h, s_i - j), over the denominator
 prod_i C(k, s_i).  Integer weights carry no cancellation error, so the
 pmf entries are correctly rounded rationals and the dominance check
-compares them exactly.  One gate, EXACT_COST_MAX, caps the chain's work
-before anything is allocated.
+compares them exactly.  One gate, EXACT_COST_MAX, caps the chain's work,
+weighted by the size of the integers it multiplies, before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -26,8 +27,11 @@ import numpy as np
 from .errors import CapacityError
 from .rng import RngStream
 
-# Cap on the exact chain's cost: k + 1 pmf entries plus one per (h, j) update.
-EXACT_COST_MAX = 500_000
+# Cap on the exact chain's cost, in multiplications of one 64-bit word by
+# another (see _chain_cost).  Each of the k + 1 pmf entries costs
+# _ENTRY_COST, so k stays below 500,000.
+EXACT_COST_MAX = 20_000_000
+_ENTRY_COST = 40
 # Draws held in memory at once by the classical sampler; its samples do not
 # depend on this value.
 _CLASSICAL_CHUNK_DRAWS = 4_000_000
@@ -105,15 +109,25 @@ def grouped_urn_empty_counts(spec: GroupedUrnSpec, trials: int, rng: RngStream) 
 
 
 def _chain_cost(k: int, groups, n_groups: int) -> int:
-    """k + 1 plus the chain's (h, j) updates, counted until EXACT_COST_MAX is
-    passed.  Every group makes at least one update, so k + 1 + n_groups is a
-    lower bound that refuses long group lists without walking them."""
-    cost, lo, hi = k + 1, 0, 0
+    """The chain's work in word multiplications, counted until
+    EXACT_COST_MAX is passed.
+
+    An update of group i multiplies a weight of at most ``bits`` bits (the
+    running sum of ``step``) by a factor of at most C(k, s_i), which has at
+    most ``step`` bits; it costs the product of their word counts.  In the
+    classical model the factor is one word.  Every group costs at least 1,
+    so n_groups refuses long group lists without walking them.
+    """
+    cost = _ENTRY_COST * (k + 1)
     if cost + n_groups > EXACT_COST_MAX:
         return cost + n_groups
-    for si in groups:
+    lo = hi = bits = 0
+    for si in groups():
+        step = max(1, min(si, k - si) * k.bit_length())  # >= C(k, si).bit_length()
+        bits += step
+        words = (1 + bits // 64) * (1 + step // 64)
         for h in range(lo, hi + 1):
-            cost += min(si, k - h) - max(0, si - h) + 1
+            cost += (min(si, k - h) - max(0, si - h) + 1) * words
             if cost > EXACT_COST_MAX:
                 return cost
         lo, hi = max(lo, si), min(k, hi + si)
@@ -126,10 +140,10 @@ def _occupancy_counts(k: int, groups, n_groups: int) -> tuple[list[int], int]:
     ``groups()`` returns a fresh iterable of the n_groups group sizes.
     Occupied counts reachable after each group form the interval [lo, hi].
     """
-    if _chain_cost(k, groups(), n_groups) > EXACT_COST_MAX:
+    if _chain_cost(k, groups, n_groups) > EXACT_COST_MAX:
         raise CapacityError(
-            f"exact urn distribution limited to cost {EXACT_COST_MAX} "
-            "(k + 1 plus one per occupancy-chain update)"
+            f"exact urn distribution limited to {EXACT_COST_MAX} word "
+            f"multiplications ({_ENTRY_COST} per pmf entry plus the chain's updates)"
         )
     lo = hi = 0
     w = [1]  # w[h - lo]: placements leaving h urns occupied

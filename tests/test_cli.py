@@ -198,6 +198,14 @@ class TestUniformityCommand:
         code, _, _ = run_cli(capsys, "uniformity", "--n", "8", "--k", "8")
         assert code == EXIT_CAPACITY
 
+    @pytest.mark.parametrize("n, k", [("5000", "3"), ("100000000", "3"), ("1000000000", "1")])
+    def test_capacity_huge_n(self, capsys, n, k):
+        # refused before k^(2n) is computed, which would take minutes
+        start = time.monotonic()
+        code, _, err = run_cli(capsys, "uniformity", "--n", n, "--k", k)
+        assert code == EXIT_CAPACITY and "capacity" in err
+        assert time.monotonic() - start < 1.0
+
 
 class TestCheckCommand:
     def test_reference_seed_passes(self, capsys):
@@ -221,10 +229,37 @@ class TestExitCodes:
         assert code == EXIT_USAGE and "error" in err
 
     def test_capacity_exact_solver(self, capsys, tmp_path):
+        # 25 symbols occur in both sequences, beyond the solver's m <= 20
         path = tmp_path / "big.json"
-        run_cli(capsys, "gen", "--n", "30", "--k", "25", "--seed", "2", "--out", str(path))
+        run_cli(capsys, "gen", "--n", "400", "--k", "25", "--seed", "3", "--out", str(path))
+        start = time.monotonic()
         code, _, err = run_cli(capsys, "solve", "--input", str(path), "--method", "exact")
         assert code == EXIT_CAPACITY and "capacity" in err
+        assert time.monotonic() - start < 1.0
+
+    def test_exact_solver_large_k_small_m(self, capsys, tmp_path):
+        # k = 25 but only 16 symbols occur in both sequences
+        path = tmp_path / "inst.json"
+        run_cli(capsys, "gen", "--n", "30", "--k", "25", "--seed", "27", "--out", str(path))
+        code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--method", "exact")
+        assert code == EXIT_OK and json.loads(out)["method"] == "exact"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--op", "coupon", "--k", "100", "--xi", "inf"),
+            ("bounds", "--op", "regime", "--regime", "2", "--k", "4", "--rho", "1e308"),
+            ("sweep", "--regime", "2", "--rho", "inf", "--k-list", "4", "--trials", "2", "--seed", "1"),
+            ("bounds", "--op", "occupancy", "--k", "0", "--a", "1"),
+            ("bounds", "--op", "p1", "--k", "4", "--n", "10", "--n-tilde", "2", "--b", "2", "--t", "1e200"),
+            ("bounds", "--op", "bernstein", "--k", "10", "--s", "5", "--a", "nan"),
+            ("bounds", "--op", "elb", "--x", "inf", "--p-below", "0.5"),
+            ("uniformity", "--n", "2", "--k", "0"),
+        ],
+    )
+    def test_non_finite_and_overflow_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == "" and "Traceback" not in err
 
     def test_missing_input_file(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--input", "/nonexistent.json", "--method", "exact")

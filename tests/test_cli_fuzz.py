@@ -1,0 +1,91 @@
+"""Fuzz of the command line: whatever the flags, ``main(argv)`` exits with
+0, 2, 3 or 4, prints no traceback, and every JSON document it prints is
+strict JSON (no NaN or Infinity).  Sweeps and ``--workers`` are left out:
+their cost grows with the flags, and they share the parsing fuzzed here."""
+
+import contextlib
+import io
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from rflcs.cli import main
+
+EXIT_CODES = {0, 2, 3, 4}
+BOUND_OPS = ("lambda", "bernstein", "coupon", "occupancy", "p1", "p2", "claim", "regime", "elb")
+FLOAT_FLAGS = ("a", "t", "r", "x", "rho", "xi", "p-below", "delta")
+INT_FLAGS = ("k", "s", "n", "n-tilde", "b", "regime")
+
+small_ints = st.integers(-3, 40)
+wide_ints = small_ints | st.integers(-(10**30), 10**30)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite {name} in JSON output")
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in EXIT_CODES, (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    return code, out.getvalue()
+
+
+def flags(names, values):
+    """Optional ``--name=value`` arguments (the = form lets values start with -)."""
+    return st.dictionaries(st.sampled_from(names), values).map(
+        lambda d: [f"--{name}={value}" for name, value in d.items()]
+    )
+
+
+@given(st.sampled_from(BOUND_OPS), flags(FLOAT_FLAGS, st.floats()), flags(INT_FLAGS, wide_ints))
+@settings(max_examples=200, deadline=None)
+def test_bounds(op, float_args, int_args):
+    code, out = run(["bounds", f"--op={op}", *float_args, *int_args])
+    if code == 0:
+        assert json.loads(out, parse_constant=_reject_constant)["op"] == op
+
+
+@given(
+    wide_ints,
+    st.one_of(
+        wide_ints.map(lambda s: [f"--s={s}"]),
+        st.lists(wide_ints, min_size=1, max_size=4).map(
+            lambda v: [f"--s-vec={','.join(map(str, v))}"]
+        ),
+        st.just([]),
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_urn_exact(k, s_args):
+    code, out = run(["urn-exact", f"--k={k}", *s_args])
+    if code == 0:
+        assert len(json.loads(out, parse_constant=_reject_constant)) == k + 1
+
+
+@given(
+    st.integers(-3, 60),
+    wide_ints,
+    wide_ints,
+    st.one_of(st.just([]), small_ints.map(lambda l: [f"--planted={l}"])),
+)
+@settings(max_examples=60, deadline=None)
+def test_gen(n, k, seed, planted):
+    code, out = run(["gen", f"--n={n}", f"--k={k}", f"--seed={seed}", *planted])
+    if code == 0:
+        assert json.loads(out)["n"] == n
+
+
+@given(
+    st.tuples(st.integers(-2, 3), st.integers(-2, 10)).filter(
+        lambda nk: nk[0] <= 0 or nk[1] <= 0 or nk[1] ** (2 * nk[0]) <= 100
+    )
+)
+@settings(max_examples=30, deadline=None)
+def test_uniformity(nk):
+    n, k = nk
+    code, out = run(["uniformity", f"--n={n}", f"--k={k}"])
+    if code == 0:
+        assert json.loads(out)["total_pairs"] == k ** (2 * n)

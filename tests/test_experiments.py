@@ -106,6 +106,10 @@ class TestUniformity:
         with pytest.raises(CapacityError):
             uniformity_test_exhaustive(6, 5)
 
+    def test_rejects_empty_alphabet(self):
+        with pytest.raises(ValueError):
+            uniformity_test_exhaustive(2, 0)
+
 
 class TestTailboundSuite:
     def test_reference_seed_small_budget(self):

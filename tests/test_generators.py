@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rflcs.generators import gen_planted_pair, gen_uniform_pair, word_graph_edges
+from rflcs.errors import CapacityError
+from rflcs.generators import PLANTED_K_MAX, gen_planted_pair, gen_uniform_pair, word_graph_edges
 from rflcs.model import Instance, validate_certificate
 from rflcs.rng import RngStream
 from rflcs.solvers import rflcs_exact
@@ -87,6 +88,12 @@ class TestPlantedPair:
             gen_planted_pair(4, 8, 5, RngStream(1))
         with pytest.raises(ValueError):
             gen_planted_pair(8, 4, 5, RngStream(1))
+
+    def test_capacity(self):
+        # the planted word comes from a permutation of [0, k): O(k) memory
+        with pytest.raises(CapacityError):
+            gen_planted_pair(4, PLANTED_K_MAX + 1, 2, RngStream(1))
+        assert validate_certificate(gen_planted_pair(4, 10**5, 2, RngStream(1)))
 
     def test_many_certificates_validate(self):
         for t in range(50):

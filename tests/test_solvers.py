@@ -7,12 +7,12 @@ from rflcs.generators import gen_uniform_pair
 from rflcs.model import Instance, validate_matching
 from rflcs.rng import RngStream
 from rflcs.solvers import (
+    M_MAX_EXACT,
     SegmentPlan,
-    canonical_matching,
+    _RfEngine,
     degree_one_edges,
     lcs_length,
     lis_indices,
-    lis_length,
     rflcs_bruteforce,
     rflcs_exact,
     segment_merge_heuristic,
@@ -48,18 +48,18 @@ class TestLcs:
 
 class TestLis:
     def test_basic(self):
-        assert lis_length([3, 1, 2, 0, 4]) == 3
+        assert len(lis_indices([3, 1, 2, 0, 4])) == 3
 
     def test_indices_are_increasing_run(self):
         perm = [5, 0, 3, 1, 6, 2, 4]
         idx = lis_indices(perm)
         vals = [perm[i] for i in idx]
         assert vals == sorted(vals)
-        assert len(idx) == lis_length(perm)
+        assert len(idx) == 4
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            lis_length([1, 1])
+            lis_indices([1, 1])
 
     @given(st.permutations(range(8)))
     def test_matches_bruteforce(self, perm):
@@ -68,7 +68,7 @@ class TestLis:
             sub = [perm[i] for i in range(len(perm)) if mask >> i & 1]
             if sub == sorted(sub):
                 best = max(best, len(sub))
-        assert lis_length(perm) == best
+        assert len(lis_indices(perm)) == best
 
 
 class TestDegreeOne:
@@ -91,7 +91,7 @@ class TestExactSolver:
     def test_canonical_matches_enumeration(self):
         for inst, _, _ in small_instances(60, n_max=7, seed=25):
             length, edges = enumerate_canonical(inst)
-            got = canonical_matching(inst)
+            got = rflcs_exact(inst).witness
             assert len(got.edges) == length
             assert got.edges == (edges or ())
 
@@ -101,17 +101,48 @@ class TestExactSolver:
             assert r <= min(lcs_length(inst.x, inst.y).length, k)
 
     def test_capacity_gate(self):
-        inst = gen_uniform_pair(30, 25, RngStream(27))
+        # the gate counts the m symbols common to both sequences, not k
+        inst = gen_uniform_pair(400, 25, RngStream(3))
+        assert len(set(inst.x) & set(inst.y)) == 25
         with pytest.raises(CapacityError):
             rflcs_exact(inst)
+        x = tuple(range(M_MAX_EXACT + 1))
+        with pytest.raises(CapacityError):
+            rflcs_exact(Instance(n=len(x), k=len(x), x=x, y=x))
+        # m = M_MAX_EXACT passes the gate (the 2^20-mask DP itself is not run)
+        assert _RfEngine(x[:-1], x[:-1]).m == M_MAX_EXACT
+
+    @pytest.mark.parametrize("n, k, seed, m", [(30, 25, 27, 16), (60, 400, 1, 7)])
+    def test_large_k_small_m_solves(self, n, k, seed, m):
+        inst = gen_uniform_pair(n, k, RngStream(seed))
+        assert len(set(inst.x) & set(inst.y)) == m
+        res = rflcs_exact(inst)
+        assert validate_matching(res.witness, inst, require_repetition_free=True)
+        assert res.symbol_set == frozenset(res.witness.symbols)
 
     def test_canonical_allows_large_k_small_alphabet(self):
         # nominal k is large but only a few symbols actually occur
         x = tuple([0, 1, 2] * 4)
         y = tuple([2, 1, 0] * 4)
         inst = Instance(n=12, k=100, x=x, y=y)
-        m = canonical_matching(inst)
+        m = rflcs_exact(inst).witness
         assert validate_matching(m, inst)
+
+    @given(
+        st.tuples(st.integers(1, 100), st.integers(0, 7)).flatmap(
+            lambda kn: st.tuples(
+                st.just(kn[0]),
+                st.lists(st.integers(0, kn[0] - 1), min_size=kn[1], max_size=kn[1]),
+                st.lists(st.integers(0, kn[0] - 1), min_size=kn[1], max_size=kn[1]),
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_canonical_any_k(self, args):
+        k, x, y = args
+        inst = Instance(n=len(x), k=k, x=tuple(x), y=tuple(y))
+        _, edges = enumerate_canonical(inst)
+        assert rflcs_exact(inst).witness.edges == (edges or ())
 
     @given(
         st.integers(2, 4).flatmap(
@@ -169,6 +200,11 @@ class TestHeuristic:
             heur = segment_merge_heuristic(inst, SegmentPlan(16), per_segment="lis")
             assert validate_matching(heur.witness, inst, require_repetition_free=True)
             assert heur.length <= inst.k
+
+    def test_exact_segments_gated_on_m(self):
+        inst = gen_uniform_pair(400, 25, RngStream(3))
+        with pytest.raises(CapacityError):
+            segment_merge_heuristic(inst, SegmentPlan(inst.n), per_segment="exact")
 
     def test_single_segment_exact_equals_solver(self):
         inst = gen_uniform_pair(30, 5, RngStream(32))

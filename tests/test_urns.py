@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 from itertools import repeat
 
 import numpy as np
@@ -68,7 +69,19 @@ class TestExactDistributions:
             classical_urn_exact(10**9, 10**9)
         with pytest.raises(CapacityError):
             classical_urn_exact(2, urns.EXACT_COST_MAX)
+        with pytest.raises(CapacityError):
+            classical_urn_exact(5, 10**30)  # refused before the groups are walked
         assert math.isclose(sum(classical_urn_exact(40, 5)), 1.0, abs_tol=1e-12)
+
+    def test_classical_capacity_weighs_integer_size(self):
+        # few updates, but on weights of s * log2(k) bits: seconds of work
+        for k, s in [(3, 99_000), (200, 1500)]:
+            start = time.monotonic()
+            with pytest.raises(CapacityError):
+                classical_urn_exact(k, s)
+            assert time.monotonic() - start < 1.0
+        for k, s in [(100, 922), (50, 2000)]:
+            assert math.isclose(sum(classical_urn_exact(k, s)), 1.0, abs_tol=1e-12)
 
     def test_classical_matches_inclusion_exclusion(self):
         for k in range(1, 31):
@@ -96,6 +109,12 @@ class TestExactDistributions:
             grouped_urn_exact(GroupedUrnSpec(k=urns.EXACT_COST_MAX, s_vec=(1,)))
         with pytest.raises(CapacityError):
             grouped_urn_exact(GroupedUrnSpec(k=1000, s_vec=(500,) * 10))
+        # one or two updates, but wide weights times wide factors
+        for spec in (GroupedUrnSpec(50_000, (5000, 5000)), GroupedUrnSpec(200_000, (100_000,))):
+            start = time.monotonic()
+            with pytest.raises(CapacityError):
+                grouped_urn_exact(spec)
+            assert time.monotonic() - start < 1.0
         for spec in (GroupedUrnSpec(30, (15, 15)), GroupedUrnSpec(50, (10,) * 5)):
             assert math.isclose(sum(grouped_urn_exact(spec)), 1.0, abs_tol=1e-12)
 
