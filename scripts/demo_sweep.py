@@ -2,8 +2,10 @@
 """Small end-to-end demo: run one sweep per growth regime and print the
 CSV next to the theory targets.
 
-Exact solving is feasible for the k values used here; larger alphabets
-would switch to estimator="bracket" automatically via the CLI.
+Every sweep here is exact: with k <= 20, at most 20 symbols can occur in
+both sequences, the exact solver's cap.  For larger alphabets use
+estimator="bracket"; an exact sweep stops with CapacityError at the first
+instance past the cap.
 """
 
 import argparse

@@ -19,8 +19,7 @@ from typing import Callable, Optional
 class BoundParams:
     """Bookkeeping for the segmented-bound evaluators.
 
-    m_l and m_u are the (1 -/+ delta)-scaled per-segment targets
-    2*n_tilde/sqrt(k).
+    m_l is the (1 - delta)-scaled per-segment target 2*n_tilde/sqrt(k).
     """
 
     k: int
@@ -28,12 +27,9 @@ class BoundParams:
     n_tilde: int
     b: int
     delta: float
-    rho: float = 0.0
-    xi: float = 0.0
     t: float = 0.0
     a: float = 0.0
     r: float = 0.0
-    s: int = 0
 
     def __post_init__(self):
         if self.k < 1 or self.n < 1 or self.n_tilde < 1 or self.b < 1:
@@ -42,16 +38,12 @@ class BoundParams:
             raise ValueError("delta must lie in (0, 1)")
         if self.b * self.n_tilde > self.n:
             raise ValueError("b * n_tilde must not exceed n")
-        if min(self.rho, self.xi, self.t, self.a, self.r) < 0 or self.s < 0:
-            raise ValueError("rho, xi, t, a, r, s must be nonnegative")
+        if min(self.t, self.a, self.r) < 0:
+            raise ValueError("t, a, r must be nonnegative")
 
     @property
     def m_l(self) -> float:
         return (1.0 - self.delta) * 2.0 * self.n_tilde / math.sqrt(self.k)
-
-    @property
-    def m_u(self) -> float:
-        return (1.0 + self.delta) * 2.0 * self.n_tilde / math.sqrt(self.k)
 
 
 def _clamp01(v: float) -> float:
@@ -92,10 +84,12 @@ def coupon_tail(k: int, xi: float) -> tuple[int, float]:
 
 def occupancy_tail(k: int, s: int, a: float) -> float:
     """(e s^2 / (k a))^a, clamped to 1 from above; bounds P(k - Y <= s - a)."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    if k < 1 or s < 0:
+        raise ValueError("require k >= 1 and s >= 0")
     if a <= 0:
         raise ValueError("a must be positive")
+    if s == 0:
+        return 0.0
     base = math.e * s * s / (k * a)
     if base >= 1.0:
         return 1.0

@@ -53,15 +53,3 @@ def gen_planted_pair(n: int, k: int, l: int, rng: RngStream) -> Instance:
         y[pos_y[i]] = c
     cert = PlantedCertificate(z=z, positions_x=pos_x, positions_y=pos_y)
     return Instance(n=n, k=k, x=tuple(x), y=tuple(y), seed=rng.seed, planted=cert)
-
-
-def word_graph_edges(inst: Instance) -> list[tuple[int, int]]:
-    """All pairs (i, j) with x[i] = y[j], sorted lexicographically."""
-    pos_y: dict[int, list[int]] = {}
-    for j, c in enumerate(inst.y):
-        pos_y.setdefault(c, []).append(j)
-    out: list[tuple[int, int]] = []
-    for i, c in enumerate(inst.x):
-        for j in pos_y.get(c, ()):
-            out.append((i, j))
-    return out

@@ -113,9 +113,6 @@ class NoncrossingMatching:
         return iter(self.edges)
 
 
-EMPTY_MATCHING = NoncrossingMatching(edges=(), symbols=())
-
-
 @dataclass(frozen=True)
 class SolveResult:
     """A solver's answer: a witness matching and the method that found it.

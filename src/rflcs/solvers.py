@@ -1,12 +1,14 @@
 """Exact and heuristic solvers for (repetition-free) noncrossing matchings.
 
-The exact repetition-free solver is a dynamic program over symbol subsets
-S with Pareto frontiers of minimal (prefix-of-x, prefix-of-y) lengths in
-which some ordering of S embeds as a common subsequence.  Running it on
-the reversed sequences yields suffix-feasibility queries, from which the
-canonical (lexicographically smallest) maximum witness is recovered
-greedily edge by edge.  Complexity is O(2^m * n) for m symbols common to
-both sides, so it is gated behind a fixed cap on m.
+The exact repetition-free solver is three private functions.
+`_common_symbols` finds the m symbols that occur in both sequences and is
+the only capacity gate: a fixed cap on m, since the cost is O(2^m * n).
+`_frontiers` is a dynamic program over symbol subsets S with Pareto
+frontiers of minimal (suffix-of-x, suffix-of-y) lengths in which some
+ordering of S embeds as a common subsequence; it runs on the reversed
+sequences.  `_canonical_edges` answers suffix-feasibility queries from
+those frontiers and recovers the canonical (lexicographically smallest)
+maximum witness greedily edge by edge.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import CapacityError
 from .model import (
@@ -156,124 +158,122 @@ def _next_tables(seq: Sequence[int], syms: Sequence[int]) -> dict[int, list[int]
     return tables
 
 
-class _RfEngine:
-    """Subset DP over the reversed sequences plus canonical recovery."""
+def _common_symbols(x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """Sorted symbols that occur in both sequences.  The exact solver's only
+    capacity gate: its cost is O(2^m * n) for m such symbols."""
+    syms = sorted(set(x) & set(y))
+    if len(syms) > M_MAX_EXACT:
+        raise CapacityError(
+            f"exact solver limited to {M_MAX_EXACT} symbols common to both "
+            f"sequences (got {len(syms)})"
+        )
+    return syms
 
-    def __init__(self, x: Sequence[int], y: Sequence[int]):
-        self.x = list(x)
-        self.y = list(y)
-        self.n = len(x)
-        self.syms = sorted(set(x) & set(y))
-        self.m = len(self.syms)
-        if self.m > M_MAX_EXACT:
-            raise CapacityError(
-                f"exact solver limited to {M_MAX_EXACT} symbols common to both "
-                f"sequences (got {self.m})"
-            )
-        self.bit = {c: 1 << i for i, c in enumerate(self.syms)}
-        self._frontiers: Optional[dict[int, list[tuple[int, int]]]] = None
 
-    def frontiers(self) -> dict[int, list[tuple[int, int]]]:
-        """For each symbol subset mask, the Pareto-minimal (a, b) such that
-        the subset embeds in the last a symbols of x and last b of y."""
-        if self._frontiers is not None:
-            return self._frontiers
-        n = self.n
-        rx = self.x[::-1]
-        ry = self.y[::-1]
-        nxt_x = _next_tables(rx, self.syms)
-        nxt_y = _next_tables(ry, self.syms)
-        g: dict[int, list[tuple[int, int]]] = {0: [(0, 0)]}
-        masks = sorted(range(1, 1 << self.m), key=lambda v: v.bit_count())
-        for mask in masks:
-            cand: list[tuple[int, int]] = []
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                sub = g.get(mask ^ low)
-                if sub is None:
+def _frontiers(
+    x: Sequence[int], y: Sequence[int], syms: Sequence[int]
+) -> dict[int, list[tuple[int, int]]]:
+    """Subset DP over the reversed sequences: for each feasible mask (bit i
+    stands for syms[i]), the Pareto-minimal (a, b) such that the subset
+    embeds in the last a symbols of x and the last b of y.
+
+    Masks are visited in numeric order, which is safe because every
+    predecessor mask ^ low is smaller than mask.
+    """
+    n = len(x)
+    nxt_x = _next_tables(x[::-1], syms)
+    nxt_y = _next_tables(y[::-1], syms)
+    g: dict[int, list[tuple[int, int]]] = {0: [(0, 0)]}
+    for mask in range(1, 1 << len(syms)):
+        cand: list[tuple[int, int]] = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            sub = g.get(mask ^ low)
+            if sub is None:
+                continue
+            c = syms[low.bit_length() - 1]
+            tx = nxt_x[c]
+            ty = nxt_y[c]
+            for a, b in sub:
+                p = tx[a]
+                q = ty[b]
+                if p < n and q < n:
+                    cand.append((p + 1, q + 1))
+        if cand:
+            g[mask] = _pareto_min(cand)
+    return g
+
+
+def _canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]]:
+    """Lexicographically smallest maximum repetition-free matching, built
+    greedily edge by edge from the suffix frontiers."""
+    syms = _common_symbols(x, y)
+    g = _frontiers(x, y, syms)
+    total = max(mask.bit_count() for mask in g)
+    if total == 0:
+        return []
+    n = len(x)
+    m = len(syms)
+    bit = {c: 1 << i for i, c in enumerate(syms)}
+    pos_y: dict[int, list[int]] = {}
+    for j, c in enumerate(y):
+        pos_y.setdefault(c, []).append(j)
+    allowed = (1 << m) - 1
+    i0 = j0 = -1
+    edges: list[tuple[int, int]] = []
+    all_bits = [1 << i for i in range(m)]
+    while len(edges) < total:
+        remaining = total - len(edges) - 1
+        # need[c_bit]: Pareto-min suffix requirements over subsets of
+        # size `remaining` drawn from allowed symbols other than c.
+        need: dict[int, list[tuple[int, int]]] = {}
+        avail = [b for b in all_bits if allowed & b]
+        if remaining == 0:
+            for b in avail:
+                need[b] = [(0, 0)]
+        else:
+            acc: dict[int, list[tuple[int, int]]] = {b: [] for b in avail}
+            for combo in combinations(avail, remaining):
+                mask = 0
+                for b in combo:
+                    mask |= b
+                fr = g.get(mask)
+                if fr is None:
                     continue
-                c = self.syms[low.bit_length() - 1]
-                tx = nxt_x[c]
-                ty = nxt_y[c]
-                for a, b in sub:
-                    p = tx[a]
-                    q = ty[b]
-                    if p < n and q < n:
-                        cand.append((p + 1, q + 1))
-            if cand:
-                g[mask] = _pareto_min(cand)
-        self._frontiers = g
-        return g
-
-    def max_length(self) -> int:
-        return max((mask.bit_count() for mask in self.frontiers()), default=0)
-
-    def canonical_edges(self) -> list[tuple[int, int]]:
-        """Lexicographically smallest maximum repetition-free matching."""
-        g = self.frontiers()
-        total = self.max_length()
-        if total == 0:
-            return []
-        n = self.n
-        pos_y: dict[int, list[int]] = {}
-        for j, c in enumerate(self.y):
-            pos_y.setdefault(c, []).append(j)
-        allowed = (1 << self.m) - 1
-        i0 = j0 = -1
-        edges: list[tuple[int, int]] = []
-        all_bits = [1 << i for i in range(self.m)]
-        while len(edges) < total:
-            remaining = total - len(edges) - 1
-            # need[c_bit]: Pareto-min suffix requirements over subsets of
-            # size `remaining` drawn from allowed symbols other than c.
-            need: dict[int, list[tuple[int, int]]] = {}
-            avail = [b for b in all_bits if allowed & b]
-            if remaining == 0:
                 for b in avail:
-                    need[b] = [(0, 0)]
-            else:
-                acc: dict[int, list[tuple[int, int]]] = {b: [] for b in avail}
-                for combo in combinations(avail, remaining):
-                    mask = 0
-                    for b in combo:
-                        mask |= b
-                    fr = g.get(mask)
-                    if fr is None:
-                        continue
-                    for b in avail:
-                        if not (mask & b):
-                            acc[b].extend(fr)
-                for b in avail:
-                    if acc[b]:
-                        need[b] = _pareto_min(acc[b])
-            found = False
-            for i in range(i0 + 1, n):
-                c = self.x[i]
-                b = self.bit.get(c)
-                if b is None or not (allowed & b) or b not in need:
-                    continue
-                ys = pos_y.get(c)
-                if not ys:
-                    continue
-                jpos = bisect_right(ys, j0)
-                if jpos == len(ys):
-                    continue
-                j = ys[jpos]
-                fr = need[b]
-                # rightmost frontier point with suffix-x requirement <= n-1-i
-                hi = bisect_right(fr, (n - 1 - i, n + 1)) - 1
-                if hi < 0 or fr[hi][1] > n - 1 - j:
-                    continue
-                edges.append((i, j))
-                allowed &= ~b
-                i0, j0 = i, j
-                found = True
-                break
-            if not found:  # unreachable if the DP is consistent
-                raise RuntimeError("canonical recovery failed to extend matching")
-        return edges
+                    if not (mask & b):
+                        acc[b].extend(fr)
+            for b in avail:
+                if acc[b]:
+                    need[b] = _pareto_min(acc[b])
+        found = False
+        for i in range(i0 + 1, n):
+            c = x[i]
+            b = bit.get(c)
+            if b is None or not (allowed & b) or b not in need:
+                continue
+            ys = pos_y.get(c)
+            if not ys:
+                continue
+            jpos = bisect_right(ys, j0)
+            if jpos == len(ys):
+                continue
+            j = ys[jpos]
+            fr = need[b]
+            # rightmost frontier point with suffix-x requirement <= n-1-i
+            hi = bisect_right(fr, (n - 1 - i, n + 1)) - 1
+            if hi < 0 or fr[hi][1] > n - 1 - j:
+                continue
+            edges.append((i, j))
+            allowed &= ~b
+            i0, j0 = i, j
+            found = True
+            break
+        if not found:  # unreachable if the DP is consistent
+            raise RuntimeError("canonical recovery failed to extend matching")
+    return edges
 
 
 def rflcs_exact(inst: Instance) -> SolveResult:
@@ -284,7 +284,7 @@ def rflcs_exact(inst: Instance) -> SolveResult:
     Raises CapacityError when more than M_MAX_EXACT symbols occur in both
     sequences, whatever the nominal k.
     """
-    edges = _RfEngine(inst.x, inst.y).canonical_edges()
+    edges = _canonical_edges(inst.x, inst.y)
     return SolveResult(witness=matching_from_edges(inst, edges), method="exact")
 
 
@@ -360,7 +360,7 @@ def segment_merge_heuristic(
         sx = inst.x[lo:hi]
         sy = inst.y[lo:hi]
         if per_segment == "exact":
-            seg_edges = _RfEngine(sx, sy).canonical_edges()
+            seg_edges = _canonical_edges(sx, sy)
             edges.extend((lo + i, lo + j) for i, j in seg_edges)
         else:
             deg1 = degree_one_edges(sx, sy)

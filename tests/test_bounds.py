@@ -80,6 +80,15 @@ class TestOccupancy:
         with pytest.raises(ValueError):
             occupancy_tail(10, 5, 0.0)
 
+    def test_no_balls(self):
+        # with s = 0 no urn is occupied, so P(k - Y <= -a) = 0 for every a > 0
+        assert occupancy_tail(10, 0, 1.0) == 0.0
+        assert occupancy_tail(10, 0, 0.5) == 0.0
+
+    def test_rejects_negative_s(self):
+        with pytest.raises(ValueError):
+            occupancy_tail(10, -1, 1.0)
+
 
 class TestSegmentedBounds:
     def params(self, **kw):
@@ -90,7 +99,6 @@ class TestSegmentedBounds:
     def test_m_bounds(self):
         p = self.params()
         assert math.isclose(p.m_l, 0.9 * 2 * 100 / 10.0)
-        assert math.isclose(p.m_u, 1.1 * 2 * 100 / 10.0)
 
     def test_p1_t_zero_unclamped_prefactor(self):
         p = self.params(t=0.0)

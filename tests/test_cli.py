@@ -161,6 +161,13 @@ class TestBoundsCommand:
         doc = json.loads(out)
         assert doc["s"] == 33 and doc["threshold"] == 36.0
 
+    def test_occupancy_no_balls(self, capsys):
+        # used to exit 2 with "math domain error" from log(0)
+        code, out, _ = run_cli(
+            capsys, "bounds", "--op", "occupancy", "--k", "10", "--s", "0", "--a", "1"
+        )
+        assert code == EXIT_OK and json.loads(out)["value"] == 0.0
+
 
 class TestSweepCommand:
     def test_csv_output(self, capsys):
@@ -180,12 +187,44 @@ class TestSweepCommand:
         )
         assert code == EXIT_OK and out.startswith(CSV_HEADER)
 
-    def test_exact_beyond_cap_is_usage_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "sweep", "--regime", "2", "--k-list", "25", "--rho", "1",
-            "--trials", "2", "--seed", "21", "--estimator", "exact",
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--regime", "3", "--xi", "1"), "5bc9fa77b3ea6a41e91269c7352359d3adcfc3d6274bb1a3c1160f6d6260ea78"),
+            (("--regime", "2", "--rho", "4"), "4ae4e7a33d27d6c61405447cd7f66aa80e812557ff31a989d660c277526f2568"),
+            (("--regime", "3", "--xi", "2"), "bf1661140e158c1e95ba90af6fe50d42147107f3cff6d16720774b6f87b34612"),
+        ],
+    )
+    def test_exact_sweep_bytes_pinned(self, capsys, argv, digest):
+        # m = 13 exact sweeps; the digests were taken from the class-based
+        # engine the solver functions replaced
+        code, out, _ = run_cli(
+            capsys, "sweep", *argv, "--k-list", "13", "--trials", "8",
+            "--estimator", "exact", "--seed", "11", "--workers", "1",
         )
-        assert code == EXIT_USAGE and "error" in err
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_exact_beyond_cap_is_capacity_error(self, capsys, workers):
+        # regime 3 at k = 25 (n = 604): all 25 symbols occur in both sequences
+        code, out, err = run_cli(
+            capsys, "sweep", "--regime", "3", "--k-list", "25", "--xi", "1",
+            "--trials", "2", "--seed", "21", "--estimator", "exact",
+            "--workers", workers,
+        )
+        assert code == EXIT_CAPACITY and out == ""
+        assert "capacity" in err and "Traceback" not in err
+
+    def test_exact_large_k_small_m(self, capsys):
+        # k = 25 is past the cap on m, but n = 10 keeps every m <= 10
+        code, out, _ = run_cli(
+            capsys, "sweep", "--regime", "1", "--n", "10", "--k-list", "25",
+            "--trials", "4", "--seed", "21", "--estimator", "exact",
+        )
+        assert code == EXIT_OK
+        row = dict(zip(CSV_HEADER.split(","), out.strip().split("\n")[1].split(",")))
+        assert row["mean_R"] == row["lower"] == row["upper"]
 
 
 class TestUniformityCommand:
@@ -243,6 +282,10 @@ class TestExitCodes:
         run_cli(capsys, "gen", "--n", "30", "--k", "25", "--seed", "27", "--out", str(path))
         code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--method", "exact")
         assert code == EXIT_OK and json.loads(out)["method"] == "exact"
+        # the witness bytes of the class-based engine the solver functions replaced
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "61de5d3bcda62df30926aeb46837e1f923bec87c327daefc368183789486510d"
+        )
 
     @pytest.mark.parametrize(
         "argv",

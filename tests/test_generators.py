@@ -5,8 +5,8 @@ import pytest
 from scipy import stats
 
 from rflcs.errors import CapacityError
-from rflcs.generators import PLANTED_K_MAX, gen_planted_pair, gen_uniform_pair, word_graph_edges
-from rflcs.model import Instance, validate_certificate
+from rflcs.generators import PLANTED_K_MAX, gen_planted_pair, gen_uniform_pair
+from rflcs.model import validate_certificate
 from rflcs.rng import RngStream
 from rflcs.solvers import rflcs_exact
 
@@ -99,32 +99,3 @@ class TestPlantedPair:
         for t in range(50):
             inst = gen_planted_pair(12, 9, 6, RngStream(7, t))
             assert validate_certificate(inst)
-
-
-class TestWordGraph:
-    def test_disjoint_symbols(self):
-        inst = Instance(n=1, k=2, x=(0,), y=(1,))
-        assert word_graph_edges(inst) == []
-
-    def test_direct_enumeration(self):
-        inst = Instance(n=2, k=2, x=(0, 1), y=(1, 0))
-        assert word_graph_edges(inst) == [(0, 1), (1, 0)]
-
-    def test_lexicographic_order(self):
-        inst = gen_uniform_pair(30, 3, RngStream(8))
-        edges = word_graph_edges(inst)
-        assert edges == sorted(edges)
-        assert set(edges) == {
-            (i, j)
-            for i in range(30)
-            for j in range(30)
-            if inst.x[i] == inst.y[j]
-        }
-
-    def test_edge_count_concentration(self):
-        n, k = 100, 10
-        inst = gen_uniform_pair(n, k, RngStream(10))
-        count = len(word_graph_edges(inst))
-        mean = n * n / k
-        sigma = math.sqrt(n * n * (1 / k) * (1 - 1 / k))
-        assert abs(count - mean) <= 4 * sigma

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rflcs.model import (
-    EMPTY_MATCHING,
     Instance,
     NoncrossingMatching,
     PlantedCertificate,
@@ -38,7 +37,7 @@ class TestSubsequencePredicates:
 class TestValidateMatching:
     def test_empty_matching(self):
         inst = make_inst([0, 1], [1, 0], 2)
-        assert validate_matching(EMPTY_MATCHING, inst)
+        assert validate_matching(NoncrossingMatching((), ()), inst)
 
     def test_crossing_pair_rejected(self):
         inst = make_inst([0, 1], [1, 0], 2)

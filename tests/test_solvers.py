@@ -1,15 +1,18 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import enumerate_canonical, exhaustive_lcs, exhaustive_rflcs
 from rflcs.errors import CapacityError
 from rflcs.generators import gen_uniform_pair
-from rflcs.model import Instance, validate_matching
+from rflcs.model import Instance, is_subsequence, validate_matching
 from rflcs.rng import RngStream
 from rflcs.solvers import (
     M_MAX_EXACT,
     SegmentPlan,
-    _RfEngine,
+    _common_symbols,
+    _frontiers,
     degree_one_edges,
     lcs_length,
     lis_indices,
@@ -110,7 +113,35 @@ class TestExactSolver:
         with pytest.raises(CapacityError):
             rflcs_exact(Instance(n=len(x), k=len(x), x=x, y=x))
         # m = M_MAX_EXACT passes the gate (the 2^20-mask DP itself is not run)
-        assert _RfEngine(x[:-1], x[:-1]).m == M_MAX_EXACT
+        assert len(_common_symbols(x[:-1], x[:-1])) == M_MAX_EXACT
+
+    def test_frontiers_match_bruteforce(self):
+        # every mask's frontier is the set of Pareto-minimal suffix lengths
+        # (a, b) in which some ordering of the subset embeds in both sequences
+        for inst, n, _ in small_instances(40, n_max=7, seed=28):
+            x, y = inst.x, inst.y
+            syms = _common_symbols(x, y)
+            expected = {}
+            for mask in range(1 << len(syms)):
+                subset = [c for i, c in enumerate(syms) if mask >> i & 1]
+
+                def fits(a, b):
+                    return any(
+                        is_subsequence(p, x[n - a:]) and is_subsequence(p, y[n - b:])
+                        for p in permutations(subset)
+                    )
+
+                points = [
+                    (a, b)
+                    for a in range(n + 1)
+                    for b in range(n + 1)
+                    if fits(a, b)
+                    and not (a and fits(a - 1, b))
+                    and not (b and fits(a, b - 1))
+                ]
+                if points:
+                    expected[mask] = points
+            assert _frontiers(x, y, syms) == expected
 
     @pytest.mark.parametrize("n, k, seed, m", [(30, 25, 27, 16), (60, 400, 1, 7)])
     def test_large_k_small_m_solves(self, n, k, seed, m):
