@@ -91,6 +91,11 @@ def occupancy_tail(k: int, s: int, a: float) -> float:
     if s == 0:
         return 0.0
     base = math.e * s * s / (k * a)
+    if not 0.0 < base < math.inf:
+        # k a overflowed (base reads 0 or nan) or e s^2 did (base reads
+        # inf): the same bound from logs
+        log_base = 1.0 + 2.0 * math.log(s) - math.log(k) - math.log(a)
+        return math.exp(a * min(log_base, 0.0))
     if base >= 1.0:
         return 1.0
     return _clamp01(math.exp(a * math.log(base)))

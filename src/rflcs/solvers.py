@@ -36,32 +36,44 @@ N_MAX_BRUTE = 12
 
 
 def lcs_length(x: Sequence[int], y: Sequence[int]) -> SolveResult:
-    """Quadratic dynamic program with witness recovery by backtracking."""
+    """Bit-parallel LCS rows (Allison & Dix 1986, Hyyro 2004) with witness
+    recovery by backtracking.
+
+    Row i is an int V_i with bit j clear where D(i, j+1) = D(i, j) + 1, D
+    being the classical LCS table, so D(i, j) = j - popcount(V_i below bit
+    j).  Every row is kept for the backtrack, about len(x) * len(y) / 8
+    bytes.  The backtrack takes a match diagonally and otherwise steps up
+    when D(i-1, j) >= D(i, j-1), else left.
+    """
     nx, ny = len(x), len(y)
-    prev = [0] * (ny + 1)
-    table = [prev]
-    for i in range(1, nx + 1):
-        xi = x[i - 1]
-        cur = [0] * (ny + 1)
-        for j in range(1, ny + 1):
-            if xi == y[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                a, b = prev[j], cur[j - 1]
-                cur[j] = a if a >= b else b
-        table.append(cur)
-        prev = cur
+    full = (1 << ny) - 1
+    masks: dict[int, int] = {}
+    for j, c in enumerate(y):
+        masks[c] = masks.get(c, 0) | 1 << j
+    v = full
+    rows = [v]
+    for c in x:
+        u = v & masks.get(c, 0)
+        v = ((v + u) | (v - u)) & full
+        rows.append(v)
     edges = []
     i, j = nx, ny
-    while i > 0 and j > 0:
-        if x[i - 1] == y[j - 1] and table[i][j] == table[i - 1][j - 1] + 1:
+    d = ny - v.bit_count()  # D(i, j); no match is left once it is 0
+    while d:
+        if x[i - 1] == y[j - 1]:
             edges.append((i - 1, j - 1))
             i -= 1
             j -= 1
-        elif table[i - 1][j] >= table[i][j - 1]:
+            d -= 1
+            continue
+        up = j - (rows[i - 1] & ((1 << j) - 1)).bit_count()
+        left = d - 1 + (rows[i] >> (j - 1) & 1)
+        if up >= left:
             i -= 1
+            d = up
         else:
             j -= 1
+            d = left
     edges.reverse()
     witness = NoncrossingMatching(
         edges=tuple(edges), symbols=tuple(x[i] for i, _ in edges)

@@ -153,8 +153,12 @@ def _occupancy_counts(k: int, groups, n_groups: int) -> tuple[list[int], int]:
         nw = [0] * (nhi - nlo + 1)
         for h in range(lo, hi + 1):
             wh = w[h - lo]
-            for j in range(max(0, si - h), min(si, k - h) + 1):
-                nw[h + j - nlo] += wh * comb(k - h, j) * comb(h, si - j)
+            j0 = max(0, si - h)
+            c = comb(k - h, j0) * comb(h, si - j0)
+            for j in range(j0, min(si, k - h) + 1):
+                nw[h + j - nlo] += wh * c
+                # C(k-h, j+1) C(h, si-j-1), stepped by an exact ratio
+                c = c * (k - h - j) * (si - j) // ((j + 1) * (h - si + j + 1))
         lo, hi, w = nlo, nhi, nw
         total *= comb(k, si)
     counts = [0] * (k + 1)

@@ -31,6 +31,38 @@ def exhaustive_lcs(x, y) -> int:
     return best
 
 
+def quadratic_lcs_edges(x, y) -> tuple[tuple[int, int], ...]:
+    """LCS witness edges from the full (len(x)+1) x (len(y)+1) table with
+    backtracking: a match steps diagonally, otherwise up when
+    D(i-1, j) >= D(i, j-1), else left."""
+    nx, ny = len(x), len(y)
+    prev = [0] * (ny + 1)
+    table = [prev]
+    for i in range(1, nx + 1):
+        xi = x[i - 1]
+        cur = [0] * (ny + 1)
+        for j in range(1, ny + 1):
+            if xi == y[j - 1]:
+                cur[j] = prev[j - 1] + 1
+            else:
+                a, b = prev[j], cur[j - 1]
+                cur[j] = a if a >= b else b
+        table.append(cur)
+        prev = cur
+    edges = []
+    i, j = nx, ny
+    while i > 0 and j > 0:
+        if x[i - 1] == y[j - 1] and table[i][j] == table[i - 1][j - 1] + 1:
+            edges.append((i - 1, j - 1))
+            i -= 1
+            j -= 1
+        elif table[i - 1][j] >= table[i][j - 1]:
+            i -= 1
+        else:
+            j -= 1
+    return tuple(reversed(edges))
+
+
 def exhaustive_rflcs(x, y) -> int:
     """Repetition-free LCS length by enumeration (n <= ~12)."""
     n = len(x)

@@ -89,6 +89,16 @@ class TestOccupancy:
         with pytest.raises(ValueError):
             occupancy_tail(10, -1, 1.0)
 
+    def test_float_overflow(self):
+        # k * a overflows to inf, so e s^2 / (k a) reads 0 (or nan when e s^2
+        # overflows too); the bound comes from logs instead
+        assert occupancy_tail(10**30, 1, 1e300) == 0.0
+        # (e * 64e306 / 30e307)^2: k * a overflows although the bound is 0.34
+        expect = (math.e * 64 / 300) ** 2
+        assert math.isclose(occupancy_tail(15 * 10**307, 8 * 10**153, 2.0), expect, rel_tol=1e-12)
+        # e s^2 / (k a) = e * 100 / 3 > 1: vacuous, not the 0 that nan gave
+        assert occupancy_tail(10**308, 10**155, 3.0) == 1.0
+
 
 class TestSegmentedBounds:
     def params(self, **kw):

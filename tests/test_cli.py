@@ -56,6 +56,22 @@ class TestGenSolve:
         lcs = json.loads(out_l)
         assert heur["length"] <= min(lcs["length"], 5)
 
+    @pytest.mark.parametrize(
+        "gen_argv, digest",
+        [
+            (("--n", "60", "--k", "8", "--seed", "5"), "0c89203365abc01c982e3ddb7f63f905bca67a07bef6e793560dd0f9f6385bef"),
+            (("--n", "800", "--k", "400", "--seed", "6"), "16ae80699c804c56127bf5d4499e6a45223ab25c589ae39bca821a948f96e621"),
+        ],
+    )
+    def test_lcs_bytes_pinned(self, capsys, tmp_path, gen_argv, digest):
+        # the digests were taken from the quadratic-table LCS the bit-parallel
+        # rows replaced; they pin the witness's tie-breaks, not just its length
+        path = tmp_path / "inst.json"
+        run_cli(capsys, "gen", *gen_argv, "--out", str(path))
+        code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--method", "lcs")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_gen_determinism(self, capsys):
         _, a, _ = run_cli(capsys, "gen", "--n", "6", "--k", "2", "--seed", "3")
         _, b, _ = run_cli(capsys, "gen", "--n", "6", "--k", "2", "--seed", "3")
@@ -168,6 +184,14 @@ class TestBoundsCommand:
         )
         assert code == EXIT_OK and json.loads(out)["value"] == 0.0
 
+    def test_occupancy_product_overflow(self, capsys):
+        # k * a overflows to inf; this used to exit 2 with "math domain error"
+        code, out, _ = run_cli(
+            capsys, "bounds", "--op", "occupancy", "--k", "1" + "0" * 30,
+            "--s", "1", "--a", "1e300",
+        )
+        assert code == EXIT_OK and json.loads(out)["value"] == 0.0
+
 
 class TestSweepCommand:
     def test_csv_output(self, capsys):
@@ -202,6 +226,21 @@ class TestSweepCommand:
             capsys, "sweep", *argv, "--k-list", "13", "--trials", "8",
             "--estimator", "exact", "--seed", "11", "--workers", "1",
         )
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--regime", "1", "--n", "800", "--k-list", "400", "--trials", "4"), "fef6b54fb7c131080658c081e84955654d1c24430486acc4aa7403bd2fc3fe37"),
+            (("--regime", "2", "--rho", "1", "--k-list", "16,50,100,200", "--trials", "2"), "b2bef8fddcdc110e80061041efaa5e9b26a9642bfd082098b6ad1f35abd769c8"),
+            (("--regime", "3", "--xi", "1", "--k-list", "16,40,60", "--trials", "1"), "7cb65c9853d09e18a21090da0f23e521135a9d28ceec621ba5c992b2023880f4"),
+        ],
+    )
+    def test_bracket_sweep_bytes_pinned(self, capsys, argv, digest):
+        # the bracket sweeps of the benchmark; the digests were taken from the
+        # quadratic-table LCS the bit-parallel rows replaced
+        code, out, _ = run_cli(capsys, "sweep", *argv, "--seed", "11", "--workers", "1")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -1,9 +1,19 @@
+import os
+import pathlib
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import enumerate_canonical, exhaustive_lcs, exhaustive_rflcs
+from conftest import (
+    enumerate_canonical,
+    exhaustive_lcs,
+    exhaustive_rflcs,
+    quadratic_lcs_edges,
+)
+import rflcs
 from rflcs.errors import CapacityError
 from rflcs.generators import gen_uniform_pair
 from rflcs.model import Instance, is_subsequence, validate_matching
@@ -47,6 +57,55 @@ class TestLcs:
     def test_against_enumeration(self):
         for inst, _, _ in small_instances(60, seed=21):
             assert lcs_length(inst.x, inst.y).length == exhaustive_lcs(inst.x, inst.y)
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.integers(0, k - 1), max_size=40),
+                st.lists(st.integers(0, k - 1), max_size=40),
+            )
+        )
+    )
+    def test_witness_matches_quadratic_table(self, pair):
+        # the same edges, tie-breaks included, not just the same length
+        x, y = pair
+        assert lcs_length(x, y).witness.edges == quadratic_lcs_edges(x, y)
+
+    @pytest.mark.parametrize("n, k", [(267, 16), (500, 100), (800, 400)])
+    def test_witness_matches_quadratic_table_at_sweep_sizes(self, n, k):
+        # regime 3 k=16, regime 2 k=100 and regime 1 n=800 shapes
+        inst = gen_uniform_pair(n, k, RngStream(n))
+        assert lcs_length(inst.x, inst.y).witness.edges == quadratic_lcs_edges(inst.x, inst.y)
+
+    def test_memory_bound_regime3_k200(self):
+        # regime 3 at k = 200 (n = 22,479): the kept rows take about
+        # n^2 / 8 = 63 MB, where a table of Python ints would need about 4 GB.
+        # wait4 reports the rusage of this child alone, not of every child of
+        # the test process.
+        cap_mb = 400
+        script = (
+            "from rflcs.generators import gen_uniform_pair\n"
+            "from rflcs.model import validate_matching\n"
+            "from rflcs.rng import RngStream\n"
+            "from rflcs.solvers import lcs_length\n"
+            "inst = gen_uniform_pair(22479, 200, RngStream(1))\n"
+            "res = lcs_length(inst.x, inst.y)\n"
+            "ok = validate_matching(res.witness, inst, require_repetition_free=False)\n"
+            "print(res.length, ok)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(rflcs.__file__).parents[1]))
+        with subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
+        ) as proc:
+            out = proc.stdout.read()
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        length, ok = out.split()
+        assert ok == "True" and int(length) > 0
+        assert usage.ru_maxrss / 1024 < cap_mb  # ru_maxrss is in KiB on Linux
 
 
 class TestLis:
