@@ -2,10 +2,10 @@
 """Small end-to-end demo: run one sweep per growth regime and print the
 CSV next to the theory targets.
 
-Every sweep here is exact: with k <= 20, at most 20 symbols can occur in
-both sequences, the exact solver's cap.  For larger alphabets use
+Every sweep here is exact: with k <= 20 every instance solves well within
+the exact solver's work budget.  For larger alphabets use
 estimator="bracket"; an exact sweep stops with CapacityError at the first
-instance past the cap.
+instance that exceeds the budget.
 """
 
 import argparse

@@ -6,9 +6,9 @@ master seed.  Each trial owns the stream (master_seed -> k index ->
 trial ordinal), and results are merged in trial order, so the worker
 count never changes output bytes.
 
-Exact estimates have no size check of their own: the solver's gate on the
-number m of symbols common to both sequences raises CapacityError from the
-first trial that exceeds it, whatever the nominal k.
+Exact estimates have no size check of their own: the solver's work budget
+raises CapacityError from the first trial that exceeds it, whatever the
+nominal k.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import CapacityError
 from .generators import gen_uniform_pair
 from .rng import RngStream
 from .solvers import (
-    M_MAX_EXACT,
     SegmentPlan,
     _canonical_edges,
     lcs_length,
@@ -38,6 +37,10 @@ from .urns import classical_urn_empty_counts
 
 UNIFORMITY_PAIRS_MAX = 10_000_000
 FORMAT_VERSION = 1
+# A CSV-byte policy, not a capacity gate: bracket sweeps solve segments
+# exactly for k up to this and by LIS above it, which fixes which rows
+# report which floor.
+EXACT_SEGMENTS_K_MAX = 20
 
 CSV_HEADER = "regime,k,n,trials,mean_R,stderr,lower,upper,theory_target,tail_xi,tail_value"
 
@@ -118,10 +121,7 @@ def _sweep_trial(args: tuple[int, int, int, int, int, str]) -> tuple[int, int]:
         val = rflcs_exact(inst).length
         return val, val
     plan = SegmentPlan(n_tilde=math.ceil(k**0.75))
-    # A policy, not a capacity gate: choosing by k fixes which rows report
-    # the exact or the LIS floor, and so the CSV bytes.  m <= k, so no
-    # exact segment reaches the solver's m gate.
-    per_segment = "exact" if k <= M_MAX_EXACT else "lis"
+    per_segment = "exact" if k <= EXACT_SEGMENTS_K_MAX else "lis"
     lower = segment_merge_heuristic(inst, plan, per_segment=per_segment).length
     upper = min(lcs_length(inst.x, inst.y).length, k)
     return lower, upper
@@ -178,8 +178,8 @@ class SaturationStats:
 def run_fixed_k_saturation(k: int, n: int, trials: int, rng: RngStream) -> SaturationStats:
     """Mean exact R over seeded trials at fixed alphabet size.
 
-    Raises CapacityError from the first trial whose instance has more than
-    M_MAX_EXACT symbols common to both sequences.
+    Raises CapacityError from the first trial whose instance exceeds the
+    exact solver's work budget.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -1,21 +1,18 @@
 """Exact and heuristic solvers for (repetition-free) noncrossing matchings.
 
-The exact repetition-free solver is three private functions.
-`_common_symbols` finds the m symbols that occur in both sequences and is
-the only capacity gate: a fixed cap on m, since the cost is O(2^m * n).
-`_frontiers` is a dynamic program over symbol subsets S with Pareto
-frontiers of minimal (suffix-of-x, suffix-of-y) lengths in which some
-ordering of S embeds as a common subsequence; it runs on the reversed
-sequences.  `_canonical_edges` answers suffix-feasibility queries from
-those frontiers and recovers the canonical (lexicographically smallest)
-maximum witness greedily edge by edge.
+The exact repetition-free solver is one memoised depth-first search,
+`_feasible`, which answers "can `need` more unused symbols be matched in
+x[i:], y[j:]?" with the LCS of the two suffixes as its bound.
+`_canonical_edges` finds the optimum and then recovers the canonical
+(lexicographically smallest) maximum witness greedily edge by edge from
+the same query.  Its only capacity gate is the work budget EXACT_BUDGET,
+which counts set-up words and expanded search states.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .errors import CapacityError
@@ -27,7 +24,11 @@ from .model import (
     matching_from_edges,
 )
 
-M_MAX_EXACT = 20
+# The exact solver's only capacity gate: a count, not a timer, so whether
+# an instance is refused never depends on the machine.  An expanded search
+# state costs one unit, about 80 bytes of memo and 6 us (500,000 of them
+# take about 3 s and 45 MB), and set-up one unit per 16 machine words.
+EXACT_BUDGET = 500_000
 N_MAX_BRUTE = 12
 
 
@@ -35,18 +36,15 @@ N_MAX_BRUTE = 12
 # Classical LCS
 
 
-def lcs_length(x: Sequence[int], y: Sequence[int]) -> SolveResult:
-    """Bit-parallel LCS rows (Allison & Dix 1986, Hyyro 2004) with witness
-    recovery by backtracking.
+def _lcs_rows(x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """Bit-parallel LCS rows (Allison & Dix 1986, Hyyro 2004) of x against y.
 
     Row i is an int V_i with bit j clear where D(i, j+1) = D(i, j) + 1, D
-    being the classical LCS table, so D(i, j) = j - popcount(V_i below bit
-    j).  Every row is kept for the backtrack, about len(x) * len(y) / 8
-    bytes.  The backtrack takes a match diagonally and otherwise steps up
-    when D(i-1, j) >= D(i, j-1), else left.
+    being the classical LCS table of x[:i] and y[:j], so D(i, j) = j -
+    popcount(V_i below bit j).  All len(x) + 1 rows are kept, about
+    len(x) * len(y) / 8 bytes.
     """
-    nx, ny = len(x), len(y)
-    full = (1 << ny) - 1
+    full = (1 << len(y)) - 1
     masks: dict[int, int] = {}
     for j, c in enumerate(y):
         masks[c] = masks.get(c, 0) | 1 << j
@@ -56,9 +54,20 @@ def lcs_length(x: Sequence[int], y: Sequence[int]) -> SolveResult:
         u = v & masks.get(c, 0)
         v = ((v + u) | (v - u)) & full
         rows.append(v)
+    return rows
+
+
+def lcs_length(x: Sequence[int], y: Sequence[int]) -> SolveResult:
+    """LCS with a witness, by backtracking on the rows of `_lcs_rows`.
+
+    The backtrack takes a match diagonally and otherwise steps up when
+    D(i-1, j) >= D(i, j-1), else left.
+    """
+    nx, ny = len(x), len(y)
+    rows = _lcs_rows(x, y)
     edges = []
     i, j = nx, ny
-    d = ny - v.bit_count()  # D(i, j); no match is left once it is 0
+    d = ny - rows[-1].bit_count()  # D(i, j); no match is left once it is 0
     while d:
         if x[i - 1] == y[j - 1]:
             edges.append((i - 1, j - 1))
@@ -145,18 +154,6 @@ def degree_one_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int,
 # Exact repetition-free solver
 
 
-def _pareto_min(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Keep minimal points; result sorted by first coord asc, second desc."""
-    points.sort()
-    out: list[tuple[int, int]] = []
-    best = None
-    for a, b in points:
-        if best is None or b < best:
-            out.append((a, b))
-            best = b
-    return out
-
-
 def _next_tables(seq: Sequence[int], syms: Sequence[int]) -> dict[int, list[int]]:
     """nxt[c][p] = smallest q >= p with seq[q] == c, else len(seq)."""
     n = len(seq)
@@ -170,120 +167,118 @@ def _next_tables(seq: Sequence[int], syms: Sequence[int]) -> dict[int, list[int]
     return tables
 
 
-def _common_symbols(x: Sequence[int], y: Sequence[int]) -> list[int]:
-    """Sorted symbols that occur in both sequences.  The exact solver's only
-    capacity gate: its cost is O(2^m * n) for m such symbols."""
-    syms = sorted(set(x) & set(y))
-    if len(syms) > M_MAX_EXACT:
-        raise CapacityError(
-            f"exact solver limited to {M_MAX_EXACT} symbols common to both "
-            f"sequences (got {len(syms)})"
-        )
-    return syms
+def _suffix_masks(seq: Sequence[int], bit: dict[int, int]) -> list[int]:
+    """masks[p] = union of the bits of the symbols in seq[p:]."""
+    masks = [0] * (len(seq) + 1)
+    acc = 0
+    for p in range(len(seq) - 1, -1, -1):
+        acc |= bit.get(seq[p], 0)
+        masks[p] = acc
+    return masks
 
 
-def _frontiers(
-    x: Sequence[int], y: Sequence[int], syms: Sequence[int]
-) -> dict[int, list[tuple[int, int]]]:
-    """Subset DP over the reversed sequences: for each feasible mask (bit i
-    stands for syms[i]), the Pareto-minimal (a, b) such that the subset
-    embeds in the last a symbols of x and the last b of y.
+def _feasible(search: tuple, i: int, j: int, used: int, need: int) -> bool:
+    """Whether `need` more symbols outside the bit set `used` match as a
+    repetition-free common subsequence of x[i:] and y[j:].
 
-    Masks are visited in numeric order, which is safe because every
-    predecessor mask ^ low is smaller than mask.
+    Depth-first over states (i, j, used).  A state's candidates are its
+    unused symbols at their earliest positions (p, q) in both suffixes;
+    a candidate beaten in both coordinates by another is dropped, and the
+    rest are tried in order of max(p, q).  A state is cut when `need`
+    exceeds its unused symbols or LCS(x[i:], y[j:]); a failed state is
+    memoised with the smallest `need` that failed.
     """
-    n = len(x)
-    nxt_x = _next_tables(x[::-1], syms)
-    nxt_y = _next_tables(y[::-1], syms)
-    g: dict[int, list[tuple[int, int]]] = {0: [(0, 0)]}
-    for mask in range(1, 1 << len(syms)):
-        cand: list[tuple[int, int]] = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            sub = g.get(mask ^ low)
-            if sub is None:
-                continue
-            c = syms[low.bit_length() - 1]
-            tx = nxt_x[c]
-            ty = nxt_y[c]
-            for a, b in sub:
-                p = tx[a]
-                q = ty[b]
-                if p < n and q < n:
-                    cand.append((p + 1, q + 1))
-        if cand:
-            g[mask] = _pareto_min(cand)
-    return g
+    nx, ny, syms, nxt_x, nxt_y, suf_x, suf_y, rows, failed, left = search
+    stack: list[tuple[int, int, int, list]] = []
+    while True:
+        if need == 0:
+            return True
+        key = (used * (nx + 1) + i) * (ny + 1) + j
+        avail = suf_x[i] & suf_y[j] & ~used
+        b = ny - j
+        if (
+            failed.get(key, need + 1) > need
+            and need <= avail.bit_count()
+            and need <= b - (rows[nx - i] & ((1 << b) - 1)).bit_count()
+        ):
+            left[0] -= 1
+            if left[0] < 0:
+                raise CapacityError(
+                    f"exact solver exceeded its work budget of {EXACT_BUDGET} "
+                    "units of set-up and search states"
+                )
+            cand = []
+            while avail:
+                low = avail & -avail
+                avail ^= low
+                c = syms[low.bit_length() - 1]
+                cand.append((nxt_x[c][i], nxt_y[c][j], low))
+            cand.sort()
+            front = []
+            q_min = ny
+            for p, q, low in cand:
+                if q < q_min:
+                    q_min = q
+                    front.append((max(p, q), p, q, low))
+            front.sort(reverse=True)
+            stack.append((key, used, need, front))
+        while stack:
+            key, used, need, front = stack[-1]
+            if front:
+                break
+            failed[key] = need
+            stack.pop()
+        else:
+            return False
+        _, p, q, low = front.pop()
+        i, j, used, need = p + 1, q + 1, used | low, need - 1
 
 
 def _canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]]:
-    """Lexicographically smallest maximum repetition-free matching, built
-    greedily edge by edge from the suffix frontiers."""
-    syms = _common_symbols(x, y)
-    g = _frontiers(x, y, syms)
-    total = max(mask.bit_count() for mask in g)
-    if total == 0:
+    """Lexicographically smallest maximum repetition-free matching.
+
+    The optimum is the largest `need` feasible from (0, 0).  The witness is
+    built greedily: each edge takes the smallest i, then the earliest j,
+    from which the rest stays feasible.  Set-up is charged against
+    EXACT_BUDGET before it is allocated, one unit per 16 machine words, and
+    every expanded search state costs one more unit.
+    """
+    nx, ny = len(x), len(y)
+    syms = sorted(set(x) & set(y))
+    if not syms:
         return []
-    n = len(x)
     m = len(syms)
-    bit = {c: 1 << i for i, c in enumerate(syms)}
-    pos_y: dict[int, list[int]] = {}
-    for j, c in enumerate(y):
-        pos_y.setdefault(c, []).append(j)
-    allowed = (1 << m) - 1
-    i0 = j0 = -1
+    # words of the next tables and suffix masks, then of the LCS rows
+    setup = ((m + 1) * (nx + ny + 2) + (nx + 1) * (ny // 64 + 1)) // 16
+    if setup > EXACT_BUDGET:
+        raise CapacityError(
+            f"exact solver exceeded its work budget of {EXACT_BUDGET}: set-up "
+            f"for n = {nx}, {ny} and m = {m} common symbols costs {setup}"
+        )
+    bit = {c: 1 << t for t, c in enumerate(syms)}
+    nxt_y = _next_tables(y, syms)
+    search = (
+        nx, ny, syms, _next_tables(x, syms), nxt_y,
+        _suffix_masks(x, bit), _suffix_masks(y, bit),
+        _lcs_rows(x[::-1], y[::-1]), {}, [EXACT_BUDGET - setup],
+    )
+    total = 0
+    while _feasible(search, 0, 0, 0, total + 1):
+        total += 1
     edges: list[tuple[int, int]] = []
-    all_bits = [1 << i for i in range(m)]
+    used = i0 = j0 = 0
     while len(edges) < total:
-        remaining = total - len(edges) - 1
-        # need[c_bit]: Pareto-min suffix requirements over subsets of
-        # size `remaining` drawn from allowed symbols other than c.
-        need: dict[int, list[tuple[int, int]]] = {}
-        avail = [b for b in all_bits if allowed & b]
-        if remaining == 0:
-            for b in avail:
-                need[b] = [(0, 0)]
-        else:
-            acc: dict[int, list[tuple[int, int]]] = {b: [] for b in avail}
-            for combo in combinations(avail, remaining):
-                mask = 0
-                for b in combo:
-                    mask |= b
-                fr = g.get(mask)
-                if fr is None:
-                    continue
-                for b in avail:
-                    if not (mask & b):
-                        acc[b].extend(fr)
-            for b in avail:
-                if acc[b]:
-                    need[b] = _pareto_min(acc[b])
-        found = False
-        for i in range(i0 + 1, n):
-            c = x[i]
-            b = bit.get(c)
-            if b is None or not (allowed & b) or b not in need:
+        for i in range(i0, nx):
+            b = bit.get(x[i], 0)
+            if not b or used & b:
                 continue
-            ys = pos_y.get(c)
-            if not ys:
-                continue
-            jpos = bisect_right(ys, j0)
-            if jpos == len(ys):
-                continue
-            j = ys[jpos]
-            fr = need[b]
-            # rightmost frontier point with suffix-x requirement <= n-1-i
-            hi = bisect_right(fr, (n - 1 - i, n + 1)) - 1
-            if hi < 0 or fr[hi][1] > n - 1 - j:
-                continue
-            edges.append((i, j))
-            allowed &= ~b
-            i0, j0 = i, j
-            found = True
-            break
-        if not found:  # unreachable if the DP is consistent
+            j = nxt_y[x[i]][j0]
+            if j < ny and _feasible(search, i + 1, j + 1, used | b, total - len(edges) - 1):
+                edges.append((i, j))
+                used |= b
+                i0, j0 = i + 1, j + 1
+                break
+        else:  # unreachable: a feasible need always extends
             raise RuntimeError("canonical recovery failed to extend matching")
     return edges
 
@@ -293,8 +288,8 @@ def rflcs_exact(inst: Instance) -> SolveResult:
     unique minimum, under lexicographic order on sorted edge lists, among
     maximum repetition-free noncrossing matchings.
 
-    Raises CapacityError when more than M_MAX_EXACT symbols occur in both
-    sequences, whatever the nominal k.
+    Raises CapacityError when the search's set-up or its expanded states
+    exceed the work budget EXACT_BUDGET, whatever the nominal k.
     """
     edges = _canonical_edges(inst.x, inst.y)
     return SolveResult(witness=matching_from_edges(inst, edges), method="exact")

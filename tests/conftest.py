@@ -1,10 +1,13 @@
 """Shared test helpers: brute-force oracles kept independent of the
-implementation paths they check."""
+implementation paths they check, and the subset DP the exact solver
+replaced, kept as an oracle for its canonical witness."""
 
 import json
 import math
 import pathlib
+from bisect import bisect_right
 from itertools import combinations, product
+from typing import Sequence
 
 import pytest
 
@@ -61,6 +64,138 @@ def quadratic_lcs_edges(x, y) -> tuple[tuple[int, int], ...]:
         else:
             j -= 1
     return tuple(reversed(edges))
+
+
+def _pareto_min(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Keep minimal points; result sorted by first coord asc, second desc."""
+    points.sort()
+    out: list[tuple[int, int]] = []
+    best = None
+    for a, b in points:
+        if best is None or b < best:
+            out.append((a, b))
+            best = b
+    return out
+
+
+def _next_tables(seq: Sequence[int], syms: Sequence[int]) -> dict[int, list[int]]:
+    """nxt[c][p] = smallest q >= p with seq[q] == c, else len(seq)."""
+    n = len(seq)
+    tables = {c: [n] * (n + 1) for c in syms}
+    for p in range(n - 1, -1, -1):
+        for tab in tables.values():
+            tab[p] = tab[p + 1]
+        t = tables.get(seq[p])
+        if t is not None:
+            t[p] = p
+    return tables
+
+
+def subset_dp_frontiers(
+    x: Sequence[int], y: Sequence[int], syms: Sequence[int]
+) -> dict[int, list[tuple[int, int]]]:
+    """Subset DP over the reversed sequences: for each feasible mask (bit i
+    stands for syms[i]), the Pareto-minimal (a, b) such that the subset
+    embeds in the last a symbols of x and the last b of y.
+
+    Masks are visited in numeric order, which is safe because every
+    predecessor mask ^ low is smaller than mask.
+    """
+    n = len(x)
+    nxt_x = _next_tables(x[::-1], syms)
+    nxt_y = _next_tables(y[::-1], syms)
+    g: dict[int, list[tuple[int, int]]] = {0: [(0, 0)]}
+    for mask in range(1, 1 << len(syms)):
+        cand: list[tuple[int, int]] = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            sub = g.get(mask ^ low)
+            if sub is None:
+                continue
+            c = syms[low.bit_length() - 1]
+            tx = nxt_x[c]
+            ty = nxt_y[c]
+            for a, b in sub:
+                p = tx[a]
+                q = ty[b]
+                if p < n and q < n:
+                    cand.append((p + 1, q + 1))
+        if cand:
+            g[mask] = _pareto_min(cand)
+    return g
+
+
+def subset_dp_canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]]:
+    """Lexicographically smallest maximum repetition-free matching, built
+    greedily edge by edge from the suffix frontiers of the Theta(2^m * n)
+    subset DP (m symbols common to both sequences); equal lengths only."""
+    syms = sorted(set(x) & set(y))
+    g = subset_dp_frontiers(x, y, syms)
+    total = max(mask.bit_count() for mask in g)
+    if total == 0:
+        return []
+    n = len(x)
+    m = len(syms)
+    bit = {c: 1 << i for i, c in enumerate(syms)}
+    pos_y: dict[int, list[int]] = {}
+    for j, c in enumerate(y):
+        pos_y.setdefault(c, []).append(j)
+    allowed = (1 << m) - 1
+    i0 = j0 = -1
+    edges: list[tuple[int, int]] = []
+    all_bits = [1 << i for i in range(m)]
+    while len(edges) < total:
+        remaining = total - len(edges) - 1
+        # need[c_bit]: Pareto-min suffix requirements over subsets of
+        # size `remaining` drawn from allowed symbols other than c.
+        need: dict[int, list[tuple[int, int]]] = {}
+        avail = [b for b in all_bits if allowed & b]
+        if remaining == 0:
+            for b in avail:
+                need[b] = [(0, 0)]
+        else:
+            acc: dict[int, list[tuple[int, int]]] = {b: [] for b in avail}
+            for combo in combinations(avail, remaining):
+                mask = 0
+                for b in combo:
+                    mask |= b
+                fr = g.get(mask)
+                if fr is None:
+                    continue
+                for b in avail:
+                    if not (mask & b):
+                        acc[b].extend(fr)
+            for b in avail:
+                if acc[b]:
+                    need[b] = _pareto_min(acc[b])
+        found = False
+        for i in range(i0 + 1, n):
+            c = x[i]
+            b = bit.get(c)
+            if b is None or not (allowed & b) or b not in need:
+                continue
+            ys = pos_y.get(c)
+            if not ys:
+                continue
+            jpos = bisect_right(ys, j0)
+            if jpos == len(ys):
+                continue
+            j = ys[jpos]
+            fr = need[b]
+            # rightmost frontier point with suffix-x requirement <= n-1-i
+            hi = bisect_right(fr, (n - 1 - i, n + 1)) - 1
+            if hi < 0 or fr[hi][1] > n - 1 - j:
+                continue
+            edges.append((i, j))
+            allowed &= ~b
+            i0, j0 = i, j
+            found = True
+            break
+        if not found:  # unreachable if the DP is consistent
+            raise RuntimeError("canonical recovery failed to extend matching")
+    return edges
 
 
 def exhaustive_rflcs(x, y) -> int:

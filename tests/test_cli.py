@@ -1,10 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import rflcs
 from rflcs.cli import EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from rflcs.experiments import CSV_HEADER
 
@@ -246,9 +251,10 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_exact_beyond_cap_is_capacity_error(self, capsys, workers):
-        # regime 3 at k = 25 (n = 604): all 25 symbols occur in both sequences
+        # regime 3 at k = 200 (n = 22,479, m = 200): the solver's set-up
+        # alone exceeds its work budget
         code, out, err = run_cli(
-            capsys, "sweep", "--regime", "3", "--k-list", "25", "--xi", "1",
+            capsys, "sweep", "--regime", "3", "--k-list", "200", "--xi", "1",
             "--trials", "2", "--seed", "21", "--estimator", "exact",
             "--workers", workers,
         )
@@ -256,7 +262,7 @@ class TestSweepCommand:
         assert "capacity" in err and "Traceback" not in err
 
     def test_exact_large_k_small_m(self, capsys):
-        # k = 25 is past the cap on m, but n = 10 keeps every m <= 10
+        # k = 25, but n = 10 keeps every m <= 10
         code, out, _ = run_cli(
             capsys, "sweep", "--regime", "1", "--n", "10", "--k-list", "25",
             "--trials", "4", "--seed", "21", "--estimator", "exact",
@@ -307,13 +313,33 @@ class TestExitCodes:
         assert code == EXIT_USAGE and "error" in err
 
     def test_capacity_exact_solver(self, capsys, tmp_path):
-        # 25 symbols occur in both sequences, beyond the solver's m <= 20
+        # n = 22,479 and m = 200: refused at set-up, before it is allocated
         path = tmp_path / "big.json"
-        run_cli(capsys, "gen", "--n", "400", "--k", "25", "--seed", "3", "--out", str(path))
+        run_cli(capsys, "gen", "--n", "22479", "--k", "200", "--seed", "3", "--out", str(path))
         start = time.monotonic()
         code, _, err = run_cli(capsys, "solve", "--input", str(path), "--method", "exact")
         assert code == EXIT_CAPACITY and "capacity" in err
         assert time.monotonic() - start < 1.0
+
+    def test_capacity_budget_exhausted_in_bounded_memory(self):
+        # regime 2 rho = 2 at k = 40 (n = 253, m = 40) needs several times
+        # the work budget; the search stops there and exits 3.  wait4
+        # reports the rusage of this child alone.
+        cap_mb = 200
+        argv = [
+            sys.executable, "-m", "rflcs.cli", "sweep", "--regime", "2", "--rho", "2",
+            "--k-list", "40", "--trials", "1", "--seed", "1", "--estimator", "exact",
+        ]
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(rflcs.__file__).parents[1]))
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+        ) as proc:
+            out, err = proc.stdout.read(), proc.stderr.read()
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == EXIT_CAPACITY and out == ""
+        assert "work budget" in err and "Traceback" not in err
+        assert usage.ru_maxrss / 1024 < cap_mb  # ru_maxrss is in KiB on Linux
 
     def test_exact_solver_large_k_small_m(self, capsys, tmp_path):
         # k = 25 but only 16 symbols occur in both sequences

@@ -1,11 +1,14 @@
 """Fuzz of the command line: whatever the flags, ``main(argv)`` exits with
 0, 2, 3 or 4, prints no traceback, and every JSON document it prints is
-strict JSON (no NaN or Infinity).  Sweeps and ``--workers`` are left out:
-their cost grows with the flags, and they share the parsing fuzzed here."""
+strict JSON (no NaN or Infinity).  ``solve`` runs every method on small
+instance files.  Sweeps and ``--workers`` are left out: their cost grows
+with the flags, and they share the parsing fuzzed here."""
 
 import contextlib
 import io
 import json
+import pathlib
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +34,23 @@ def run(argv):
     assert code in EXIT_CODES, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
     return code, out.getvalue()
+
+
+@st.composite
+def instance_docs(draw):
+    """A small instance document, valid or with one field broken, so that
+    both the solvers and the instance parser are fuzzed."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(0, 14))  # brute force refuses n > 12
+    seq = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    doc = {"n": n, "k": k, "x": draw(seq), "y": draw(seq)}
+    broken = draw(st.sampled_from((None, None, None, "n", "k", "x", "y")))
+    if broken is not None:
+        doc[broken] = draw(
+            st.none() | st.integers(-2, 20) | st.text(max_size=2)
+            | st.lists(st.integers(-2, 10), max_size=4)
+        )
+    return doc
 
 
 def flags(names, values):
@@ -89,3 +109,22 @@ def test_uniformity(nk):
     code, out = run(["uniformity", f"--n={n}", f"--k={k}"])
     if code == 0:
         assert json.loads(out)["total_pairs"] == k ** (2 * n)
+
+
+@given(
+    st.sampled_from(("exact", "heuristic", "lcs", "brute")),
+    instance_docs(),
+    flags(("segment-size",), st.integers(-2, 16)),
+    flags(("per-segment",), st.sampled_from(("exact", "lis"))),
+)
+@settings(max_examples=150, deadline=None)
+def test_solve(method, doc, size_args, segment_args):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "inst.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(
+            ["solve", f"--input={path}", f"--method={method}", *size_args, *segment_args]
+        )
+    if code == 0:
+        res = json.loads(out, parse_constant=_reject_constant)
+        assert res["method"] == method and res["length"] == len(res["edges"])

@@ -28,8 +28,8 @@ class TestSweep:
         return SweepConfig(**base)
 
     def test_rejects_exact_estimator_beyond_cap(self):
-        # regime 3 at k = 25 (n = 604): all 25 symbols occur in both sequences
-        config = self.config(regime=3, xi=1.0, k_list=(4, 25), trials=2)
+        # regime 3 at k = 200 (n = 22,479, m = 200): refused at set-up
+        config = self.config(regime=3, xi=1.0, k_list=(4, 200), trials=2)
         with pytest.raises(CapacityError):
             run_regime_sweep(config)
 
@@ -85,12 +85,12 @@ class TestSaturation:
         assert a == b
 
     def test_capacity(self):
-        # n = 400 at k = 25: all 25 symbols occur in both sequences
+        # n = 22,479 at k = 200: refused at set-up
         with pytest.raises(CapacityError):
-            run_fixed_k_saturation(25, 400, 2, RngStream(52))
+            run_fixed_k_saturation(200, 22479, 2, RngStream(52))
 
     def test_large_k_small_m(self):
-        # k = 30 is past the cap on m, but n = 10 keeps every m <= 10
+        # k = 30, but n = 10 keeps every m <= 10
         stats = run_fixed_k_saturation(30, 10, 2, RngStream(52))
         assert stats.trials == 2 and 0.0 <= stats.mean <= 10.0
 

@@ -1,7 +1,9 @@
+import gc
 import os
 import pathlib
 import subprocess
 import sys
+import time
 from itertools import permutations
 
 import pytest
@@ -12,17 +14,18 @@ from conftest import (
     exhaustive_lcs,
     exhaustive_rflcs,
     quadratic_lcs_edges,
+    subset_dp_canonical_edges,
+    subset_dp_frontiers,
 )
 import rflcs
+from rflcs.bounds import regime_target
 from rflcs.errors import CapacityError
 from rflcs.generators import gen_uniform_pair
 from rflcs.model import Instance, is_subsequence, validate_matching
 from rflcs.rng import RngStream
 from rflcs.solvers import (
-    M_MAX_EXACT,
     SegmentPlan,
-    _common_symbols,
-    _frontiers,
+    _canonical_edges,
     degree_one_edges,
     lcs_length,
     lis_indices,
@@ -163,23 +166,28 @@ class TestExactSolver:
             assert r <= min(lcs_length(inst.x, inst.y).length, k)
 
     def test_capacity_gate(self):
-        # the gate counts the m symbols common to both sequences, not k
-        inst = gen_uniform_pair(400, 25, RngStream(3))
-        assert len(set(inst.x) & set(inst.y)) == 25
-        with pytest.raises(CapacityError):
+        # regime 3 at k = 200 (n = 22,479, m = 200): the set-up is charged
+        # against the work budget and refused before it is allocated
+        inst = gen_uniform_pair(22479, 200, RngStream(3))
+        start = time.monotonic()
+        with pytest.raises(CapacityError, match="work budget"):
             rflcs_exact(inst)
-        x = tuple(range(M_MAX_EXACT + 1))
-        with pytest.raises(CapacityError):
-            rflcs_exact(Instance(n=len(x), k=len(x), x=x, y=x))
-        # m = M_MAX_EXACT passes the gate (the 2^20-mask DP itself is not run)
-        assert len(_common_symbols(x[:-1], x[:-1])) == M_MAX_EXACT
+        assert time.monotonic() - start < 1.0
+        # 25 and 21 common symbols: refused by the former cap of 20 on m,
+        # solved within the budget
+        inst = gen_uniform_pair(400, 25, RngStream(3))
+        res = rflcs_exact(inst)
+        assert validate_matching(res.witness, inst, require_repetition_free=True)
+        assert res.length == 25
+        x = tuple(range(21))
+        assert rflcs_exact(Instance(n=len(x), k=len(x), x=x, y=x)).length == 21
 
     def test_frontiers_match_bruteforce(self):
         # every mask's frontier is the set of Pareto-minimal suffix lengths
         # (a, b) in which some ordering of the subset embeds in both sequences
         for inst, n, _ in small_instances(40, n_max=7, seed=28):
             x, y = inst.x, inst.y
-            syms = _common_symbols(x, y)
+            syms = sorted(set(x) & set(y))
             expected = {}
             for mask in range(1 << len(syms)):
                 subset = [c for i, c in enumerate(syms) if mask >> i & 1]
@@ -200,7 +208,59 @@ class TestExactSolver:
                 ]
                 if points:
                     expected[mask] = points
-            assert _frontiers(x, y, syms) == expected
+            assert subset_dp_frontiers(x, y, syms) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 10), st.integers(0, 32)).flatmap(
+            lambda kn: st.tuples(
+                st.lists(st.integers(0, kn[0] - 1), min_size=kn[1], max_size=kn[1]),
+                st.lists(st.integers(0, kn[0] - 1), min_size=kn[1], max_size=kn[1]),
+            )
+        )
+    )
+    def test_witness_matches_subset_dp(self, pair):
+        x, y = pair
+        assert _canonical_edges(x, y) == subset_dp_canonical_edges(x, y)
+
+    @pytest.mark.parametrize(
+        "regime, k, param",
+        [(3, 13, dict(xi=1.0)), (2, 13, dict(rho=4.0)), (3, 13, dict(xi=2.0)), (2, 20, dict(rho=2.0))],
+    )
+    def test_witness_matches_subset_dp_at_benchmark_shapes(self, regime, k, param):
+        # the three exact-sweep shapes of the benchmark (m = 13, eight
+        # trials each, laid out as a sweep at seed 11 lays them out) and one
+        # regime 2 rho = 2 instance at k = 20, where the DP takes seconds
+        n = regime_target(regime, k, **param).n
+        trials = 8 if k == 13 else 1
+        for t in range(trials):
+            inst = gen_uniform_pair(n, k, RngStream(11, 0).substream(t))
+            assert _canonical_edges(inst.x, inst.y) == subset_dp_canonical_edges(inst.x, inst.y)
+
+    def test_block_reversal(self):
+        # without the LCS bound the search needs about 4.2M states here,
+        # far past the budget; with it, 81.  The expected witness is the
+        # subset DP's (subset_dp_canonical_edges, m = 20), pinned because
+        # that DP takes about 19 s and 800 MB on this instance.
+        x = tuple(range(20)) * 5
+        y = tuple(range(19, -1, -1)) * 5
+        assert _canonical_edges(x, y) == [
+            (0, 19), (1, 38), (2, 57), (3, 76), (8, 91),
+            (27, 92), (46, 93), (65, 94), (84, 95),
+        ]
+
+    def test_no_cyclic_garbage(self):
+        # a solve leaves nothing for the cycle collector: cyclic garbage
+        # piles up between collections and shows in the peak RSS of a sweep
+        n = regime_target(3, 13, xi=1.0).n
+        inst = gen_uniform_pair(n, 13, RngStream(11, 0).substream(0))
+        gc.collect()
+        gc.disable()
+        try:
+            rflcs_exact(inst)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("n, k, seed, m", [(30, 25, 27, 16), (60, 400, 1, 7)])
     def test_large_k_small_m_solves(self, n, k, seed, m):
@@ -291,8 +351,9 @@ class TestHeuristic:
             assert validate_matching(heur.witness, inst, require_repetition_free=True)
             assert heur.length <= inst.k
 
-    def test_exact_segments_gated_on_m(self):
-        inst = gen_uniform_pair(400, 25, RngStream(3))
+    def test_exact_segments_gated_on_budget(self):
+        # one segment of regime 3 at k = 200 (n = 22,479): refused at set-up
+        inst = gen_uniform_pair(22479, 200, RngStream(3))
         with pytest.raises(CapacityError):
             segment_merge_heuristic(inst, SegmentPlan(inst.n), per_segment="exact")
 
