@@ -32,13 +32,20 @@ from .rng import RngStream
 # _ENTRY_COST, so k stays below 500,000.
 EXACT_COST_MAX = 20_000_000
 _ENTRY_COST = 40
-# Draws held in memory at once by the classical sampler; its samples do not
-# depend on this value.
-_CLASSICAL_CHUNK_DRAWS = 4_000_000
 # Stream layout of the grouped sampler: trials are drawn in blocks of
-# max(1, GROUPED_BLOCK_CELLS // k), and within a block one (block x k) array
-# of uniforms per group, in s_vec order.  Changing it changes the samples.
+# max(1, GROUPED_BLOCK_CELLS // k), and within a block all of group 1's
+# uniforms, then all of group 2's, in s_vec order.  Changing it changes the
+# samples.
 GROUPED_BLOCK_CELLS = 1 << 22
+# Cells (draws, or uniforms) each sampler holds at once: max(1, _SAMPLER_CELLS
+# // s) classical trials, or max(1, _SAMPLER_CELLS // k) rows of one group's
+# uniforms.  Memory only: a sample does not depend on this value, because
+# consecutive draws continue one stream.
+_SAMPLER_CELLS = 1 << 18
+# Cap on each of trials, k and s, checked before a sampler allocates.  At the
+# cap `rflcs urn` peaks near 230 MB (k = s = 2^20), mostly the 2^20 + 1 CSV
+# rows; k = 2^21 takes 370 MB.
+SAMPLER_COUNT_MAX = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -61,23 +68,33 @@ class GroupedUrnSpec:
         return len(self.s_vec)
 
 
+def _check_sampler_size(trials: int, k: int, s: int) -> None:
+    if max(trials, k, s) > SAMPLER_COUNT_MAX:
+        raise CapacityError(
+            f"urn samplers limited to {SAMPLER_COUNT_MAX} trials, urns and balls "
+            f"(got trials = {trials}, k = {k}, s = {s})"
+        )
+
+
 def classical_urn_empty_counts(k: int, s: int, trials: int, rng: RngStream) -> np.ndarray:
-    """Vectorized batch of Y draws; chunked to bound memory."""
+    """Vectorized batch of Y draws, in chunks of about _SAMPLER_CELLS draws.
+
+    Each trial's draws are sorted, and Y = k - s + the number of equal
+    neighbours.
+    """
     if k < 1 or s < 0 or trials < 1:
         raise ValueError("require k >= 1, s >= 0, trials >= 1")
+    _check_sampler_size(trials, k, s)
     g = rng.generator()
     if s == 0:
         return np.full(trials, k, dtype=np.int64)
     out = np.empty(trials, dtype=np.int64)
-    chunk = max(1, _CLASSICAL_CHUNK_DRAWS // s)
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        draws = g.integers(0, k, size=(m, s))
+    chunk = max(1, _SAMPLER_CELLS // s)
+    for done in range(0, trials, chunk):
+        draws = g.integers(0, k, size=(min(chunk, trials - done), s))
         draws.sort(axis=1)
-        distinct = 1 + np.count_nonzero(np.diff(draws, axis=1), axis=1)
-        out[done : done + m] = k - distinct
-        done += m
+        repeats = np.count_nonzero(draws[:, 1:] == draws[:, :-1], axis=1)
+        out[done : done + len(draws)] = k - s + repeats
     return out
 
 
@@ -86,25 +103,26 @@ def grouped_urn_empty_counts(spec: GroupedUrnSpec, trials: int, rng: RngStream) 
 
     Per group, a uniform s_i-subset per trial is obtained by ranking i.i.d.
     uniforms over the k urns, which is exchangeable hence uniform over
-    subsets.
+    subsets.  A group's uniforms are drawn in slices of about _SAMPLER_CELLS.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    k = spec.k
+    _check_sampler_size(trials, k, spec.s)
     g = rng.generator()
     out = np.empty(trials, dtype=np.int64)
-    block = max(1, GROUPED_BLOCK_CELLS // spec.k)
-    done = 0
-    while done < trials:
-        m = min(block, trials - done)
-        hit = np.zeros((m, spec.k), dtype=bool)
+    block = max(1, GROUPED_BLOCK_CELLS // k)
+    rows = max(1, _SAMPLER_CELLS // k)
+    for done in range(0, trials, block):
+        hit = np.zeros((min(block, trials - done), k), dtype=bool)
         for si in spec.s_vec:
             if si == 0:
                 continue
-            keys = g.random((m, spec.k))
-            idx = np.argpartition(keys, si - 1, axis=1)[:, :si]
-            np.put_along_axis(hit, idx, True, axis=1)
-        out[done : done + m] = spec.k - hit.sum(axis=1)
-        done += m
+            for r in range(0, len(hit), rows):
+                part = hit[r : r + rows]
+                idx = np.argpartition(g.random(part.shape), si - 1, axis=1)[:, :si]
+                np.put_along_axis(part, idx, True, axis=1)
+        out[done : done + len(hit)] = k - hit.sum(axis=1)
     return out
 
 

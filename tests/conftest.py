@@ -1,16 +1,21 @@
 """Shared test helpers: brute-force oracles kept independent of the
-implementation paths they check, and the subset DP the exact solver
-replaced, kept as an oracle for its canonical witness."""
+implementation paths they check, the subset DP the exact solver replaced,
+kept as an oracle for its canonical witness, and a child-process runner
+that reports peak memory."""
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from bisect import bisect_right
 from itertools import combinations, product
 from typing import Sequence
 
 import pytest
 
+import rflcs
 from rflcs.model import Instance, is_subsequence
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -19,6 +24,31 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 @pytest.fixture(scope="session")
 def pilot():
     return json.loads((FIXTURES / "pilot.json").read_text())
+
+
+# Runs a command and appends its exit code and ru_maxrss (KiB on Linux) to
+# its stderr.  A process's ru_maxrss starts at the RSS of the process that
+# spawned it, so the command is spawned from this small interpreter, not from
+# the test process; wait4 reports the rusage of that one child alone.
+_PEAK_RSS_LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:])\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "sys.stderr.write(f'\\n{os.waitstatus_to_exitcode(status)} {usage.ru_maxrss}\\n')\n"
+)
+
+
+def run_child(*args: str) -> tuple[int, str, str, float]:
+    """Run ``python *args`` with this rflcs importable; return its exit code,
+    stdout, stderr and peak RSS in MB."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(rflcs.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, sys.executable, *args],
+        capture_output=True, text=True, env=env,
+    )
+    err, _, last = proc.stderr.rstrip("\n").rpartition("\n")
+    code, maxrss_kib = map(int, last.split())
+    return code, proc.stdout, err, maxrss_kib / 1024
 
 
 def exhaustive_lcs(x, y) -> int:

@@ -1,15 +1,11 @@
 import hashlib
 import json
 import math
-import os
-import pathlib
-import subprocess
-import sys
 import time
 
 import pytest
 
-import rflcs
+from conftest import run_child
 from rflcs.cli import EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from rflcs.experiments import CSV_HEADER
 
@@ -139,6 +135,23 @@ class TestUrnCommands:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--k", "1000000000000", "--s", "5", "--trials", "10"),
+            ("--k", "10", "--s", "5", "--trials", "1000000000000"),
+            ("--k", "10", "--s", "1000000000000", "--trials", "2"),
+            ("--k", "1000000000000", "--s-vec", "1", "--trials", "2"),
+        ],
+    )
+    def test_urn_capacity(self, capsys, argv):
+        # each of these used to die allocating its arrays, with a traceback
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "urn", *argv, "--seed", "1")
+        assert code == EXIT_CAPACITY and out == "" and "Traceback" not in err
+        assert "urn samplers limited" in err
+        assert time.monotonic() - start < 1.0
+
     def test_urn_survival_rounding_regression(self, capsys):
         # this seed used to sum the survival to 1 + 2^-52 and exit 2 with
         # "math domain error" in the stderr column
@@ -249,6 +262,19 @@ class TestSweepCommand:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_bracket_sweep_keeps_one_lcs_row(self):
+        # regime 3 at k = 200 (n = 22,479): listing every LCS row would take
+        # n^2 / 8 = 63 MB on top of the 31 MB the imports take; the upper
+        # bound keeps only the last row (measured 38 MB).
+        cap_mb = 70
+        code, out, err, peak_mb = run_child(
+            "-m", "rflcs.cli", "sweep", "--regime", "3", "--xi", "1",
+            "--k-list", "200", "--trials", "1", "--seed", "1",
+        )
+        assert code == EXIT_OK, err
+        assert out.splitlines()[1].startswith("3,200,22479,1,")
+        assert peak_mb < cap_mb
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_exact_beyond_cap_is_capacity_error(self, capsys, workers):
         # regime 3 at k = 200 (n = 22,479, m = 200): the solver's set-up
@@ -323,23 +349,15 @@ class TestExitCodes:
 
     def test_capacity_budget_exhausted_in_bounded_memory(self):
         # regime 2 rho = 2 at k = 40 (n = 253, m = 40) needs several times
-        # the work budget; the search stops there and exits 3.  wait4
-        # reports the rusage of this child alone.
+        # the work budget; the search stops there and exits 3.
         cap_mb = 200
-        argv = [
-            sys.executable, "-m", "rflcs.cli", "sweep", "--regime", "2", "--rho", "2",
+        code, out, err, peak_mb = run_child(
+            "-m", "rflcs.cli", "sweep", "--regime", "2", "--rho", "2",
             "--k-list", "40", "--trials", "1", "--seed", "1", "--estimator", "exact",
-        ]
-        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(rflcs.__file__).parents[1]))
-        with subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
-        ) as proc:
-            out, err = proc.stdout.read(), proc.stderr.read()
-            _, status, usage = os.wait4(proc.pid, 0)
-            proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == EXIT_CAPACITY and out == ""
+        )
+        assert code == EXIT_CAPACITY and out == ""
         assert "work budget" in err and "Traceback" not in err
-        assert usage.ru_maxrss / 1024 < cap_mb  # ru_maxrss is in KiB on Linux
+        assert peak_mb < cap_mb
 
     def test_exact_solver_large_k_small_m(self, capsys, tmp_path):
         # k = 25 but only 16 symbols occur in both sequences

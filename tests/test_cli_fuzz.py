@@ -1,8 +1,9 @@
 """Fuzz of the command line: whatever the flags, ``main(argv)`` exits with
 0, 2, 3 or 4, prints no traceback, and every JSON document it prints is
 strict JSON (no NaN or Infinity).  ``solve`` runs every method on small
-instance files.  Sweeps and ``--workers`` are left out: their cost grows
-with the flags, and they share the parsing fuzzed here."""
+instance files, and ``urn`` samples small urns and refuses huge ones.
+Sweeps and ``--workers`` are left out: their cost grows with the flags,
+and they share the parsing fuzzed here."""
 
 import contextlib
 import io
@@ -12,7 +13,8 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from rflcs.cli import main
+from rflcs.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, main
+from rflcs.urns import SAMPLER_COUNT_MAX
 
 EXIT_CODES = {0, 2, 3, 4}
 BOUND_OPS = ("lambda", "bernstein", "coupon", "occupancy", "p1", "p2", "claim", "regime", "elb")
@@ -21,6 +23,8 @@ INT_FLAGS = ("k", "s", "n", "n-tilde", "b", "regime")
 
 small_ints = st.integers(-3, 40)
 wide_ints = small_ints | st.integers(-(10**30), 10**30)
+# counts past the urn samplers' cap, which must be refused before allocation
+huge_counts = st.integers(SAMPLER_COUNT_MAX + 1, 10**30)
 
 
 def _reject_constant(name):
@@ -128,3 +132,35 @@ def test_solve(method, doc, size_args, segment_args):
     if code == 0:
         res = json.loads(out, parse_constant=_reject_constant)
         assert res["method"] == method and res["length"] == len(res["edges"])
+
+
+@given(
+    small_ints | huge_counts,
+    st.one_of(
+        (small_ints | huge_counts).map(lambda s: ("--s", s)),
+        st.lists(small_ints | huge_counts, min_size=1, max_size=4).map(lambda v: ("--s-vec", v)),
+        st.none(),
+    ),
+    st.integers(-2, 300) | huge_counts,
+    wide_ints,
+)
+@settings(max_examples=100, deadline=None)
+def test_urn(k, balls, trials, seed):
+    argv = ["urn", f"--k={k}", f"--trials={trials}", f"--seed={seed}"]
+    if balls is None:
+        valid, s = False, 0
+    elif balls[0] == "--s":
+        valid, s = balls[1] >= 0, balls[1]
+        argv.append(f"--s={s}")
+    else:
+        valid, s = all(0 <= v <= k for v in balls[1]), sum(balls[1])
+        argv.append(f"--s-vec={','.join(map(str, balls[1]))}")
+    code, out = run(argv)
+    if not (valid and k >= 1 and trials >= 1):
+        assert code == EXIT_USAGE
+    elif max(k, s, trials) > SAMPLER_COUNT_MAX:
+        assert code == EXIT_CAPACITY and out == ""
+    else:
+        assert code == EXIT_OK
+        rows = out.splitlines()[1:]
+        assert [int(row.split(",")[3]) for row in rows] == list(range(k + 1))

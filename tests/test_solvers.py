@@ -1,8 +1,4 @@
 import gc
-import os
-import pathlib
-import subprocess
-import sys
 import time
 from itertools import permutations
 
@@ -14,10 +10,10 @@ from conftest import (
     exhaustive_lcs,
     exhaustive_rflcs,
     quadratic_lcs_edges,
+    run_child,
     subset_dp_canonical_edges,
     subset_dp_frontiers,
 )
-import rflcs
 from rflcs.bounds import regime_target
 from rflcs.errors import CapacityError
 from rflcs.generators import gen_uniform_pair
@@ -85,8 +81,6 @@ class TestLcs:
     def test_memory_bound_regime3_k200(self):
         # regime 3 at k = 200 (n = 22,479): the kept rows take about
         # n^2 / 8 = 63 MB, where a table of Python ints would need about 4 GB.
-        # wait4 reports the rusage of this child alone, not of every child of
-        # the test process.
         cap_mb = 400
         script = (
             "from rflcs.generators import gen_uniform_pair\n"
@@ -98,17 +92,11 @@ class TestLcs:
             "ok = validate_matching(res.witness, inst, require_repetition_free=False)\n"
             "print(res.length, ok)\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(rflcs.__file__).parents[1]))
-        with subprocess.Popen(
-            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
-        ) as proc:
-            out = proc.stdout.read()
-            _, status, usage = os.wait4(proc.pid, 0)
-            proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0
+        code, out, _, peak_mb = run_child("-c", script)
+        assert code == 0
         length, ok = out.split()
         assert ok == "True" and int(length) > 0
-        assert usage.ru_maxrss / 1024 < cap_mb  # ru_maxrss is in KiB on Linux
+        assert peak_mb < cap_mb
 
 
 class TestLis:

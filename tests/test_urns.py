@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import classical_urn_inclusion_exclusion, grouped_urn_enumeration
+from conftest import classical_urn_inclusion_exclusion, grouped_urn_enumeration, run_child
 from rflcs import urns
 from rflcs.bounds import lambda_empty
 from rflcs.errors import CapacityError
@@ -168,10 +168,43 @@ class TestSampling:
                 ]
             )
 
-        monkeypatch.setattr(urns, "_CLASSICAL_CHUNK_DRAWS", 7)
+        monkeypatch.setattr(urns, "_SAMPLER_CELLS", 7)
         small = draw()
-        monkeypatch.setattr(urns, "_CLASSICAL_CHUNK_DRAWS", 10**9)
+        monkeypatch.setattr(urns, "_SAMPLER_CELLS", 10**9)
         assert (draw() == small).all()
+
+    def test_grouped_independent_of_slice_size(self, monkeypatch):
+        # k = 1000 spans three blocks, with row slices of 1 row or whole
+        # blocks; k = 12 has slices of 1, 4 (the last one ragged) or 301 rows
+        def draw():
+            return np.concatenate(
+                [
+                    grouped_urn_empty_counts(GroupedUrnSpec(1000, (3, 0, 5)), 10_000, RngStream(51)),
+                    grouped_urn_empty_counts(GroupedUrnSpec(12, (0, 3, 5)), 301, RngStream(52)),
+                ]
+            )
+
+        assert urns.GROUPED_BLOCK_CELLS // 1000 < 10_000 // 2
+        outputs = []
+        for cells in (7, 50, 10**9):
+            monkeypatch.setattr(urns, "_SAMPLER_CELLS", cells)
+            outputs.append(draw())
+        assert all((out == outputs[0]).all() for out in outputs[1:])
+
+    def test_memory_bound_battery_samplers(self):
+        # the battery's two samplers at 50,000 trials, imports (31 MB)
+        # included: sorting 4M draws at once and (block x k) key arrays took
+        # 99 and 94 MB; slices of _SAMPLER_CELLS cells take 39 and 43 MB
+        cap_mb = 70
+        script = (
+            "from rflcs.rng import RngStream\n"
+            "from rflcs.urns import GroupedUrnSpec, classical_urn_empty_counts, grouped_urn_empty_counts\n"
+            "classical_urn_empty_counts(100, 922, 50_000, RngStream(1))\n"
+            "grouped_urn_empty_counts(GroupedUrnSpec(50, (10,) * 5), 50_000, RngStream(2))\n"
+        )
+        code, _, err, peak_mb = run_child("-c", script)
+        assert code == 0, err
+        assert peak_mb < cap_mb
 
     def test_grouped_stream_layout_pinned(self):
         # k=1000 gives blocks of 4194 trials, so 10_000 trials span three
@@ -184,6 +217,20 @@ class TestSampling:
     def test_zero_balls(self):
         ys = classical_urn_empty_counts(7, 0, 10, RngStream(45))
         assert (ys == 7).all()
+
+    def test_count_gate(self):
+        cap = urns.SAMPLER_COUNT_MAX
+        assert len(classical_urn_empty_counts(2, 1, cap, RngStream(53))) == cap
+        for k, s, trials in ((cap + 1, 1, 1), (2, cap + 1, 1), (2, 1, cap + 1)):
+            with pytest.raises(CapacityError):
+                classical_urn_empty_counts(k, s, trials, RngStream(53))
+        for spec, trials in (
+            (GroupedUrnSpec(cap + 1, (1,)), 1),
+            (GroupedUrnSpec(cap, (cap, 1)), 1),
+            (GroupedUrnSpec(2, (1,)), cap + 1),
+        ):
+            with pytest.raises(CapacityError):
+                grouped_urn_empty_counts(spec, trials, RngStream(53))
 
 
 class TestSurvival:
