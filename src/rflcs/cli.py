@@ -46,6 +46,7 @@ from .solvers import (
 )
 from .urns import (
     GroupedUrnSpec,
+    check_survival_size,
     classical_urn_empty_counts,
     classical_urn_exact,
     grouped_urn_empty_counts,
@@ -137,6 +138,7 @@ def _urn_spec_from_args(args) -> tuple[str, GroupedUrnSpec | None, int, int]:
 
 def cmd_urn(args) -> int:
     model, spec, k, s = _urn_spec_from_args(args)
+    check_survival_size(k)  # before sampling
     stream = RngStream(args.seed)
     if model == "grouped":
         samples = grouped_urn_empty_counts(spec, args.trials, stream)

@@ -29,7 +29,7 @@ from .rng import RngStream
 from .solvers import (
     SegmentPlan,
     _canonical_edges,
-    _lcs_rows,
+    lcs_length,
     rflcs_exact,
     segment_merge_heuristic,
 )
@@ -123,9 +123,8 @@ def _sweep_trial(args: tuple[int, int, int, int, int, str]) -> tuple[int, int]:
     plan = SegmentPlan(n_tilde=math.ceil(k**0.75))
     per_segment = "exact" if k <= EXACT_SEGMENTS_K_MAX else "lis"
     lower = segment_merge_heuristic(inst, plan, per_segment=per_segment).length
-    for last in _lcs_rows(inst.x, inst.y):  # only the last row is kept
-        pass
-    return lower, min(len(inst.y) - last.bit_count(), k)
+    upper = min(lcs_length(inst.x, inst.y).length, k)
+    return lower, upper
 
 
 def run_regime_sweep(config: SweepConfig, workers: int = 1) -> SweepReport:

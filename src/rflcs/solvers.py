@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import CapacityError
 from .model import (
@@ -36,13 +36,12 @@ N_MAX_BRUTE = 12
 # Classical LCS
 
 
-def _lcs_rows(x: Sequence[int], y: Sequence[int]) -> Iterator[int]:
+def _lcs_rows(x: Sequence[int], y: Sequence[int]) -> list[int]:
     """Bit-parallel LCS rows (Allison & Dix 1986, Hyyro 2004) of x against y.
 
-    Yields V_0 .. V_len(x).  Row i is an int V_i with bit j clear where
-    D(i, j+1) = D(i, j) + 1, D being the classical LCS table of x[:i] and
-    y[:j], so D(i, j) = j - popcount(V_i below bit j) and the LCS is
-    len(y) - popcount(V_len(x)).  A caller that lists every row holds about
+    Row i is an int V_i with bit j clear where D(i, j+1) = D(i, j) + 1, D
+    being the classical LCS table of x[:i] and y[:j], so D(i, j) = j -
+    popcount(V_i below bit j).  All len(x) + 1 rows are kept, about
     len(x) * len(y) / 8 bytes.
     """
     full = (1 << len(y)) - 1
@@ -50,11 +49,12 @@ def _lcs_rows(x: Sequence[int], y: Sequence[int]) -> Iterator[int]:
     for j, c in enumerate(y):
         masks[c] = masks.get(c, 0) | 1 << j
     v = full
-    yield v
+    rows = [v]
     for c in x:
         u = v & masks.get(c, 0)
         v = ((v + u) | (v - u)) & full
-        yield v
+        rows.append(v)
+    return rows
 
 
 def lcs_length(x: Sequence[int], y: Sequence[int]) -> SolveResult:
@@ -64,7 +64,7 @@ def lcs_length(x: Sequence[int], y: Sequence[int]) -> SolveResult:
     D(i-1, j) >= D(i, j-1), else left.
     """
     nx, ny = len(x), len(y)
-    rows = list(_lcs_rows(x, y))
+    rows = _lcs_rows(x, y)
     edges = []
     i, j = nx, ny
     d = ny - rows[-1].bit_count()  # D(i, j); no match is left once it is 0
@@ -260,7 +260,7 @@ def _canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]
     search = (
         nx, ny, syms, _next_tables(x, syms), nxt_y,
         _suffix_masks(x, bit), _suffix_masks(y, bit),
-        list(_lcs_rows(x[::-1], y[::-1])), {}, [EXACT_BUDGET - setup],
+        _lcs_rows(x[::-1], y[::-1]), {}, [EXACT_BUDGET - setup],
     )
     total = 0
     while _feasible(search, 0, 0, 0, total + 1):

@@ -42,10 +42,20 @@ GROUPED_BLOCK_CELLS = 1 << 22
 # uniforms.  Memory only: a sample does not depend on this value, because
 # consecutive draws continue one stream.
 _SAMPLER_CELLS = 1 << 18
-# Cap on each of trials, k and s, checked before a sampler allocates.  At the
-# cap `rflcs urn` peaks near 230 MB (k = s = 2^20), mostly the 2^20 + 1 CSV
-# rows; k = 2^21 takes 370 MB.
-SAMPLER_COUNT_MAX = 1 << 20
+# Gates checked before a sampler allocates.  SAMPLER_COUNT_MAX caps trials and
+# one row, for memory: the output takes 8 bytes per trial, and one classical
+# trial's s draws, or one grouped row's k uniforms with their ranks and hits
+# (17 bytes per urn), are held at once however small _SAMPLER_CELLS is.  At
+# the cap a call peaks near 290 MB (grouped, k = 2^24).  The classical
+# sampler holds nothing per urn, so its k is not capped.  SAMPLER_CELLS_MAX
+# caps the work: the cells a call touches, trials * s classical and trials *
+# k per nonzero group (at least once) grouped; at 5-10 * 10^7 cells per
+# second a call at the cap takes about a minute.
+SAMPLER_COUNT_MAX = 1 << 24
+SAMPLER_CELLS_MAX = 1 << 32
+# Cap on k where the k + 1 survival rows are built: `rflcs urn` at k = 2^20
+# peaks near 200 MB, most of it the CSV rows.
+SURVIVAL_K_MAX = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -68,11 +78,18 @@ class GroupedUrnSpec:
         return len(self.s_vec)
 
 
-def _check_sampler_size(trials: int, k: int, s: int) -> None:
-    if max(trials, k, s) > SAMPLER_COUNT_MAX:
+def _check_sampler_size(trials: int, row: int, cells: int) -> None:
+    """Refuse a call whose trials or row (a classical trial's s draws, or a
+    grouped row's k urns) pass SAMPLER_COUNT_MAX, or which touches more than
+    SAMPLER_CELLS_MAX cells."""
+    if max(trials, row) > SAMPLER_COUNT_MAX:
         raise CapacityError(
-            f"urn samplers limited to {SAMPLER_COUNT_MAX} trials, urns and balls "
-            f"(got trials = {trials}, k = {k}, s = {s})"
+            f"urn samplers limited to {SAMPLER_COUNT_MAX} trials and {SAMPLER_COUNT_MAX} "
+            f"cells per row (got trials = {trials}, row = {row})"
+        )
+    if cells > SAMPLER_CELLS_MAX:
+        raise CapacityError(
+            f"urn samplers limited to {SAMPLER_CELLS_MAX} cells per call (got {cells})"
         )
 
 
@@ -84,7 +101,7 @@ def classical_urn_empty_counts(k: int, s: int, trials: int, rng: RngStream) -> n
     """
     if k < 1 or s < 0 or trials < 1:
         raise ValueError("require k >= 1, s >= 0, trials >= 1")
-    _check_sampler_size(trials, k, s)
+    _check_sampler_size(trials, s, trials * s)
     g = rng.generator()
     if s == 0:
         return np.full(trials, k, dtype=np.int64)
@@ -108,16 +125,15 @@ def grouped_urn_empty_counts(spec: GroupedUrnSpec, trials: int, rng: RngStream) 
     if trials < 1:
         raise ValueError("trials must be >= 1")
     k = spec.k
-    _check_sampler_size(trials, k, spec.s)
+    sizes = [si for si in spec.s_vec if si]  # a zero group draws nothing
+    _check_sampler_size(trials, k, trials * k * max(1, len(sizes)))
     g = rng.generator()
     out = np.empty(trials, dtype=np.int64)
     block = max(1, GROUPED_BLOCK_CELLS // k)
     rows = max(1, _SAMPLER_CELLS // k)
     for done in range(0, trials, block):
         hit = np.zeros((min(block, trials - done), k), dtype=bool)
-        for si in spec.s_vec:
-            if si == 0:
-                continue
+        for si in sizes:
             for r in range(0, len(hit), rows):
                 part = hit[r : r + rows]
                 idx = np.argpartition(g.random(part.shape), si - 1, axis=1)[:, :si]
@@ -205,12 +221,18 @@ def survival_from_pmf(pmf) -> np.ndarray:
     return np.cumsum(pmf[::-1])[::-1]
 
 
+def check_survival_size(k: int) -> None:
+    if k > SURVIVAL_K_MAX:
+        raise CapacityError(f"urn survival table limited to k = {SURVIVAL_K_MAX} (got k = {k})")
+
+
 def survival_from_samples(samples, k: int) -> np.ndarray:
     """Empirical S(t) = P(value >= t) for t = 0..k.
 
     Tail counts are summed as integers and divided once, so S(0) is
     exactly 1 and S never increases.
     """
+    check_survival_size(k)
     counts = np.bincount(np.asarray(samples, dtype=np.int64), minlength=k + 1)
     return np.cumsum(counts[::-1])[::-1] / len(samples)
 

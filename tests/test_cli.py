@@ -142,15 +142,29 @@ class TestUrnCommands:
             ("--k", "10", "--s", "5", "--trials", "1000000000000"),
             ("--k", "10", "--s", "1000000000000", "--trials", "2"),
             ("--k", "1000000000000", "--s-vec", "1", "--trials", "2"),
+            # 2^40 cells each, in bounded memory but hours of drawing
+            ("--k", "1048576", "--s-vec", "1", "--trials", "1048576"),
+            ("--k", "10", "--s", "1048576", "--trials", "1048576"),
         ],
     )
     def test_urn_capacity(self, capsys, argv):
-        # each of these used to die allocating its arrays, with a traceback
+        # the first four used to die allocating their arrays, with a traceback
         start = time.monotonic()
         code, out, err = run_cli(capsys, "urn", *argv, "--seed", "1")
         assert code == EXIT_CAPACITY and out == "" and "Traceback" not in err
-        assert "urn samplers limited" in err
+        assert "limited to" in err
         assert time.monotonic() - start < 1.0
+
+    def test_urn_many_trials_small_urns(self, capsys):
+        # 2^21 trials of 8 bytes each, past the count a trial cap of 2^20 refused
+        code, out, _ = run_cli(
+            capsys, "urn", "--k", "3", "--s", "2", "--trials", str(2**21), "--seed", "1"
+        )
+        assert code == EXIT_OK
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert [int(row[3]) for row in rows] == [0, 1, 2, 3]
+        # two balls leave one or two of three urns empty: P(Y >= 2) = 1/3
+        assert float(rows[1][4]) == 1.0 and abs(float(rows[2][4]) - 1 / 3) < 0.002
 
     def test_urn_survival_rounding_regression(self, capsys):
         # this seed used to sum the survival to 1 + 2^-52 and exit 2 with
@@ -261,19 +275,6 @@ class TestSweepCommand:
         code, out, _ = run_cli(capsys, "sweep", *argv, "--seed", "11", "--workers", "1")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    def test_bracket_sweep_keeps_one_lcs_row(self):
-        # regime 3 at k = 200 (n = 22,479): listing every LCS row would take
-        # n^2 / 8 = 63 MB on top of the 31 MB the imports take; the upper
-        # bound keeps only the last row (measured 38 MB).
-        cap_mb = 70
-        code, out, err, peak_mb = run_child(
-            "-m", "rflcs.cli", "sweep", "--regime", "3", "--xi", "1",
-            "--k-list", "200", "--trials", "1", "--seed", "1",
-        )
-        assert code == EXIT_OK, err
-        assert out.splitlines()[1].startswith("3,200,22479,1,")
-        assert peak_mb < cap_mb
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_exact_beyond_cap_is_capacity_error(self, capsys, workers):

@@ -14,7 +14,7 @@ import tempfile
 from hypothesis import given, settings, strategies as st
 
 from rflcs.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, main
-from rflcs.urns import SAMPLER_COUNT_MAX
+from rflcs.urns import SAMPLER_COUNT_MAX, SURVIVAL_K_MAX
 
 EXIT_CODES = {0, 2, 3, 4}
 BOUND_OPS = ("lambda", "bernstein", "coupon", "occupancy", "p1", "p2", "claim", "regime", "elb")
@@ -23,8 +23,10 @@ INT_FLAGS = ("k", "s", "n", "n-tilde", "b", "regime")
 
 small_ints = st.integers(-3, 40)
 wide_ints = small_ints | st.integers(-(10**30), 10**30)
-# counts past the urn samplers' cap, which must be refused before allocation
+# counts past the urn samplers' cap and urn counts past the survival table's,
+# which must be refused before allocation
 huge_counts = st.integers(SAMPLER_COUNT_MAX + 1, 10**30)
+huge_k = st.integers(SURVIVAL_K_MAX + 1, 10**30)
 
 
 def _reject_constant(name):
@@ -135,7 +137,7 @@ def test_solve(method, doc, size_args, segment_args):
 
 
 @given(
-    small_ints | huge_counts,
+    small_ints | huge_k,
     st.one_of(
         (small_ints | huge_counts).map(lambda s: ("--s", s)),
         st.lists(small_ints | huge_counts, min_size=1, max_size=4).map(lambda v: ("--s-vec", v)),
@@ -146,19 +148,25 @@ def test_solve(method, doc, size_args, segment_args):
 )
 @settings(max_examples=100, deadline=None)
 def test_urn(k, balls, trials, seed):
+    # `urn` checks the group sizes, then k against the survival table's cap
+    # before it samples, then s and trials, then the samplers' caps
     argv = ["urn", f"--k={k}", f"--trials={trials}", f"--seed={seed}"]
     if balls is None:
-        valid, s = False, 0
+        spec_ok, s = False, 0
     elif balls[0] == "--s":
-        valid, s = balls[1] >= 0, balls[1]
+        spec_ok, s = True, balls[1]
         argv.append(f"--s={s}")
     else:
-        valid, s = all(0 <= v <= k for v in balls[1]), sum(balls[1])
+        spec_ok, s = k >= 1 and all(0 <= v <= k for v in balls[1]), sum(balls[1])
         argv.append(f"--s-vec={','.join(map(str, balls[1]))}")
     code, out = run(argv)
-    if not (valid and k >= 1 and trials >= 1):
+    if not spec_ok:
         assert code == EXIT_USAGE
-    elif max(k, s, trials) > SAMPLER_COUNT_MAX:
+    elif k > SURVIVAL_K_MAX:
+        assert code == EXIT_CAPACITY and out == ""
+    elif not (k >= 1 and s >= 0 and trials >= 1):
+        assert code == EXIT_USAGE
+    elif max(s, trials) > SAMPLER_COUNT_MAX:
         assert code == EXIT_CAPACITY and out == ""
     else:
         assert code == EXIT_OK

@@ -219,18 +219,34 @@ class TestSampling:
         assert (ys == 7).all()
 
     def test_count_gate(self):
+        # a classical sampler allocates nothing per urn, so k is not capped
         cap = urns.SAMPLER_COUNT_MAX
         assert len(classical_urn_empty_counts(2, 1, cap, RngStream(53))) == cap
-        for k, s, trials in ((cap + 1, 1, 1), (2, cap + 1, 1), (2, 1, cap + 1)):
-            with pytest.raises(CapacityError):
+        assert (classical_urn_empty_counts(2**40, 3, 2, RngStream(53)) == 2**40 - 3).all()
+        for k, s, trials in ((2, cap + 1, 1), (2, 1, cap + 1)):
+            with pytest.raises(CapacityError, match="cells per row"):
                 classical_urn_empty_counts(k, s, trials, RngStream(53))
-        for spec, trials in (
-            (GroupedUrnSpec(cap + 1, (1,)), 1),
-            (GroupedUrnSpec(cap, (cap, 1)), 1),
-            (GroupedUrnSpec(2, (1,)), cap + 1),
-        ):
-            with pytest.raises(CapacityError):
+        for spec, trials in ((GroupedUrnSpec(cap + 1, (1,)), 1), (GroupedUrnSpec(2, (1,)), cap + 1)):
+            with pytest.raises(CapacityError, match="cells per row"):
                 grouped_urn_empty_counts(spec, trials, RngStream(53))
+
+    def test_cells_gate(self):
+        # trials * s classical, trials * k per nonzero group (at least once)
+        # grouped; a call at the cap is not run here, it takes about a minute
+        cells = urns.SAMPLER_CELLS_MAX
+        for k, s, trials in ((10, 2**16, cells // 2**16 + 1), (10, cells // 2**20 + 1, 2**20)):
+            with pytest.raises(CapacityError, match="cells per call"):
+                classical_urn_empty_counts(k, s, trials, RngStream(54))
+        for spec, trials in (
+            (GroupedUrnSpec(2**20, (1,)), 2**20),
+            (GroupedUrnSpec(2**20, (0,)), 2**20),
+            (GroupedUrnSpec(2**12, (1,) * 2**10 + (0,)), 2**10 + 1),
+        ):
+            with pytest.raises(CapacityError, match="cells per call"):
+                grouped_urn_empty_counts(spec, trials, RngStream(54))
+        # zero groups draw nothing and are not counted
+        ys = grouped_urn_empty_counts(GroupedUrnSpec(4, (0,) * 10**5 + (1,)), 3, RngStream(54))
+        assert (ys == 3).all()
 
 
 class TestSurvival:
@@ -241,6 +257,12 @@ class TestSurvival:
     def test_from_samples(self):
         surv = survival_from_samples(np.array([0, 1, 1, 2]), 2)
         assert np.allclose(surv, [1.0, 0.75, 0.25])
+
+    def test_k_gate(self):
+        k = urns.SURVIVAL_K_MAX
+        assert len(survival_from_samples(np.array([k]), k)) == k + 1
+        with pytest.raises(CapacityError):
+            survival_from_samples(np.array([1]), k + 1)
 
 
 class TestDominance:
