@@ -166,6 +166,23 @@ class TestUrnCommands:
         # two balls leave one or two of three urns empty: P(Y >= 2) = 1/3
         assert float(rows[1][4]) == 1.0 and abs(float(rows[2][4]) - 1 / 3) < 0.002
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--k", "100", "--s", "922", "--trials", "50000", "--seed", "7"), "42052b689d32bd39498d53ac933b914d8d1f689e1ea413e5ca94eb403fe7319d"),
+            (("--k", "50", "--s-vec", "10,10,10,10,10", "--trials", "50000", "--seed", "1844546741"), "f52e82bc94bdc7ba4c94d98c016dffac9b042b30b9abe882fc02bc36e37805f0"),
+        ],
+    )
+    def test_urn_bytes_pinned(self, capsys, tmp_path, argv, digest):
+        # the digests were taken from the CSV joined whole before one write;
+        # --out must write the same bytes as stdout
+        code, out, _ = run_cli(capsys, "urn", *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        path = tmp_path / "urn.csv"
+        assert run_cli(capsys, "urn", *argv, "--out", str(path))[0] == EXIT_OK
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_urn_survival_rounding_regression(self, capsys):
         # this seed used to sum the survival to 1 + 2^-52 and exit 2 with
         # "math domain error" in the stderr column
@@ -304,6 +321,19 @@ class TestUniformityCommand:
         code, out, _ = run_cli(capsys, "uniformity", "--n", "2", "--k", "2")
         assert code == EXIT_OK
         assert json.loads(out)["uniform"] is True
+
+    @pytest.mark.parametrize(
+        "n, k, digest",
+        [
+            ("3", "7", "e4a3dc6db3e822d0bc9b99247d40d3e0af8ac670f3cf652d872d08592ea1fe47"),
+            ("4", "3", "0767c62aff7c0992bdfae68e65146a795a0b65f7c62596b650dceecf395431fa"),
+        ],
+    )
+    def test_bytes_pinned(self, capsys, n, k, digest):
+        # the digests were taken from the loop over all k^(2n) pairs
+        code, out, _ = run_cli(capsys, "uniformity", "--n", n, "--k", k)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_capacity(self, capsys):
         code, _, _ = run_cli(capsys, "uniformity", "--n", "8", "--k", "8")
