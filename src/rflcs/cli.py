@@ -13,7 +13,9 @@ import json
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from contextlib import contextmanager
+from itertools import islice
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .bounds import (
     BoundParams,
@@ -58,16 +60,25 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_CHECK_FAILED = 4
+# Survival rows `urn` joins per write: it bounds memory, while one write per
+# row ran about 15% slower at k = 2^20.  The bytes do not depend on it.
+_URN_ROWS_PER_WRITE = 1 << 12
+
+
+@contextmanager
+def _output(out_path: Optional[str]) -> Iterator[TextIO]:
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield sys.stdout
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 def _finite_float(text: str) -> float:
@@ -147,11 +158,15 @@ def cmd_urn(args) -> int:
         samples = classical_urn_empty_counts(k, s, args.trials, stream)
         s_vec_label = str(s)
     surv = survival_from_samples(samples, k)
-    lines = ["model,k,s_vec,t,survival,stderr"]
-    for t, p in enumerate(surv):
-        se = math.sqrt(p * (1 - p) / args.trials)
-        lines.append(f"{model},{k},{s_vec_label},{t},{p:.10g},{se:.10g}")
-    _emit("\n".join(lines), args.out)
+    rows = (
+        f"{model},{k},{s_vec_label},{t},{p:.10g},{math.sqrt(p * (1 - p) / args.trials):.10g}\n"
+        for t, p in enumerate(surv)
+    )
+    # k + 1 rows are formatted and written a batch at a time, never held whole
+    with _output(args.out) as fh:
+        fh.write("model,k,s_vec,t,survival,stderr\n")
+        while batch := "".join(islice(rows, _URN_ROWS_PER_WRITE)):
+            fh.write(batch)
     return EXIT_OK
 
 

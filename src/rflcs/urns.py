@@ -54,7 +54,8 @@ _SAMPLER_CELLS = 1 << 18
 SAMPLER_COUNT_MAX = 1 << 24
 SAMPLER_CELLS_MAX = 1 << 32
 # Cap on k where the k + 1 survival rows are built: `rflcs urn` at k = 2^20
-# peaks near 200 MB, most of it the CSV rows.
+# (--s 5 --trials 10) peaks near 53 MB, since it writes the CSV rows in
+# batches (202 MB when it joined them whole).
 SURVIVAL_K_MAX = 1 << 20
 
 

@@ -1,7 +1,8 @@
 """Shared test helpers: brute-force oracles kept independent of the
 implementation paths they check, the subset DP the exact solver replaced,
-kept as an oracle for its canonical witness, and a child-process runner
-that reports peak memory."""
+kept as an oracle for its canonical witness, the all-pairs loop the
+uniformity tally replaced, and a child-process runner that reports peak
+memory."""
 
 import json
 import math
@@ -16,6 +17,7 @@ from typing import Sequence
 import pytest
 
 import rflcs
+from rflcs.experiments import _canonical_edges
 from rflcs.model import Instance, is_subsequence
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -226,6 +228,26 @@ def subset_dp_canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[
         if not found:  # unreachable if the DP is consistent
             raise RuntimeError("canonical recovery failed to extend matching")
     return edges
+
+
+def all_pairs_uniformity(
+    n: int, k: int
+) -> tuple[dict[int, int], dict[int, dict[frozenset, int]]]:
+    """Canonical symbol-set tallies (size_counts, subset_counts) from one
+    solve per pair of [0, k)^n x [0, k)^n."""
+    size_counts: dict[int, int] = {}
+    subset_counts: dict[int, dict[frozenset, int]] = {}
+    for x in product(range(k), repeat=n):
+        for y in product(range(k), repeat=n):
+            edges = _canonical_edges(x, y)
+            l = len(edges)
+            size_counts[l] = size_counts.get(l, 0) + 1
+            if l == 0:
+                continue
+            syms = frozenset(x[i] for i, _ in edges)
+            bucket = subset_counts.setdefault(l, {})
+            bucket[syms] = bucket.get(syms, 0) + 1
+    return size_counts, subset_counts
 
 
 def exhaustive_rflcs(x, y) -> int:

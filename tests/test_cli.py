@@ -183,6 +183,19 @@ class TestUrnCommands:
         assert run_cli(capsys, "urn", *argv, "--out", str(path))[0] == EXIT_OK
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_urn_survival_rows_in_bounded_memory(self):
+        # 2^20 + 1 rows (32 MB of CSV) at the survival cap: the joined CSV
+        # peaked at 202 MB, the batched writes at about 53 MB
+        cap_mb = 100
+        code, out, err, peak_mb = run_child(
+            "-m", "rflcs.cli", "urn", "--k", "1048576", "--s", "5", "--trials", "10", "--seed", "1",
+        )
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "dbcb82ee7987844badcdd17bc1032347c14da8274196b03ce58a63a2a8a14653"
+        )
+        assert peak_mb < cap_mb
+
     def test_urn_survival_rounding_regression(self, capsys):
         # this seed used to sum the survival to 1 + 2^-52 and exit 2 with
         # "math domain error" in the stderr column

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+import rflcs.experiments
+from conftest import all_pairs_uniformity
 from rflcs.errors import CapacityError
 from rflcs.experiments import (
     CSV_HEADER,
@@ -109,6 +111,40 @@ class TestUniformity:
         assert sum(report.size_counts.values()) == 16
         for bucket in report.subset_counts.values():
             assert len(set(bucket.values())) == 1
+
+    # every shape with at most 50,000 pairs (n = 0 has one pair whatever k,
+    # so it takes the n = 1 range of k); (3, 3) by itself has x with 0, 1 and 2
+    # absent symbols, and n = 1 has x with up to 222
+    @pytest.mark.parametrize("n", range(13))
+    def test_matches_all_pairs(self, n):
+        ks = [k for k in range(1, 224) if k ** (2 * n) <= 50_000]
+        assert ks
+        for k in ks:
+            report = uniformity_test_exhaustive(n, k)
+            size_counts, subset_counts = all_pairs_uniformity(n, k)
+            assert report.size_counts == size_counts
+            assert report.subset_counts == subset_counts
+            # the CLI keeps each bucket's key order, so the order must match too
+            assert [list(b) for b in report.subset_counts.values()] == [
+                list(b) for b in subset_counts.values()
+            ]
+            assert report.total_pairs == sum(size_counts.values())
+
+    @pytest.mark.parametrize("n, k, solves", [(3, 7, 16_898), (4, 3, 6_366), (3, 3, 672)])
+    def test_solves_once_per_class(self, monkeypatch, n, k, solves):
+        # one solve per x and per y over the symbols of x plus one stand-in
+        # for those absent from x, not one per pair
+        calls = 0
+        solve = rflcs.experiments._canonical_edges
+
+        def counting(x, y):
+            nonlocal calls
+            calls += 1
+            return solve(x, y)
+
+        monkeypatch.setattr(rflcs.experiments, "_canonical_edges", counting)
+        uniformity_test_exhaustive(n, k)
+        assert calls == solves
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
