@@ -370,6 +370,15 @@ class TestCheckCommand:
         if code == EXIT_OK:
             assert all(line.startswith("PASS") for line in lines)
 
+    def test_bytes_pinned(self, capsys):
+        # three of the six items run the classical urn sampler; the digest
+        # was taken from the sampler that drew 64-bit keys
+        code, out, _ = run_cli(capsys, "check", "--seed", "42", "--trials", "20000")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f414954cacacbd18300288abb27fdf655eda21cdc92dec5705d895ce80f90b36"
+        )
+
 
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
