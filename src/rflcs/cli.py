@@ -276,7 +276,11 @@ def cmd_uniformity(args) -> int:
         "uniform": report.uniform,
         "size_counts": {str(l): c for l, c in sorted(report.size_counts.items())},
         "subset_counts": {
-            str(l): {",".join(map(str, sorted(sub))): c for sub, c in sorted(bucket.items())}
+            # frozensets compare by inclusion, so order them by their symbols
+            str(l): {
+                ",".join(map(str, sorted(sub))): c
+                for sub, c in sorted(bucket.items(), key=lambda item: sorted(item[0]))
+            }
             for l, bucket in sorted(report.subset_counts.items())
         },
     }

@@ -156,14 +156,14 @@ def degree_one_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int,
 
 def _next_tables(seq: Sequence[int], syms: Sequence[int]) -> dict[int, list[int]]:
     """nxt[c][p] = smallest q >= p with seq[q] == c, else len(seq)."""
+    tables: dict[int, list[int]] = {c: [] for c in syms}
+    for p, c in enumerate(seq):
+        tab = tables.get(c)
+        if tab is not None:
+            tab += [p] * (p + 1 - len(tab))  # every position since the last c
     n = len(seq)
-    tables = {c: [n] * (n + 1) for c in syms}
-    for p in range(n - 1, -1, -1):
-        for tab in tables.values():
-            tab[p] = tab[p + 1]
-        t = tables.get(seq[p])
-        if t is not None:
-            t[p] = p
+    for tab in tables.values():
+        tab += [n] * (n + 1 - len(tab))
     return tables
 
 

@@ -1,8 +1,8 @@
 """Shared test helpers: brute-force oracles kept independent of the
 implementation paths they check, the subset DP the exact solver replaced,
 kept as an oracle for its canonical witness, the all-pairs loop the
-uniformity tally replaced, and a child-process runner that reports peak
-memory."""
+uniformity tally replaced, the classical urn sampler on 64-bit keys, and a
+child-process runner that reports peak memory."""
 
 import json
 import math
@@ -14,9 +14,11 @@ from bisect import bisect_right
 from itertools import combinations, product
 from typing import Sequence
 
+import numpy as np
 import pytest
 
 import rflcs
+from rflcs import urns
 from rflcs.experiments import _canonical_edges
 from rflcs.model import Instance, is_subsequence
 
@@ -298,6 +300,22 @@ def classical_urn_inclusion_exclusion(k: int, s: int) -> list[float]:
             num += -term if j % 2 else term
         probs.append(math.comb(k, m) * num / denom)
     return probs
+
+
+def int64_classical_urn_empty_counts(k: int, s: int, trials: int, rng) -> np.ndarray:
+    """The classical urn sampler as it was before it drew uint32 keys: every
+    chunk of draws is int64, whatever k."""
+    g = rng.generator()
+    if s == 0:
+        return np.full(trials, k, dtype=np.int64)
+    out = np.empty(trials, dtype=np.int64)
+    chunk = max(1, urns._SAMPLER_CELLS // s)
+    for done in range(0, trials, chunk):
+        draws = g.integers(0, k, size=(min(chunk, trials - done), s))
+        draws.sort(axis=1)
+        repeats = np.count_nonzero(draws[:, 1:] == draws[:, :-1], axis=1)
+        out[done : done + len(draws)] = k - s + repeats
+    return out
 
 
 def grouped_urn_enumeration(k: int, s_vec) -> list[float]:

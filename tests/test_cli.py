@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,8 +7,9 @@ import time
 import pytest
 
 from conftest import run_child
+from rflcs import cli
 from rflcs.cli import EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
-from rflcs.experiments import CSV_HEADER
+from rflcs.experiments import CSV_HEADER, uniformity_test_exhaustive
 
 
 def run_cli(capsys, *argv):
@@ -347,6 +349,30 @@ class TestUniformityCommand:
         code, out, _ = run_cli(capsys, "uniformity", "--n", n, "--k", k)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n, k", [("3", "7"), ("2", "12"), ("4", "3")])
+    def test_bucket_order_independent_of_insertion(self, capsys, monkeypatch, n, k):
+        # each bucket's keys are in order of their symbols, by value (k = 12
+        # has two-digit symbols), and buckets filled in reverse order print
+        # the same JSON
+        code, want, _ = run_cli(capsys, "uniformity", "--n", n, "--k", k)
+        assert code == EXIT_OK
+        for bucket in json.loads(want)["subset_counts"].values():
+            keys = [list(map(int, key.split(","))) for key in bucket]
+            assert keys == sorted(keys)
+        report = uniformity_test_exhaustive(int(n), int(k))
+        reversed_report = dataclasses.replace(
+            report,
+            subset_counts={
+                l: dict(reversed(bucket.items())) for l, bucket in report.subset_counts.items()
+            },
+        )
+        assert any(
+            list(a) != list(b)
+            for a, b in zip(report.subset_counts.values(), reversed_report.subset_counts.values())
+        )
+        monkeypatch.setattr(cli, "uniformity_test_exhaustive", lambda n, k: reversed_report)
+        assert run_cli(capsys, "uniformity", "--n", n, "--k", k) == (EXIT_OK, want, "")
 
     def test_capacity(self, capsys):
         code, _, _ = run_cli(capsys, "uniformity", "--n", "8", "--k", "8")

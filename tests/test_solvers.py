@@ -22,6 +22,7 @@ from rflcs.rng import RngStream
 from rflcs.solvers import (
     SegmentPlan,
     _canonical_edges,
+    _next_tables,
     degree_one_edges,
     lcs_length,
     lis_indices,
@@ -296,6 +297,22 @@ class TestExactSolver:
         y = list(reversed(x))
         inst = Instance(n=len(x), k=k, x=tuple(x), y=tuple(y))
         assert rflcs_exact(inst).length == exhaustive_rflcs(x, y)
+
+    @given(
+        st.lists(st.integers(0, 5), max_size=40),
+        st.lists(st.integers(0, 8), unique=True, max_size=9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_next_tables_match_definition(self, seq, syms):
+        # nxt[c][p] = min{q >= p : seq[q] == c}, else len(seq); seq may be
+        # empty, and symbols 6..8 never occur in it
+        n = len(seq)
+        tables = _next_tables(seq, syms)
+        assert list(tables) == syms
+        for c in syms:
+            assert tables[c] == [
+                min((q for q in range(p, n) if seq[q] == c), default=n) for p in range(n + 1)
+            ]
 
 
 class TestBruteforce:

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import classical_urn_inclusion_exclusion, grouped_urn_enumeration, run_child
+from conftest import (
+    classical_urn_inclusion_exclusion,
+    grouped_urn_enumeration,
+    int64_classical_urn_empty_counts,
+    run_child,
+)
 from rflcs import urns
 from rflcs.bounds import lambda_empty
 from rflcs.errors import CapacityError
@@ -173,6 +178,21 @@ class TestSampling:
         monkeypatch.setattr(urns, "_SAMPLER_CELLS", 10**9)
         assert (draw() == small).all()
 
+    @pytest.mark.parametrize("cells", [7, urns._SAMPLER_CELLS, 10**9])
+    def test_classical_matches_int64_keys(self, monkeypatch, cells):
+        # uint32 keys up to k = 2^32 and int64 keys above it give the samples
+        # of the loop that drew int64 keys at every k; 301 trials and, where
+        # it stays small, one past two whole chunks end mid-chunk
+        monkeypatch.setattr(urns, "_SAMPLER_CELLS", cells)
+        for k in (1, 2, 100, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40):
+            for s in (1, 7, 922):
+                chunk = max(1, cells // s)
+                for trials in {301, 2 * chunk + 1} if chunk * s <= 1 << 18 else {301}:
+                    got = classical_urn_empty_counts(k, s, trials, RngStream(k, s))
+                    want = int64_classical_urn_empty_counts(k, s, trials, RngStream(k, s))
+                    assert got.dtype == want.dtype == np.int64
+                    assert (got == want).all(), (k, s, trials)
+
     def test_grouped_independent_of_slice_size(self, monkeypatch):
         # k = 1000 spans three blocks, with row slices of 1 row or whole
         # blocks; k = 12 has slices of 1, 4 (the last one ragged) or 301 rows
@@ -192,9 +212,11 @@ class TestSampling:
         assert all((out == outputs[0]).all() for out in outputs[1:])
 
     def test_memory_bound_battery_samplers(self):
-        # the battery's two samplers at 50,000 trials, imports (31 MB)
-        # included: sorting 4M draws at once and (block x k) key arrays took
-        # 99 and 94 MB; slices of _SAMPLER_CELLS cells take 39 and 43 MB
+        # the battery's two samplers at 50,000 trials, imports included:
+        # sorting 4M draws at once and (block x k) key arrays took 99 and
+        # 94 MB; slices of _SAMPLER_CELLS cells take 39 and 43 MB, and uint32
+        # keys take the classical one to 37 MB.  This child, running both,
+        # peaks at 43 MB (imports alone 28 MB; numpy 2.4, Python 3.11)
         cap_mb = 70
         script = (
             "from rflcs.rng import RngStream\n"
