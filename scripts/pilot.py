@@ -12,7 +12,7 @@ import pathlib
 from rflcs.experiments import run_fixed_k_saturation
 from rflcs.generators import gen_uniform_pair
 from rflcs.rng import RngStream
-from rflcs.solvers import SegmentPlan, rflcs_exact, segment_merge_heuristic
+from rflcs.solvers import rflcs_exact, segment_merge_heuristic
 
 MASTER_SEED = 42
 OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "pilot.json"
@@ -47,7 +47,7 @@ def main() -> None:
     he, ex = [], []
     for t in range(50):
         inst = gen_uniform_pair(155, 12, base.substream(4000 + t))
-        he.append(segment_merge_heuristic(inst, SegmentPlan(7), per_segment="exact").length)
+        he.append(segment_merge_heuristic(inst, 7, per_segment="exact").length)
         ex.append(rflcs_exact(inst).length)
     bracket = {
         "k": 12,

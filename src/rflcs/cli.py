@@ -39,13 +39,7 @@ from .experiments import (
 from .generators import gen_planted_pair, gen_uniform_pair
 from .model import Instance
 from .rng import RngStream
-from .solvers import (
-    SegmentPlan,
-    lcs_length,
-    rflcs_bruteforce,
-    rflcs_exact,
-    segment_merge_heuristic,
-)
+from .solvers import lcs_length, rflcs_bruteforce, rflcs_exact, segment_merge_heuristic
 from .urns import (
     GroupedUrnSpec,
     check_survival_size,
@@ -63,6 +57,14 @@ EXIT_CHECK_FAILED = 4
 # Survival rows `urn` joins per write: it bounds memory, while one write per
 # row ran about 15% slower at k = 2^20.  The bytes do not depend on it.
 _URN_ROWS_PER_WRITE = 1 << 12
+# The `bounds` ops that print {"op", their inputs in call order, "value"}.
+_PLAIN_BOUNDS = {
+    "lambda": (lambda_empty, ("k", "s")),
+    "bernstein": (bernstein_tail, ("k", "s", "a")),
+    "occupancy": (occupancy_tail, ("k", "s", "a")),
+    "claim": (claim_inequality_gap, ("x", "rho")),
+    "elb": (expectation_lower_bound, ("x", "p_below")),
+}
 
 
 @contextmanager
@@ -130,10 +132,7 @@ def cmd_solve(args) -> int:
     elif args.method == "brute":
         res = rflcs_bruteforce(inst)
     else:
-        size = args.segment_size or math.ceil(inst.k**0.75)
-        res = segment_merge_heuristic(
-            inst, SegmentPlan(n_tilde=size), per_segment=args.per_segment
-        )
+        res = segment_merge_heuristic(inst, args.segment_size, per_segment=args.per_segment)
     _emit(_solve_result_json(res), args.out)
     return EXIT_OK
 
@@ -182,41 +181,13 @@ def cmd_urn_exact(args) -> int:
 
 def cmd_bounds(args) -> int:
     op = args.op
-    if op == "lambda":
-        result = {"op": op, "k": args.k, "s": args.s, "value": lambda_empty(args.k, args.s)}
-    elif op == "bernstein":
-        result = {
-            "op": op,
-            "k": args.k,
-            "s": args.s,
-            "a": args.a,
-            "value": bernstein_tail(args.k, args.s, args.a),
-        }
+    if op in _PLAIN_BOUNDS:
+        fn, names = _PLAIN_BOUNDS[op]
+        inputs = {name: getattr(args, name) for name in names}
+        result = {"op": op, **inputs, "value": fn(*inputs.values())}
     elif op == "coupon":
         s, bound = coupon_tail(args.k, args.xi)
         result = {"op": op, "k": args.k, "xi": args.xi, "s": s, "value": bound}
-    elif op == "occupancy":
-        result = {
-            "op": op,
-            "k": args.k,
-            "s": args.s,
-            "a": args.a,
-            "value": occupancy_tail(args.k, args.s, args.a),
-        }
-    elif op == "claim":
-        result = {
-            "op": op,
-            "x": args.x,
-            "rho": args.rho,
-            "value": claim_inequality_gap(args.x, args.rho),
-        }
-    elif op == "elb":
-        result = {
-            "op": op,
-            "x": args.x,
-            "p_below": args.p_below,
-            "value": expectation_lower_bound(args.x, args.p_below),
-        }
     elif op == "regime":
         rt = regime_target(args.regime, args.k, rho=args.rho, xi=args.xi, n=args.n)
         result = {

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from itertools import product
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,13 +26,7 @@ from .bounds import lambda_empty, bernstein_tail, coupon_tail, occupancy_tail, r
 from .errors import CapacityError
 from .generators import gen_uniform_pair
 from .rng import RngStream
-from .solvers import (
-    SegmentPlan,
-    _canonical_edges,
-    lcs_length,
-    rflcs_exact,
-    segment_merge_heuristic,
-)
+from .solvers import _canonical_edges, lcs_length, rflcs_exact, segment_merge_heuristic
 from .urns import classical_urn_empty_counts
 
 # Cap on the k^(2n) pairs uniformity_test_exhaustive tallies.  It counts the
@@ -44,8 +38,6 @@ FORMAT_VERSION = 1
 # exactly for k up to this and by LIS above it, which fixes which rows
 # report which floor.
 EXACT_SEGMENTS_K_MAX = 20
-
-CSV_HEADER = "regime,k,n,trials,mean_R,stderr,lower,upper,theory_target,tail_xi,tail_value"
 
 
 @dataclass(frozen=True)
@@ -81,6 +73,9 @@ class SweepRow:
     tail_value: float
 
 
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+
+
 @dataclass(frozen=True)
 class SweepReport:
     rows: tuple[SweepRow, ...]
@@ -93,26 +88,15 @@ class SweepReport:
             return f"{v:.10g}"
 
         lines = [CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    fmt(v)
-                    for v in (
-                        r.regime,
-                        r.k,
-                        r.n,
-                        r.trials,
-                        r.mean_R,
-                        r.stderr,
-                        r.lower,
-                        r.upper,
-                        r.theory_target,
-                        r.tail_xi,
-                        r.tail_value,
-                    )
-                )
-            )
+        lines += (",".join(fmt(v) for v in astuple(r)) for r in self.rows)
         return "\n".join(lines) + "\n"
+
+
+def _mean_stderr(values: Sequence[int]) -> tuple[float, float]:
+    """Sample mean and its standard error; the error of one value is 0."""
+    vals = np.array(values, dtype=float)
+    stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+    return float(vals.mean()), stderr
 
 
 def _sweep_trial(args: tuple[int, int, int, int, int, str]) -> tuple[int, int]:
@@ -123,9 +107,8 @@ def _sweep_trial(args: tuple[int, int, int, int, int, str]) -> tuple[int, int]:
     if estimator == "exact":
         val = rflcs_exact(inst).length
         return val, val
-    plan = SegmentPlan(n_tilde=math.ceil(k**0.75))
     per_segment = "exact" if k <= EXACT_SEGMENTS_K_MAX else "lis"
-    lower = segment_merge_heuristic(inst, plan, per_segment=per_segment).length
+    lower = segment_merge_heuristic(inst, per_segment=per_segment).length
     upper = min(lcs_length(inst.x, inst.y).length, k)
     return lower, upper
 
@@ -133,6 +116,9 @@ def _sweep_trial(args: tuple[int, int, int, int, int, str]) -> tuple[int, int]:
 def run_regime_sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
     """One row per k: Monte Carlo estimates of E[R] with theory overlays."""
     rows = []
+    # Under fork a pool starts all its workers at the first submit, so it
+    # never gets more workers than there are trials to share.
+    workers = min(workers, config.trials)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for k_idx, k in enumerate(config.k_list):
             rt = regime_target(
@@ -147,20 +133,19 @@ def run_regime_sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
                 results = list(pool.map(_sweep_trial, jobs, chunksize=8))
             else:
                 results = [_sweep_trial(j) for j in jobs]
-            lowers = np.array([r[0] for r in results], dtype=float)
-            uppers = np.array([r[1] for r in results], dtype=float)
-            point = lowers  # exact: lower == upper; bracket: report the floor
-            stderr = float(point.std(ddof=1) / math.sqrt(len(point))) if len(point) > 1 else 0.0
+            lowers, uppers = zip(*results)
+            # exact: lower == upper; bracket: mean_R reports the floor
+            mean, stderr = _mean_stderr(lowers)
             rows.append(
                 SweepRow(
                     regime=config.regime,
                     k=k,
                     n=n,
                     trials=config.trials,
-                    mean_R=float(point.mean()),
+                    mean_R=mean,
                     stderr=stderr,
-                    lower=float(lowers.mean()),
-                    upper=float(uppers.mean()),
+                    lower=mean,
+                    upper=float(np.mean(uppers)),
                     theory_target=rt.target,
                     tail_xi=config.xi,
                     tail_value=rt.tail(config.xi),
@@ -186,15 +171,10 @@ def run_fixed_k_saturation(k: int, n: int, trials: int, rng: RngStream) -> Satur
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    vals = np.array(
-        [
-            rflcs_exact(gen_uniform_pair(n, k, rng.substream(t))).length
-            for t in range(trials)
-        ],
-        dtype=float,
+    mean, stderr = _mean_stderr(
+        [rflcs_exact(gen_uniform_pair(n, k, rng.substream(t))).length for t in range(trials)]
     )
-    stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return SaturationStats(k=k, n=n, trials=trials, mean=float(vals.mean()), stderr=stderr)
+    return SaturationStats(k=k, n=n, trials=trials, mean=mean, stderr=stderr)
 
 
 @dataclass(frozen=True)
@@ -284,9 +264,12 @@ class TailboundReport:
         return all(item.passed for item in self.items)
 
 
-def _proportion_se(p_hat: float, bound: float, trials: int) -> float:
+def _tail_item(name: str, p_hat: float, bound: float, trials: int) -> TailboundItem:
+    """Passes when the observed tail p_hat is at most the bound plus 3
+    standard errors of a proportion min(max(p_hat, bound), 1) over `trials`."""
     p = min(max(p_hat, bound), 1.0)
-    return math.sqrt(p * (1.0 - p) / trials)
+    slack = 3.0 * math.sqrt(p * (1.0 - p) / trials)
+    return TailboundItem(name, p_hat, bound, slack, passed=p_hat <= bound + slack)
 
 
 def run_tailbound_suite(
@@ -307,16 +290,8 @@ def run_tailbound_suite(
     y1 = classical_urn_empty_counts(k1, s1, trials, rng.substream(1))
     for a in (2.0, 4.0, 6.0):
         p_hat = float(np.mean(y1 >= lam + a))
-        bound = bernstein_tail(k1, s1, a)
-        slack = 3.0 * _proportion_se(p_hat, bound, trials)
         items.append(
-            TailboundItem(
-                name=f"bernstein_k{k1}_s{s1}_a{a:g}",
-                observed=p_hat,
-                bound=bound,
-                slack=slack,
-                passed=p_hat <= bound + slack,
-            )
+            _tail_item(f"bernstein_k{k1}_s{s1}_a{a:g}", p_hat, bernstein_tail(k1, s1, a), trials)
         )
 
     # Coupon-collector zero-empty-urn tail at k=100, xi=1.
@@ -338,39 +313,23 @@ def run_tailbound_suite(
     k3, s3, a3 = 10_000, 50, 10.0
     y3 = classical_urn_empty_counts(k3, s3, trials, rng.substream(3))
     p_hat3 = float(np.mean((k3 - y3) <= s3 - a3))
-    bound3 = occupancy_tail(k3, s3, a3)
-    slack3 = 3.0 * _proportion_se(p_hat3, bound3, trials)
     items.append(
-        TailboundItem(
-            name=f"occupancy_k{k3}_s{s3}_a{a3:g}",
-            observed=p_hat3,
-            bound=bound3,
-            slack=slack3,
-            passed=p_hat3 <= bound3 + slack3,
-        )
+        _tail_item(f"occupancy_k{k3}_s{s3}_a{a3:g}", p_hat3, occupancy_tail(k3, s3, a3), trials)
     )
 
     # Small-growth regime lower tail via the heuristic lower estimate.
     k4, n4, xi4 = 400, 800, 0.5
     rt = regime_target(1, k4, n=n4)
     threshold = (1.0 - xi4) * rt.target
-    plan = SegmentPlan(n_tilde=math.ceil(k4**0.75))
     below = 0
     for t in range(solver_trials):
         inst = gen_uniform_pair(n4, k4, rng.substream(4).substream(t))
-        res = segment_merge_heuristic(inst, plan, per_segment="lis")
+        res = segment_merge_heuristic(inst, per_segment="lis")
         if res.length <= threshold:
             below += 1
-    p_hat4 = below / solver_trials
-    bound4 = rt.tail(xi4)
-    slack4 = 3.0 * _proportion_se(p_hat4, bound4, solver_trials)
     items.append(
-        TailboundItem(
-            name=f"regime1_k{k4}_n{n4}_xi{xi4:g}",
-            observed=p_hat4,
-            bound=bound4,
-            slack=slack4,
-            passed=p_hat4 <= bound4 + slack4,
+        _tail_item(
+            f"regime1_k{k4}_n{n4}_xi{xi4:g}", below / solver_trials, rt.tail(xi4), solver_trials
         )
     )
 

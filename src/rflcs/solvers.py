@@ -11,8 +11,8 @@ which counts set-up words and expanded search states.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapacityError
@@ -26,8 +26,9 @@ from .model import (
 
 # The exact solver's only capacity gate: a count, not a timer, so whether
 # an instance is refused never depends on the machine.  An expanded search
-# state costs one unit, about 80 bytes of memo and 6 us (500,000 of them
-# take about 3 s and 45 MB), and set-up one unit per 16 machine words.
+# state costs one unit, about 90 bytes of memo and 14-15 us (measured at
+# n = 253, m = 40 on a 2-CPU x86-64 host under Python 3.11: 500,000 states
+# take about 7 s and 46 MB), and set-up one unit per 16 machine words.
 EXACT_BUDGET = 500_000
 N_MAX_BRUTE = 12
 
@@ -329,41 +330,38 @@ def rflcs_bruteforce(inst: Instance) -> SolveResult:
 # Segment-merge heuristic
 
 
-@dataclass(frozen=True)
-class SegmentPlan:
-    """Aligned-block segmentation: b = floor(n / n_tilde) segments of size
-    n_tilde, with the leftover folded into the last block."""
-
-    n_tilde: int
-
-    def __post_init__(self):
-        if self.n_tilde < 1:
-            raise ValueError("segment size must be positive")
-
-    def segments(self, n: int) -> list[tuple[int, int]]:
-        b = n // self.n_tilde
-        if b == 0:
-            return [(0, n)] if n else []
-        bounds = [(i * self.n_tilde, (i + 1) * self.n_tilde) for i in range(b)]
-        bounds[-1] = (bounds[-1][0], n)
-        return bounds
+def _segments(n: int, n_tilde: int) -> list[tuple[int, int]]:
+    """Aligned blocks: floor(n / n_tilde) segments of size n_tilde, with the
+    leftover folded into the last block."""
+    b = n // n_tilde
+    if b == 0:
+        return [(0, n)] if n else []
+    bounds = [(i * n_tilde, (i + 1) * n_tilde) for i in range(b)]
+    bounds[-1] = (bounds[-1][0], n)
+    return bounds
 
 
 def segment_merge_heuristic(
     inst: Instance,
-    plan: SegmentPlan,
+    n_tilde: int | None = None,
     per_segment: str = "exact",
 ) -> SolveResult:
     """Solve aligned segments independently, concatenate, then drop all but
     the leftmost edge of every repeated symbol.
 
-    The result is a feasible repetition-free noncrossing matching, so its
-    length is a lower bound on the exact optimum.
+    Segments hold `n_tilde` symbols, by default ceil(k^(3/4)) as in the
+    paper's lower-bound construction.  The result is a feasible
+    repetition-free noncrossing matching, so its length is a lower bound on
+    the exact optimum.
     """
+    if n_tilde is None:
+        n_tilde = math.ceil(inst.k**0.75)
+    if n_tilde < 1:
+        raise ValueError("segment size must be positive")
     if per_segment not in ("exact", "lis"):
         raise ValueError("per_segment must be 'exact' or 'lis'")
     edges: list[tuple[int, int]] = []
-    for lo, hi in plan.segments(inst.n):
+    for lo, hi in _segments(inst.n, n_tilde):
         sx = inst.x[lo:hi]
         sy = inst.y[lo:hi]
         if per_segment == "exact":

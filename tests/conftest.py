@@ -19,8 +19,8 @@ import pytest
 
 import rflcs
 from rflcs import urns
-from rflcs.experiments import _canonical_edges
 from rflcs.model import Instance, is_subsequence
+from rflcs.solvers import _canonical_edges
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 

@@ -59,6 +59,17 @@ class TestGenSolve:
         lcs = json.loads(out_l)
         assert heur["length"] <= min(lcs["length"], 5)
 
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_heuristic_rejects_nonpositive_segment_size(self, capsys, tmp_path, size):
+        path = tmp_path / "inst.json"
+        run_cli(capsys, "gen", "--n", "40", "--k", "5", "--seed", "13", "--out", str(path))
+        code, out, err = run_cli(
+            capsys, "solve", "--input", str(path), "--method", "heuristic",
+            "--segment-size", size,
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "segment size must be positive" in err
+
     @pytest.mark.parametrize(
         "gen_argv, digest",
         [

@@ -60,6 +60,30 @@ class TestSweep:
         b = run_regime_sweep(cfg, workers=3).to_csv()
         assert a == b
 
+    def test_pool_capped_at_trial_count(self, monkeypatch):
+        # a fake pool that maps serially, so no process is started
+        opened = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(rflcs.experiments, "ProcessPoolExecutor", SerialPool)
+        cfg = self.config(trials=2)
+        assert run_regime_sweep(cfg, workers=64).to_csv() == run_regime_sweep(cfg).to_csv()
+        assert opened == [2]
+        run_regime_sweep(self.config(trials=1), workers=4)
+        assert opened == [2]  # one trial opens no pool
+
     def test_seed_sensitivity(self):
         a = run_regime_sweep(self.config(master_seed=5)).to_csv()
         b = run_regime_sweep(self.config(master_seed=6)).to_csv()

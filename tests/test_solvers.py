@@ -1,9 +1,12 @@
 import gc
+import math
 import time
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import rflcs.solvers
 
 from conftest import (
     enumerate_canonical,
@@ -20,9 +23,9 @@ from rflcs.generators import gen_uniform_pair
 from rflcs.model import Instance, is_subsequence, validate_matching
 from rflcs.rng import RngStream
 from rflcs.solvers import (
-    SegmentPlan,
     _canonical_edges,
     _next_tables,
+    _segments,
     degree_one_edges,
     lcs_length,
     lis_indices,
@@ -329,30 +332,48 @@ class TestBruteforce:
 
 
 class TestSegmentPlan:
+    """The heuristic's aligned blocks and their size."""
+
     def test_fold_into_last(self):
-        assert SegmentPlan(4).segments(10) == [(0, 4), (4, 10)]
+        assert _segments(10, 4) == [(0, 4), (4, 10)]
 
     def test_short_input(self):
-        assert SegmentPlan(4).segments(3) == [(0, 3)]
-        assert SegmentPlan(4).segments(0) == []
+        assert _segments(3, 4) == [(0, 3)]
+        assert _segments(0, 4) == []
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            SegmentPlan(0)
+            segment_merge_heuristic(gen_uniform_pair(10, 3, RngStream(33)), 0)
+
+    @pytest.mark.parametrize("k", [4, 12, 16, 30, 81, 400])
+    def test_default_size_is_ceil_k_three_quarters(self, monkeypatch, k):
+        # k = 16 and 81 have an integer k^(3/4), where a rounding slip shows
+        sizes = []
+
+        def recording(n, n_tilde):
+            sizes.append(n_tilde)
+            return _segments(n, n_tilde)
+
+        monkeypatch.setattr(rflcs.solvers, "_segments", recording)
+        inst = gen_uniform_pair(2 * k, k, RngStream(34, k))
+        default = segment_merge_heuristic(inst, per_segment="lis")
+        explicit = segment_merge_heuristic(inst, math.ceil(k**0.75), per_segment="lis")
+        assert sizes == [math.ceil(k**0.75)] * 2
+        assert default == explicit
 
 
 class TestHeuristic:
     def test_lower_bounds_exact(self):
         for t in range(30):
             inst = gen_uniform_pair(60, 8, RngStream(30, t))
-            heur = segment_merge_heuristic(inst, SegmentPlan(6), per_segment="exact")
+            heur = segment_merge_heuristic(inst, 6, per_segment="exact")
             assert heur.length <= rflcs_exact(inst).length
             assert validate_matching(heur.witness, inst, require_repetition_free=True)
 
     def test_lis_variant_feasible(self):
         for t in range(20):
             inst = gen_uniform_pair(200, 40, RngStream(31, t))
-            heur = segment_merge_heuristic(inst, SegmentPlan(16), per_segment="lis")
+            heur = segment_merge_heuristic(inst, 16, per_segment="lis")
             assert validate_matching(heur.witness, inst, require_repetition_free=True)
             assert heur.length <= inst.k
 
@@ -360,9 +381,9 @@ class TestHeuristic:
         # one segment of regime 3 at k = 200 (n = 22,479): refused at set-up
         inst = gen_uniform_pair(22479, 200, RngStream(3))
         with pytest.raises(CapacityError):
-            segment_merge_heuristic(inst, SegmentPlan(inst.n), per_segment="exact")
+            segment_merge_heuristic(inst, inst.n, per_segment="exact")
 
     def test_single_segment_exact_equals_solver(self):
         inst = gen_uniform_pair(30, 5, RngStream(32))
-        heur = segment_merge_heuristic(inst, SegmentPlan(inst.n), per_segment="exact")
+        heur = segment_merge_heuristic(inst, inst.n, per_segment="exact")
         assert heur.length == rflcs_exact(inst).length
