@@ -26,7 +26,7 @@ from .bounds import lambda_empty, bernstein_tail, coupon_tail, occupancy_tail, r
 from .errors import CapacityError
 from .generators import gen_uniform_pair
 from .rng import RngStream
-from .solvers import _canonical_edges, lcs_length, rflcs_exact, segment_merge_heuristic
+from .solvers import _canonical_edges, _x_side, lcs_length, rflcs_exact, segment_merge_heuristic
 from .urns import classical_urn_empty_counts
 
 # Cap on the k^(2n) pairs uniformity_test_exhaustive tallies.  It counts the
@@ -197,7 +197,8 @@ def uniformity_test_exhaustive(n: int, k: int) -> UniformityReport:
     that differs only in which absent symbols fill some positions has the
     same matchings, canonical witness and symbol set.  The class is solved
     on its smallest member, with the smallest absent symbol in those
-    positions, and counted with weight (#absent)^(#such positions).
+    positions, and counted with weight (#absent)^(#such positions).  The
+    solver's tables for x are built once per x and shared by its y.
 
     Uniformity is asserted by integer-count equality: for every size l
     with at least one instance, every l-subset of [0, k) must occur
@@ -216,6 +217,7 @@ def uniformity_test_exhaustive(n: int, k: int) -> UniformityReport:
     subset_counts: dict[int, dict[frozenset, int]] = {}
     for x in product(range(k), repeat=n):
         letters = set(x)
+        x_side = _x_side(x, sorted(letters))
         absent = k - len(letters)
         if absent:
             stand_in = next(c for c in range(k) if c not in letters)
@@ -224,7 +226,7 @@ def uniformity_test_exhaustive(n: int, k: int) -> UniformityReport:
         # their first members among all y, so each bucket's key order is kept
         for y in product(sorted(letters), repeat=n):
             weight = absent ** y.count(stand_in) if absent > 1 else 1
-            edges = _canonical_edges(x, y)
+            edges = _canonical_edges(x, y, x_side)
             l = len(edges)
             size_counts[l] = size_counts.get(l, 0) + weight
             if l == 0:

@@ -21,8 +21,8 @@ def gen_uniform_pair(n: int, k: int, rng: RngStream) -> Instance:
     if k < 1:
         raise ValueError("k must be positive")
     g = rng.generator()
-    x = tuple(int(c) for c in g.integers(0, k, size=n))
-    y = tuple(int(c) for c in g.integers(0, k, size=n))
+    x = tuple(g.integers(0, k, size=n).tolist())
+    y = tuple(g.integers(0, k, size=n).tolist())
     return Instance(n=n, k=k, x=x, y=y, seed=rng.seed)
 
 

@@ -54,7 +54,7 @@ class Instance:
         if len(self.x) != self.n or len(self.y) != self.n:
             raise ValueError("sequence lengths differ from n")
         for seq in (self.x, self.y):
-            if any(not (0 <= c < self.k) for c in seq):
+            if seq and not (0 <= min(seq) and max(seq) < self.k):
                 raise ValueError("symbol out of range [0, k)")
 
     def to_json(self) -> str:

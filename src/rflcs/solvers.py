@@ -5,8 +5,15 @@ The exact repetition-free solver is one memoised depth-first search,
 x[i:], y[j:]?" with the LCS of the two suffixes as its bound.
 `_canonical_edges` finds the optimum and then recovers the canonical
 (lexicographically smallest) maximum witness greedily edge by edge from
-the same query.  Its only capacity gate is the work budget EXACT_BUDGET,
-which counts set-up words and expanded search states.
+the same query.  The optimum is certified without a query when
+`_floor_edges`, a repetition-free subsequence built from the LCS witness
+of the rows set-up already holds, reaches the ceiling min(L, m); only
+otherwise does it come from queries of growing `need` at (0, 0).  On the
+m = 13 exact-sweep shapes (regime 3 xi = 1 and 2, regime 2 rho = 4) the
+certificate fires on 100%, 100% and about 80% of instances and a solve
+expands 78, 78 and 104 states instead of 169, 169 and 180.  Its only
+capacity gate is the work budget EXACT_BUDGET, which counts set-up words
+and expanded search states.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ from .model import (
 # state costs one unit, about 90 bytes of memo and 14-15 us (measured at
 # n = 253, m = 40 on a 2-CPU x86-64 host under Python 3.11: 500,000 states
 # take about 7 s and 46 MB), and set-up one unit per 16 machine words.
+# The floor that certifies an optimum reads rows set-up already paid for,
+# so it is free; a certified solve skips the optimum loop, and on every
+# instance tested it expanded no more states than with the loop.
 EXACT_BUDGET = 500_000
 N_MAX_BRUTE = 12
 
@@ -58,33 +68,34 @@ def _lcs_rows(x: Sequence[int], y: Sequence[int]) -> list[int]:
     return rows
 
 
-def lcs_length(x: Sequence[int], y: Sequence[int]) -> SolveResult:
-    """LCS with a witness, by backtracking on the rows of `_lcs_rows`.
+def _lcs_backtrack(x: Sequence[int], y: Sequence[int], rows: list[int]) -> list[tuple[int, int]]:
+    """Edges (i, j) of an LCS witness of x and y, ascending, from the rows
+    of `_lcs_rows(x, y)`.
 
-    The backtrack takes a match diagonally and otherwise steps up when
-    D(i-1, j) >= D(i, j-1), else left.
+    A match steps diagonally.  Otherwise D(i, j) = d is the max of D(i-1, j)
+    and D(i, j-1), both in {d-1, d}: the backtrack steps up when D(i-1, j)
+    = d, else left, and d is unchanged either way.
     """
-    nx, ny = len(x), len(y)
-    rows = _lcs_rows(x, y)
     edges = []
-    i, j = nx, ny
-    d = ny - rows[-1].bit_count()  # D(i, j); no match is left once it is 0
+    i, j = len(x), len(y)
+    d = j - rows[i].bit_count()  # D(i, j); no match is left once it is 0
     while d:
         if x[i - 1] == y[j - 1]:
             edges.append((i - 1, j - 1))
             i -= 1
             j -= 1
             d -= 1
-            continue
-        up = j - (rows[i - 1] & ((1 << j) - 1)).bit_count()
-        left = d - 1 + (rows[i] >> (j - 1) & 1)
-        if up >= left:
+        elif j - (rows[i - 1] & ((1 << j) - 1)).bit_count() == d:
             i -= 1
-            d = up
         else:
             j -= 1
-            d = left
     edges.reverse()
+    return edges
+
+
+def lcs_length(x: Sequence[int], y: Sequence[int]) -> SolveResult:
+    """LCS with a witness, by backtracking on the rows of `_lcs_rows`."""
+    edges = _lcs_backtrack(x, y, _lcs_rows(x, y))
     witness = NoncrossingMatching(
         edges=tuple(edges), symbols=tuple(x[i] for i, _ in edges)
     )
@@ -235,20 +246,78 @@ def _feasible(search: tuple, i: int, j: int, used: int, need: int) -> bool:
         i, j, used, need = p + 1, q + 1, used | low, need - 1
 
 
-def _canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]]:
-    """Lexicographically smallest maximum repetition-free matching.
+def _floor_edges(
+    x: Sequence[int],
+    y: Sequence[int],
+    rows: list[int],
+    nxt_x: dict[int, list[int]],
+    nxt_y: dict[int, list[int]],
+) -> list[tuple[int, int]]:
+    """A repetition-free common subsequence of x and y, as ascending edges,
+    so a floor on the optimum (the paper's lower-bound construction).
 
-    The optimum is the largest `need` feasible from (0, 0).  The witness is
-    built greedily: each edge takes the smallest i, then the earliest j,
-    from which the rest stays feasible.  Set-up is charged against
-    EXACT_BUDGET before it is allocated, one unit per 16 machine words, and
-    every expanded search state costs one more unit.
+    `rows` are those of `_lcs_rows(x[::-1], y[::-1])`.  Their LCS witness
+    keeps the first edge of each symbol; then, gap by gap from the left,
+    unused symbols among the keys of `nxt_y` are inserted between the kept
+    edges, each time the one whose earliest fit in the gap ends first.
     """
     nx, ny = len(x), len(y)
-    syms = sorted(set(x) & set(y))
-    if not syms:
+    kept = []
+    seen = set()
+    for i, j in reversed(_lcs_backtrack(x[::-1], y[::-1], rows)):
+        i = nx - 1 - i
+        if x[i] not in seen:
+            seen.add(x[i])
+            kept.append((i, ny - 1 - j))
+    unused = [c for c in nxt_y if c not in seen]
+    edges: list[tuple[int, int]] = []
+    p0 = q0 = 0
+    for i_end, j_end in kept + [(nx, ny)]:
+        while unused:
+            best = None
+            for c in unused:
+                p, q = nxt_x[c][p0], nxt_y[c][q0]
+                if p < i_end and q < j_end and (best is None or max(p, q) < best[0]):
+                    best = (max(p, q), p, q, c)
+            if best is None:
+                break
+            _, p, q, c = best
+            edges.append((p, q))
+            unused.remove(c)
+            p0, q0 = p + 1, q + 1
+        if i_end < nx:
+            edges.append((i_end, j_end))
+        p0, q0 = i_end + 1, j_end + 1
+    return edges
+
+
+def _x_side(x: Sequence[int], syms: list[int]) -> tuple:
+    """x's half of the search over `syms`, numbered in that order: the bits,
+    next tables and suffix masks of x, and x reversed.  Built over all of
+    x's symbols, it serves every y solved against x."""
+    bit = {c: 1 << t for t, c in enumerate(syms)}
+    return syms, bit, _next_tables(x, syms), _suffix_masks(x, bit), x[::-1]
+
+
+def _canonical_edges(
+    x: Sequence[int], y: Sequence[int], x_side: tuple | None = None
+) -> list[tuple[int, int]]:
+    """Lexicographically smallest maximum repetition-free matching.
+
+    The optimum is min(L, m) when `_floor_edges` reaches that ceiling (L the
+    LCS length, m the number of common symbols); otherwise it is the largest
+    `need` feasible from (0, 0).  The witness is built greedily: each edge
+    takes the smallest i, then the earliest j, from which the rest stays
+    feasible.  Set-up is charged against EXACT_BUDGET before it is
+    allocated, one unit per 16 machine words, and every expanded search
+    state costs one more unit.  `x_side` is `_x_side(x, sorted(set(x)))`
+    when the caller shares it among many y; it is not charged.
+    """
+    nx, ny = len(x), len(y)
+    common = sorted(set(x).intersection(y))
+    if not common:
         return []
-    m = len(syms)
+    m = len(common)
     # words of the next tables and suffix masks, then of the LCS rows
     setup = ((m + 1) * (nx + ny + 2) + (nx + 1) * (ny // 64 + 1)) // 16
     if setup > EXACT_BUDGET:
@@ -256,22 +325,22 @@ def _canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]
             f"exact solver exceeded its work budget of {EXACT_BUDGET}: set-up "
             f"for n = {nx}, {ny} and m = {m} common symbols costs {setup}"
         )
-    bit = {c: 1 << t for t, c in enumerate(syms)}
-    nxt_y = _next_tables(y, syms)
-    search = (
-        nx, ny, syms, _next_tables(x, syms), nxt_y,
-        _suffix_masks(x, bit), _suffix_masks(y, bit),
-        _lcs_rows(x[::-1], y[::-1]), {}, [EXACT_BUDGET - setup],
-    )
-    total = 0
-    while _feasible(search, 0, 0, 0, total + 1):
-        total += 1
+    syms, bit, nxt_x, suf_x, x_rev = x_side or _x_side(x, common)
+    nxt_y = _next_tables(y, common)
+    suf_y = _suffix_masks(y, bit)
+    rows = _lcs_rows(x_rev, y[::-1])
+    search = (nx, ny, syms, nxt_x, nxt_y, suf_x, suf_y, rows, {}, [EXACT_BUDGET - setup])
+    total = min(ny - rows[nx].bit_count(), m)
+    if len(_floor_edges(x, y, rows, nxt_x, nxt_y)) < total:
+        total = 0
+        while _feasible(search, 0, 0, 0, total + 1):
+            total += 1
     edges: list[tuple[int, int]] = []
     used = i0 = j0 = 0
     while len(edges) < total:
         for i in range(i0, nx):
-            b = bit.get(x[i], 0)
-            if not b or used & b:
+            b = bit.get(x[i], 0) & suf_y[0] & ~used  # a common symbol, unmatched
+            if not b:
                 continue
             j = nxt_y[x[i]][j0]
             if j < ny and _feasible(search, i + 1, j + 1, used | b, total - len(edges) - 1):

@@ -1,8 +1,10 @@
 """Shared test helpers: brute-force oracles kept independent of the
 implementation paths they check, the subset DP the exact solver replaced,
-kept as an oracle for its canonical witness, the all-pairs loop the
-uniformity tally replaced, the classical urn sampler on 64-bit keys, and a
-child-process runner that reports peak memory."""
+kept as an oracle for its canonical witness, the exact solver as it was
+before it certified optimums from its floor, kept as an oracle for its
+budget, the all-pairs loop the uniformity tally replaced, the classical urn
+sampler on 64-bit keys, and a child-process runner that reports peak
+memory."""
 
 import json
 import math
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 import rflcs
-from rflcs import urns
+from rflcs import solvers, urns
 from rflcs.model import Instance, is_subsequence
 from rflcs.solvers import _canonical_edges
 
@@ -230,6 +232,44 @@ def subset_dp_canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[
         if not found:  # unreachable if the DP is consistent
             raise RuntimeError("canonical recovery failed to extend matching")
     return edges
+
+
+def loop_canonical_edges(x: Sequence[int], y: Sequence[int]) -> tuple[list[tuple[int, int]], int]:
+    """The exact solver before it certified optimums from its floor: the
+    optimum loop always runs, then the same greedy recovery.  Returns the
+    canonical edges and the units of EXACT_BUDGET they took (set-up plus
+    expanded search states)."""
+    nx, ny = len(x), len(y)
+    syms = sorted(set(x) & set(y))
+    if not syms:
+        return [], 0
+    m = len(syms)
+    setup = ((m + 1) * (nx + ny + 2) + (nx + 1) * (ny // 64 + 1)) // 16
+    bit = {c: 1 << t for t, c in enumerate(syms)}
+    nxt_y = solvers._next_tables(y, syms)
+    left = [solvers.EXACT_BUDGET - setup]
+    search = (
+        nx, ny, syms, solvers._next_tables(x, syms), nxt_y,
+        solvers._suffix_masks(x, bit), solvers._suffix_masks(y, bit),
+        solvers._lcs_rows(x[::-1], y[::-1]), {}, left,
+    )
+    total = 0
+    while solvers._feasible(search, 0, 0, 0, total + 1):
+        total += 1
+    edges: list[tuple[int, int]] = []
+    used = i0 = j0 = 0
+    while len(edges) < total:
+        for i in range(i0, nx):
+            b = bit.get(x[i], 0)
+            if not b or used & b:
+                continue
+            j = nxt_y[x[i]][j0]
+            if j < ny and solvers._feasible(search, i + 1, j + 1, used | b, total - len(edges) - 1):
+                edges.append((i, j))
+                used |= b
+                i0, j0 = i + 1, j + 1
+                break
+    return edges, solvers.EXACT_BUDGET - left[0]
 
 
 def all_pairs_uniformity(

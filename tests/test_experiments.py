@@ -161,10 +161,10 @@ class TestUniformity:
         calls = 0
         solve = rflcs.experiments._canonical_edges
 
-        def counting(x, y):
+        def counting(x, y, x_side):
             nonlocal calls
             calls += 1
-            return solve(x, y)
+            return solve(x, y, x_side)
 
         monkeypatch.setattr(rflcs.experiments, "_canonical_edges", counting)
         uniformity_test_exhaustive(n, k)

@@ -69,6 +69,10 @@ class TestInstanceInvariants:
         with pytest.raises(ValueError):
             Instance(n=1, k=2, x=(2,), y=(0,))
 
+    def test_negative_symbol_rejected(self):
+        with pytest.raises(ValueError):
+            Instance(n=2, k=2, x=(0, 1), y=(1, -1))
+
     def test_planted_repetition_rejected(self):
         with pytest.raises(ValueError):
             PlantedCertificate(z=(1, 1), positions_x=(0, 1), positions_y=(0, 1))

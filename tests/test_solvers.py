@@ -12,18 +12,22 @@ from conftest import (
     enumerate_canonical,
     exhaustive_lcs,
     exhaustive_rflcs,
+    loop_canonical_edges,
     quadratic_lcs_edges,
     run_child,
     subset_dp_canonical_edges,
     subset_dp_frontiers,
 )
+from rflcs import cli
 from rflcs.bounds import regime_target
 from rflcs.errors import CapacityError
 from rflcs.generators import gen_uniform_pair
-from rflcs.model import Instance, is_subsequence, validate_matching
+from rflcs.model import Instance, is_subsequence, matching_from_edges, validate_matching
 from rflcs.rng import RngStream
 from rflcs.solvers import (
     _canonical_edges,
+    _floor_edges,
+    _lcs_rows,
     _next_tables,
     _segments,
     degree_one_edges,
@@ -33,6 +37,16 @@ from rflcs.solvers import (
     rflcs_exact,
     segment_merge_heuristic,
 )
+
+
+def equal_length_pairs(k_max, n_max):
+    """Pairs of sequences of one length n <= n_max over [0, k), k <= k_max."""
+    return st.tuples(st.integers(1, k_max), st.integers(0, n_max)).flatmap(
+        lambda kn: st.tuples(
+            st.lists(st.integers(0, kn[0] - 1), min_size=kn[1], max_size=kn[1]),
+            st.lists(st.integers(0, kn[0] - 1), min_size=kn[1], max_size=kn[1]),
+        )
+    )
 
 
 def small_instances(count, n_max=8, ks=(2, 3, 4), seed=77):
@@ -203,14 +217,7 @@ class TestExactSolver:
             assert subset_dp_frontiers(x, y, syms) == expected
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.tuples(st.integers(1, 10), st.integers(0, 32)).flatmap(
-            lambda kn: st.tuples(
-                st.lists(st.integers(0, kn[0] - 1), min_size=kn[1], max_size=kn[1]),
-                st.lists(st.integers(0, kn[0] - 1), min_size=kn[1], max_size=kn[1]),
-            )
-        )
-    )
+    @given(equal_length_pairs(10, 32))
     def test_witness_matches_subset_dp(self, pair):
         x, y = pair
         assert _canonical_edges(x, y) == subset_dp_canonical_edges(x, y)
@@ -240,6 +247,65 @@ class TestExactSolver:
             (0, 19), (1, 38), (2, 57), (3, 76), (8, 91),
             (27, 92), (46, 93), (65, 94), (84, 95),
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(equal_length_pairs(20, 40))
+    def test_floor_is_a_repetition_free_matching_below_optimum(self, pair):
+        # floor <= R <= min(L, m), R from the solver without the certificate
+        x, y = pair
+        common = sorted(set(x) & set(y))
+        edges = _floor_edges(
+            x, y, _lcs_rows(x[::-1], y[::-1]), _next_tables(x, common), _next_tables(y, common)
+        )
+        inst = Instance(n=len(x), k=20, x=tuple(x), y=tuple(y))
+        assert edges == sorted(edges)
+        assert validate_matching(matching_from_edges(inst, edges), inst, require_repetition_free=True)
+        optimum = len(loop_canonical_edges(x, y)[0])
+        assert len(edges) <= optimum <= min(lcs_length(x, y).length, len(common))
+
+    @settings(max_examples=300, deadline=None)
+    @given(equal_length_pairs(12, 32))
+    def test_certificate_needs_no_more_budget(self, pair):
+        # with the budget cut to exactly what the solver took before it
+        # certified optimums, the same witness comes back and nothing is refused
+        x, y = pair
+        edges, units = loop_canonical_edges(x, y)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rflcs.solvers, "EXACT_BUDGET", units)
+            assert _canonical_edges(x, y) == edges
+
+    @pytest.mark.parametrize(
+        "regime, k, param",
+        [(3, 13, dict(xi=1.0)), (2, 13, dict(rho=4.0)), (3, 13, dict(xi=2.0)), (2, 20, dict(rho=2.0))],
+    )
+    def test_certificate_needs_no_more_budget_at_benchmark_shapes(self, monkeypatch, regime, k, param):
+        n = regime_target(regime, k, **param).n
+        for t in range(8):
+            inst = gen_uniform_pair(n, k, RngStream(12, 0).substream(t))
+            edges, units = loop_canonical_edges(inst.x, inst.y)
+            monkeypatch.setattr(rflcs.solvers, "EXACT_BUDGET", units - 1)
+            with pytest.raises(CapacityError):  # the oracle's count is exact
+                loop_canonical_edges(inst.x, inst.y)
+            monkeypatch.setattr(rflcs.solvers, "EXACT_BUDGET", units)
+            assert _canonical_edges(inst.x, inst.y) == edges
+            monkeypatch.undo()
+
+    def test_exact_sweep_is_certified(self, monkeypatch, capsys):
+        # every trial of this exact sweep reaches min(L, m) with its floor, so
+        # the optimum loop, whose queries all start at (0, 0), never runs
+        queries = {"loop": 0, "recovery": 0}
+        feasible = rflcs.solvers._feasible
+
+        def counting(search, i, j, used, need):
+            queries["loop" if (i, j) == (0, 0) else "recovery"] += 1
+            return feasible(search, i, j, used, need)
+
+        monkeypatch.setattr(rflcs.solvers, "_feasible", counting)
+        argv = ["sweep", "--regime", "3", "--xi", "1", "--k-list", "13", "--trials", "8",
+                "--estimator", "exact", "--seed", "42", "--workers", "1"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.count("\n") == 2  # header and the k = 13 row
+        assert queries["loop"] == 0 and queries["recovery"] >= 8 * 12
 
     def test_no_cyclic_garbage(self):
         # a solve leaves nothing for the cycle collector: cyclic garbage
