@@ -353,10 +353,15 @@ class TestUniformityCommand:
         [
             ("3", "7", "e4a3dc6db3e822d0bc9b99247d40d3e0af8ac670f3cf652d872d08592ea1fe47"),
             ("4", "3", "0767c62aff7c0992bdfae68e65146a795a0b65f7c62596b650dceecf395431fa"),
+            # two-digit symbols, and x with up to 10 absent symbols
+            ("3", "11", "c101bea8a11391d96243f158136ae629bbd54c9403c2730e0f8af621fd6bb1bb"),
+            ("4", "5", "563ab5c4df9481a0fca8bd386ce3318ba1c4822c0bdd2e36ba306a807b608ade"),
         ],
     )
     def test_bytes_pinned(self, capsys, n, k, digest):
-        # the digests were taken from the loop over all k^(2n) pairs
+        # the (3, 7) and (4, 3) digests were taken from the loop over all
+        # k^(2n) pairs, the others from the tally that solved y once per
+        # class of symbols absent from x
         code, out, _ = run_cli(capsys, "uniformity", "--n", n, "--k", k)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
