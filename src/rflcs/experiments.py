@@ -26,12 +26,12 @@ from .bounds import lambda_empty, bernstein_tail, coupon_tail, occupancy_tail, r
 from .errors import CapacityError
 from .generators import gen_uniform_pair
 from .rng import RngStream
-from .solvers import _canonical_edges, _x_side, lcs_length, rflcs_exact, segment_merge_heuristic
+from .solvers import _canonical_edges, lcs_length, rflcs_exact, segment_merge_heuristic
 from .urns import classical_urn_empty_counts
 
 # Cap on the k^(2n) pairs uniformity_test_exhaustive tallies.  It counts the
-# pairs covered, not the solves (16,898 for the 117,649 pairs at n = 3,
-# k = 7), so the requests it refuses do not depend on how y is grouped.
+# pairs covered, not the solves (153 for the 117,649 pairs at n = 3, k = 7),
+# so the requests it refuses do not depend on how the pairs are grouped.
 UNIFORMITY_PAIRS_MAX = 10_000_000
 FORMAT_VERSION = 1
 # A CSV-byte policy, not a capacity gate: bracket sweeps solve segments
@@ -192,13 +192,15 @@ class UniformityReport:
 def uniformity_test_exhaustive(n: int, k: int) -> UniformityReport:
     """Tally canonical symbol sets per size over all k^(2n) pairs.
 
-    Every x in [0, k)^n is enumerated with its own labels, but y is solved
-    once per class: a symbol absent from x is never matched, so every y
-    that differs only in which absent symbols fill some positions has the
-    same matchings, canonical witness and symbol set.  The class is solved
-    on its smallest member, with the smallest absent symbol in those
-    positions, and counted with weight (#absent)^(#such positions).  The
-    solver's tables for x are built once per x and shared by its y.
+    The canonical witness is defined on positions, so an injective renaming
+    of the symbols renames its symbols and changes nothing else.  So x is
+    solved as its pattern px, relabelled by first occurrence to 0, ...,
+    d - 1, with one stand-in, d, for every symbol absent from x: an absent
+    symbol is never matched, so the y that differ only in which absent
+    symbol fills some positions share one solve, weighted
+    (k - d)^(#stand-ins).  Each pattern's tally of symbol sets is built once
+    (153 solves for the 117,649 pairs at n = 3, k = 7) and mapped back to
+    the symbols of each x.
 
     Uniformity is asserted by integer-count equality: for every size l
     with at least one instance, every l-subset of [0, k) must occur
@@ -215,23 +217,29 @@ def uniformity_test_exhaustive(n: int, k: int) -> UniformityReport:
         )
     size_counts: dict[int, int] = {}
     subset_counts: dict[int, dict[frozenset, int]] = {}
+    tallies: dict[tuple, dict[frozenset, int]] = {}
     for x in product(range(k), repeat=n):
-        letters = set(x)
-        x_side = _x_side(x, sorted(letters))
-        absent = k - len(letters)
-        if absent:
-            stand_in = next(c for c in range(k) if c not in letters)
-            letters.add(stand_in)
-        # sorted letters visit the class representatives in the order of
-        # their first members among all y, so each bucket's key order is kept
-        for y in product(sorted(letters), repeat=n):
-            weight = absent ** y.count(stand_in) if absent > 1 else 1
-            edges = _canonical_edges(x, y, x_side)
-            l = len(edges)
+        label: dict[int, int] = {}
+        px = tuple(label.setdefault(c, len(label)) for c in x)
+        symbol = list(label)
+        d = len(symbol)
+        tally = tallies.get(px)
+        if tally is None:
+            # px is the first x of its pattern, so the tally meets the symbol
+            # sets in the order the pairs of x = px do.  No later x of the
+            # pattern adds two new keys to one dict (checked for every (n, k)
+            # the cap admits), so every dict keeps the key order of the loop
+            # over all pairs.
+            tally = tallies[px] = {}
+            for py in product(range(min(d + 1, k)), repeat=n):
+                labels = frozenset(px[i] for i, _ in _canonical_edges(px, py))
+                tally[labels] = tally.get(labels, 0) + (k - d) ** py.count(d)
+        for labels, weight in tally.items():
+            l = len(labels)
             size_counts[l] = size_counts.get(l, 0) + weight
             if l == 0:
                 continue
-            syms = frozenset(x[i] for i, _ in edges)
+            syms = frozenset(symbol[t] for t in labels)
             bucket = subset_counts.setdefault(l, {})
             bucket[syms] = bucket.get(syms, 0) + weight
     uniform = True

@@ -33,9 +33,12 @@ from .model import (
 
 # The exact solver's only capacity gate: a count, not a timer, so whether
 # an instance is refused never depends on the machine.  An expanded search
-# state costs one unit, about 90 bytes of memo and 14-15 us (measured at
-# n = 253, m = 40 on a 2-CPU x86-64 host under Python 3.11: 500,000 states
-# take about 7 s and 46 MB), and set-up one unit per 16 machine words.
+# state costs one unit and about 90 bytes of memo, and set-up one unit per 16
+# machine words.  The time a state takes grows with m, since each state scans
+# its unused common symbols: on a 2-CPU x86-64 host under Python 3.11 it is
+# 14-18 us at n = 253, m = 40 (a refusal after 7-9 s), and 42-102 us at
+# n = 800, m = 306-311 (`gen --n 800 --k 400 --seed 1|2|3`, refused after
+# 20-48 s).
 # The floor that certifies an optimum reads rows set-up already paid for,
 # so it is free; a certified solve skips the optimum loop, and on every
 # instance tested it expanded no more states than with the loop.
@@ -291,17 +294,7 @@ def _floor_edges(
     return edges
 
 
-def _x_side(x: Sequence[int], syms: list[int]) -> tuple:
-    """x's half of the search over `syms`, numbered in that order: the bits,
-    next tables and suffix masks of x, and x reversed.  Built over all of
-    x's symbols, it serves every y solved against x."""
-    bit = {c: 1 << t for t, c in enumerate(syms)}
-    return syms, bit, _next_tables(x, syms), _suffix_masks(x, bit), x[::-1]
-
-
-def _canonical_edges(
-    x: Sequence[int], y: Sequence[int], x_side: tuple | None = None
-) -> list[tuple[int, int]]:
+def _canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]]:
     """Lexicographically smallest maximum repetition-free matching.
 
     The optimum is min(L, m) when `_floor_edges` reaches that ceiling (L the
@@ -310,8 +303,7 @@ def _canonical_edges(
     takes the smallest i, then the earliest j, from which the rest stays
     feasible.  Set-up is charged against EXACT_BUDGET before it is
     allocated, one unit per 16 machine words, and every expanded search
-    state costs one more unit.  `x_side` is `_x_side(x, sorted(set(x)))`
-    when the caller shares it among many y; it is not charged.
+    state costs one more unit.
     """
     nx, ny = len(x), len(y)
     common = sorted(set(x).intersection(y))
@@ -325,11 +317,13 @@ def _canonical_edges(
             f"exact solver exceeded its work budget of {EXACT_BUDGET}: set-up "
             f"for n = {nx}, {ny} and m = {m} common symbols costs {setup}"
         )
-    syms, bit, nxt_x, suf_x, x_rev = x_side or _x_side(x, common)
+    bit = {c: 1 << t for t, c in enumerate(common)}
+    nxt_x = _next_tables(x, common)
     nxt_y = _next_tables(y, common)
+    suf_x = _suffix_masks(x, bit)
     suf_y = _suffix_masks(y, bit)
-    rows = _lcs_rows(x_rev, y[::-1])
-    search = (nx, ny, syms, nxt_x, nxt_y, suf_x, suf_y, rows, {}, [EXACT_BUDGET - setup])
+    rows = _lcs_rows(x[::-1], y[::-1])
+    search = (nx, ny, common, nxt_x, nxt_y, suf_x, suf_y, rows, {}, [EXACT_BUDGET - setup])
     total = min(ny - rows[nx].bit_count(), m)
     if len(_floor_edges(x, y, rows, nxt_x, nxt_y)) < total:
         total = 0
@@ -339,7 +333,7 @@ def _canonical_edges(
     used = i0 = j0 = 0
     while len(edges) < total:
         for i in range(i0, nx):
-            b = bit.get(x[i], 0) & suf_y[0] & ~used  # a common symbol, unmatched
+            b = bit.get(x[i], 0) & ~used  # a common symbol, unmatched
             if not b:
                 continue
             j = nxt_y[x[i]][j0]

@@ -4,7 +4,7 @@ import time
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import rflcs.solvers
 
@@ -273,6 +273,22 @@ class TestExactSolver:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rflcs.solvers, "EXACT_BUDGET", units)
             assert _canonical_edges(x, y) == edges
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        equal_length_pairs(12, 12),
+        st.lists(st.integers(0, 10**6), min_size=12, max_size=12, unique=True),
+        st.integers(0, 10**6),
+    )
+    def test_edges_invariant_under_relabelling(self, pair, pi, stand_in):
+        # what the uniformity tally rests on: an injective renaming of the
+        # symbols, or one stand-in for every symbol of y absent from x, leaves
+        # the canonical edges as they are
+        x, y = pair
+        assume(stand_in not in x)
+        edges = _canonical_edges(x, y)
+        assert _canonical_edges([pi[c] for c in x], [pi[c] for c in y]) == edges
+        assert _canonical_edges(x, [c if c in x else stand_in for c in y]) == edges
 
     @pytest.mark.parametrize(
         "regime, k, param",
