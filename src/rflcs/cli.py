@@ -141,8 +141,6 @@ def _urn_spec_from_args(args) -> tuple[str, GroupedUrnSpec | None, int, int]:
     if args.s_vec is not None:
         spec = GroupedUrnSpec(k=args.k, s_vec=args.s_vec)
         return "grouped", spec, args.k, spec.s
-    if args.s is None:
-        raise ValueError("provide --s or --s-vec")
     return "classical", None, args.k, args.s
 
 
@@ -300,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("urn", help="Monte Carlo urn survival table (CSV)")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--s-vec", type=_parse_int_list, default=None, dest="s_vec")
+    balls = p.add_mutually_exclusive_group(required=True)
+    balls.add_argument("--s", type=int)
+    balls.add_argument("--s-vec", type=_parse_int_list, dest="s_vec")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
@@ -309,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("urn-exact", help="exact empty-urn distribution (JSON)")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--s-vec", type=_parse_int_list, default=None, dest="s_vec")
+    balls = p.add_mutually_exclusive_group(required=True)
+    balls.add_argument("--s", type=int)
+    balls.add_argument("--s-vec", type=_parse_int_list, dest="s_vec")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_urn_exact)
 

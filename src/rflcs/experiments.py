@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import astuple, dataclass, field, fields
-from itertools import product
+from dataclasses import astuple, dataclass, fields
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,10 +29,13 @@ from .rng import RngStream
 from .solvers import _canonical_edges, lcs_length, rflcs_exact, segment_merge_heuristic
 from .urns import classical_urn_empty_counts
 
-# Cap on the k^(2n) pairs uniformity_test_exhaustive tallies.  It counts the
-# pairs covered, not the solves (153 for the 117,649 pairs at n = 3, k = 7),
-# so the requests it refuses do not depend on how the pairs are grouped.
+# Caps of uniformity_test_exhaustive: the k^(2n) pairs it tallies, which also
+# bounds the k^n sequences it scans for patterns, and the solves, which follow
+# the patterns, not the pairs (153 for 117,649 pairs at n = 3, k = 7; 2^21 for
+# 4.2M at n = 11, k = 2).  At about 40 us a solve, the largest shape admitted,
+# (9, 2) with 2^17 solves, takes about 5 s.
 UNIFORMITY_PAIRS_MAX = 10_000_000
+UNIFORMITY_SOLVES_MAX = 1 << 17
 FORMAT_VERSION = 1
 # A CSV-byte policy, not a capacity gate: bracket sweeps solve segments
 # exactly for k up to this and by LIS above it, which fixes which rows
@@ -115,6 +118,8 @@ def _sweep_trial(args: tuple[int, int, int, int, int, str]) -> tuple[int, int]:
 
 def run_regime_sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
     """One row per k: Monte Carlo estimates of E[R] with theory overlays."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     rows = []
     # Under fork a pool starts all its workers at the first submit, so it
     # never gets more workers than there are trials to share.
@@ -184,27 +189,28 @@ class UniformityReport:
     n: int
     k: int
     total_pairs: int
-    size_counts: dict[int, int] = field(default_factory=dict)
-    subset_counts: dict[int, dict[frozenset, int]] = field(default_factory=dict)
-    uniform: bool = True
+    size_counts: dict[int, int]
+    subset_counts: dict[int, dict[frozenset, int]]
+    uniform: bool
 
 
 def uniformity_test_exhaustive(n: int, k: int) -> UniformityReport:
     """Tally canonical symbol sets per size over all k^(2n) pairs.
 
     The canonical witness is defined on positions, so an injective renaming
-    of the symbols renames its symbols and changes nothing else.  So x is
-    solved as its pattern px, relabelled by first occurrence to 0, ...,
-    d - 1, with one stand-in, d, for every symbol absent from x: an absent
-    symbol is never matched, so the y that differ only in which absent
-    symbol fills some positions share one solve, weighted
-    (k - d)^(#stand-ins).  Each pattern's tally of symbol sets is built once
-    (153 solves for the 117,649 pairs at n = 3, k = 7) and mapped back to
-    the symbols of each x.
+    of the symbols renames its symbols and changes nothing else (the
+    relabelling lemma).  So only the patterns are solved: the x equal to
+    their relabelling by first occurrence to 0, ..., d - 1, each standing for
+    perm(k, d) sequences.  One stand-in, d, takes the place of every symbol
+    absent from x: an absent symbol is never matched, so the y that differ
+    only in which absent symbol fills some positions share one solve,
+    weighted (k - d)^(#stand-ins).
 
-    Uniformity is asserted by integer-count equality: for every size l
-    with at least one instance, every l-subset of [0, k) must occur
-    exactly the same number of times.
+    By the same lemma each l-subset of [0, k) is the symbol set of
+    size_counts[l] / C(k, l) pairs, so the buckets are derived and `uniform`
+    holds by construction.  The lemma itself is checked against one solve
+    per pair in TestUniformity.test_matches_all_pairs and acceptance
+    criterion 07.
     """
     if n < 0 or k < 1:
         raise ValueError("require n >= 0 and k >= 1")
@@ -215,44 +221,36 @@ def uniformity_test_exhaustive(n: int, k: int) -> UniformityReport:
             f"uniformity_test_exhaustive limited to n <= 12 and "
             f"{UNIFORMITY_PAIRS_MAX} pairs (requested {k}^{2 * n})"
         )
-    size_counts: dict[int, int] = {}
-    subset_counts: dict[int, dict[frozenset, int]] = {}
-    tallies: dict[tuple, dict[frozenset, int]] = {}
+    patterns = []  # (px, d)
     for x in product(range(k), repeat=n):
         label: dict[int, int] = {}
-        px = tuple(label.setdefault(c, len(label)) for c in x)
-        symbol = list(label)
-        d = len(symbol)
-        tally = tallies.get(px)
-        if tally is None:
-            # px is the first x of its pattern, so the tally meets the symbol
-            # sets in the order the pairs of x = px do.  No later x of the
-            # pattern adds two new keys to one dict (checked for every (n, k)
-            # the cap admits), so every dict keeps the key order of the loop
-            # over all pairs.
-            tally = tallies[px] = {}
-            for py in product(range(min(d + 1, k)), repeat=n):
-                labels = frozenset(px[i] for i, _ in _canonical_edges(px, py))
-                tally[labels] = tally.get(labels, 0) + (k - d) ** py.count(d)
-        for labels, weight in tally.items():
-            l = len(labels)
-            size_counts[l] = size_counts.get(l, 0) + weight
-            if l == 0:
-                continue
-            syms = frozenset(symbol[t] for t in labels)
-            bucket = subset_counts.setdefault(l, {})
-            bucket[syms] = bucket.get(syms, 0) + weight
-    uniform = True
-    for l, bucket in subset_counts.items():
-        if len(bucket) != math.comb(k, l) or len(set(bucket.values())) != 1:
-            uniform = False
+        if x == tuple(label.setdefault(c, len(label)) for c in x):
+            patterns.append((x, len(label)))
+    solves = sum(min(d + 1, k) ** n for _, d in patterns)
+    if solves > UNIFORMITY_SOLVES_MAX:
+        raise CapacityError(
+            f"uniformity_test_exhaustive limited to {UNIFORMITY_SOLVES_MAX} solves "
+            f"(n = {n}, k = {k} needs {solves})"
+        )
+    size_counts: dict[int, int] = {}
+    for px, d in patterns:
+        copies = math.perm(k, d)
+        for py in product(range(min(d + 1, k)), repeat=n):
+            l = len(_canonical_edges(px, py))
+            size_counts[l] = size_counts.get(l, 0) + copies * (k - d) ** py.count(d)
+    # C(k, l) divides perm(k, d) for every d >= l, so the quotient is exact
+    subset_counts = {
+        l: dict.fromkeys(map(frozenset, combinations(range(k), l)), c // math.comb(k, l))
+        for l, c in size_counts.items()
+        if l
+    }
     return UniformityReport(
         n=n,
         k=k,
         total_pairs=total,
         size_counts=size_counts,
         subset_counts=subset_counts,
-        uniform=uniform,
+        uniform=True,
     )
 
 

@@ -118,6 +118,12 @@ class TestUrnCommands:
         code, _, err = run_cli(capsys, "urn-exact", "--k", "5")
         assert code == EXIT_USAGE and "error" in err
 
+    @pytest.mark.parametrize("command", ["urn", "urn-exact"])
+    @pytest.mark.parametrize("balls", [("--s", "2", "--s-vec", "1,1"), ()])
+    def test_urn_needs_exactly_one_of_s_and_s_vec(self, capsys, command, balls):
+        code, out, err = run_cli(capsys, command, "--k", "5", *balls, "--seed", "1")
+        assert code == EXIT_USAGE and out == "" and "Traceback" not in err
+
     def test_urn_exact_capacity(self, capsys):
         start = time.monotonic()
         code, _, err = run_cli(capsys, "urn-exact", "--k", "1000000000", "--s", "1000000000")
@@ -394,6 +400,16 @@ class TestUniformityCommand:
         code, _, _ = run_cli(capsys, "uniformity", "--n", "8", "--k", "8")
         assert code == EXIT_CAPACITY
 
+    @pytest.mark.parametrize("n, k", [("10", "2"), ("7", "3"), ("11", "2")])
+    def test_capacity_solves(self, capsys, n, k):
+        # under the pair cap, but 524,288 to 2,097,152 solves: refused
+        # before the first
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "uniformity", "--n", n, "--k", k)
+        assert code == EXIT_CAPACITY and out == ""
+        assert "solves" in err and "Traceback" not in err
+        assert time.monotonic() - start < 1.0
+
     @pytest.mark.parametrize("n, k", [("5000", "3"), ("100000000", "3"), ("1000000000", "1")])
     def test_capacity_huge_n(self, capsys, n, k):
         # refused before k^(2n) is computed, which would take minutes
@@ -495,6 +511,16 @@ class TestExitCodes:
             "--trials", "2", "--seed", "21",
         )
         assert code == EXIT_USAGE and "abc" in err
+
+    @pytest.mark.parametrize("flag, env", [(["--workers=0"], None), (["--workers", "-3"], None), ([], "0")])
+    def test_workers_below_one(self, capsys, monkeypatch, flag, env):
+        if env is not None:
+            monkeypatch.setenv("RFLCS_WORKERS", env)
+        code, out, err = run_cli(
+            capsys, "sweep", "--regime", "2", "--k-list", "4", "--rho", "1",
+            "--trials", "2", "--seed", "21", *flag,
+        )
+        assert code == EXIT_USAGE and out == "" and "workers must be >= 1" in err
 
     @pytest.mark.parametrize(
         "doc",
