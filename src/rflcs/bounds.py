@@ -164,10 +164,14 @@ def regime_target(
     2n/sqrt(k).  Regime 2 (n = rho k^(3/2) / 2): target k(1 - e^-rho).
     Regime 3 (n = (1/2 + xi) k^(3/2) ln k): target k, saturation with
     high probability.  n and s are rounded up where the asymptotic
-    statement treats them as reals.
+    statement treats them as reals.  Regimes 2 and 3 fix n themselves, so
+    an n given for them is refused rather than paired with the target at
+    another n.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
+    if n is not None and regime in (2, 3):
+        raise ValueError(f"regime {regime} sets n itself; n is for regime 1 only")
     sqrt_k = math.sqrt(k)
     if regime == 1:
         if n is None:

@@ -137,23 +137,17 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _urn_spec_from_args(args) -> tuple[str, GroupedUrnSpec | None, int, int]:
-    if args.s_vec is not None:
-        spec = GroupedUrnSpec(k=args.k, s_vec=args.s_vec)
-        return "grouped", spec, args.k, spec.s
-    return "classical", None, args.k, args.s
-
-
 def cmd_urn(args) -> int:
-    model, spec, k, s = _urn_spec_from_args(args)
-    check_survival_size(k)  # before sampling
-    stream = RngStream(args.seed)
-    if model == "grouped":
-        samples = grouped_urn_empty_counts(spec, args.trials, stream)
-        s_vec_label = ";".join(str(v) for v in spec.s_vec)
+    k = args.k
+    if args.s_vec is None:
+        check_survival_size(k)  # before sampling
+        model, s_vec_label = "classical", str(args.s)
+        samples = classical_urn_empty_counts(k, args.s, args.trials, RngStream(args.seed))
     else:
-        samples = classical_urn_empty_counts(k, s, args.trials, stream)
-        s_vec_label = str(s)
+        spec = GroupedUrnSpec(k=k, s_vec=args.s_vec)
+        check_survival_size(k)  # before sampling
+        model, s_vec_label = "grouped", ";".join(str(v) for v in spec.s_vec)
+        samples = grouped_urn_empty_counts(spec, args.trials, RngStream(args.seed))
     surv = survival_from_samples(samples, k)
     rows = (
         f"{model},{k},{s_vec_label},{t},{p:.10g},{math.sqrt(p * (1 - p) / args.trials):.10g}\n"
@@ -168,11 +162,10 @@ def cmd_urn(args) -> int:
 
 
 def cmd_urn_exact(args) -> int:
-    model, spec, k, s = _urn_spec_from_args(args)
-    if model == "grouped":
-        probs = grouped_urn_exact(spec)
+    if args.s_vec is None:
+        probs = classical_urn_exact(args.k, args.s)
     else:
-        probs = classical_urn_exact(k, s)
+        probs = grouped_urn_exact(GroupedUrnSpec(k=args.k, s_vec=args.s_vec))
     _emit(json.dumps(probs), args.out)
     return EXIT_OK
 

@@ -129,7 +129,7 @@ def run_regime_sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
             rt = regime_target(
                 config.regime, k, rho=config.rho, xi=config.xi, n=config.n_override
             )
-            n = config.n_override if config.n_override is not None else rt.n
+            n = rt.n
             jobs = [
                 (config.master_seed, k_idx, trial, n, k, config.estimator)
                 for trial in range(config.trials)

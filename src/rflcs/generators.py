@@ -12,6 +12,11 @@ from .rng import RngStream
 
 # gen_planted_pair draws a permutation of [0, k), so k sets its memory.
 PLANTED_K_MAX = 10**7
+# Both generators hold each side as a tuple of n Python ints, so n sets their
+# memory: `gen --k 2147483648` peaks at 187 MB at n = 2^20 and 607 MB at
+# n = 2^22 (x86-64, Python 3.11, numpy 2.4).  Larger n is refused before
+# any draw.
+N_MAX = 1 << 20
 
 
 def gen_uniform_pair(n: int, k: int, rng: RngStream) -> Instance:
@@ -20,6 +25,8 @@ def gen_uniform_pair(n: int, k: int, rng: RngStream) -> Instance:
         raise ValueError("n must be nonnegative")
     if k < 1:
         raise ValueError("k must be positive")
+    if n > N_MAX:
+        raise CapacityError(f"generation limited to n <= {N_MAX}")
     g = rng.generator()
     x = tuple(g.integers(0, k, size=n).tolist())
     y = tuple(g.integers(0, k, size=n).tolist())
@@ -40,6 +47,8 @@ def gen_planted_pair(n: int, k: int, l: int, rng: RngStream) -> Instance:
         raise ValueError("k must be positive")
     if not (0 <= l <= min(n, k)):
         raise ValueError("planted length must satisfy 0 <= l <= min(n, k)")
+    if n > N_MAX:
+        raise CapacityError(f"generation limited to n <= {N_MAX}")
     if k > PLANTED_K_MAX:
         raise CapacityError(f"planted generation limited to k <= {PLANTED_K_MAX}")
     g = rng.generator()

@@ -1,19 +1,17 @@
 """Exact and heuristic solvers for (repetition-free) noncrossing matchings.
 
 The exact repetition-free solver is one memoised depth-first search,
-`_feasible`, which answers "can `need` more unused symbols be matched in
-x[i:], y[j:]?" with the LCS of the two suffixes as its bound.
-`_canonical_edges` finds the optimum and then recovers the canonical
-(lexicographically smallest) maximum witness greedily edge by edge from
-the same query.  The optimum is certified without a query when
-`_floor_edges`, a repetition-free subsequence built from the LCS witness
-of the rows set-up already holds, reaches the ceiling min(L, m); only
-otherwise does it come from queries of growing `need` at (0, 0).  On the
-m = 13 exact-sweep shapes (regime 3 xi = 1 and 2, regime 2 rho = 4) the
-certificate fires on 100%, 100% and about 80% of instances and a solve
-expands 78, 78 and 104 states instead of 169, 169 and 180.  Its only
-capacity gate is the work budget EXACT_BUDGET, which counts set-up words
-and expanded search states.
+`_smallest_path`, which finds the lexicographically smallest repetition-free
+common subsequence of `need` symbols, cutting states by their unused
+symbols and the LCS of their two suffixes (branch and bound in the sense of
+Land & Doig 1960).  `_canonical_edges` queries it from the ceiling
+min(L, m) down, each time to the bound that a failed query left at the
+root, so the query that proves the optimum returns the canonical
+(lexicographically smallest) maximum witness.  On the m = 13 exact-sweep
+shapes (regime 3 xi = 1 and 2, regime 2 rho = 4; eight trials at seed 42)
+every solve makes that one query and expands 13, 13 and 80 states on
+average.  Its only capacity gate is the work budget EXACT_BUDGET, which
+counts set-up words and expanded search states.
 """
 
 from __future__ import annotations
@@ -36,12 +34,9 @@ from .model import (
 # state costs one unit and about 90 bytes of memo, and set-up one unit per 16
 # machine words.  The time a state takes grows with m, since each state scans
 # its unused common symbols: on a 2-CPU x86-64 host under Python 3.11 it is
-# 14-18 us at n = 253, m = 40 (a refusal after 7-9 s), and 42-102 us at
-# n = 800, m = 306-311 (`gen --n 800 --k 400 --seed 1|2|3`, refused after
-# 20-48 s).
-# The floor that certifies an optimum reads rows set-up already paid for,
-# so it is free; a certified solve skips the optimum loop, and on every
-# instance tested it expanded no more states than with the loop.
+# 15-16 us at n = 253, m = 40 (a refusal after 7.5-8.2 s), and 55-105 us at
+# n = 800, m = 306-311 (`gen --n 800 --k 400 --seed 1|2`, refused after
+# 26-50 s; seed 3 solves in 11 s).
 EXACT_BUDGET = 500_000
 N_MAX_BRUTE = 12
 
@@ -71,14 +66,14 @@ def _lcs_rows(x: Sequence[int], y: Sequence[int]) -> list[int]:
     return rows
 
 
-def _lcs_backtrack(x: Sequence[int], y: Sequence[int], rows: list[int]) -> list[tuple[int, int]]:
-    """Edges (i, j) of an LCS witness of x and y, ascending, from the rows
-    of `_lcs_rows(x, y)`.
+def lcs_length(x: Sequence[int], y: Sequence[int]) -> SolveResult:
+    """LCS with a witness, by backtracking on the rows of `_lcs_rows`.
 
     A match steps diagonally.  Otherwise D(i, j) = d is the max of D(i-1, j)
     and D(i, j-1), both in {d-1, d}: the backtrack steps up when D(i-1, j)
     = d, else left, and d is unchanged either way.
     """
+    rows = _lcs_rows(x, y)
     edges = []
     i, j = len(x), len(y)
     d = j - rows[i].bit_count()  # D(i, j); no match is left once it is 0
@@ -93,12 +88,6 @@ def _lcs_backtrack(x: Sequence[int], y: Sequence[int], rows: list[int]) -> list[
         else:
             j -= 1
     edges.reverse()
-    return edges
-
-
-def lcs_length(x: Sequence[int], y: Sequence[int]) -> SolveResult:
-    """LCS with a witness, by backtracking on the rows of `_lcs_rows`."""
-    edges = _lcs_backtrack(x, y, _lcs_rows(x, y))
     witness = NoncrossingMatching(
         edges=tuple(edges), symbols=tuple(x[i] for i, _ in edges)
     )
@@ -192,30 +181,37 @@ def _suffix_masks(seq: Sequence[int], bit: dict[int, int]) -> list[int]:
     return masks
 
 
-def _feasible(search: tuple, i: int, j: int, used: int, need: int) -> bool:
-    """Whether `need` more symbols outside the bit set `used` match as a
-    repetition-free common subsequence of x[i:] and y[j:].
+def _smallest_path(search: tuple, need: int) -> list[tuple[int, int]] | None:
+    """The lexicographically smallest `need` ascending edges of a
+    repetition-free common subsequence of x and y, or None if none exist.
 
-    Depth-first over states (i, j, used).  A state's candidates are its
-    unused symbols at their earliest positions (p, q) in both suffixes;
-    a candidate beaten in both coordinates by another is dropped, and the
-    rest are tried in order of max(p, q).  A state is cut when `need`
-    exceeds its unused symbols or LCS(x[i:], y[j:]); a failed state is
-    memoised with the smallest `need` that failed.
+    Depth-first from the root (0, 0, nothing used) over states (i, j, used).
+    A state's candidates are its unused symbols at their earliest positions
+    (p, q) in x[i:] and y[j:].  A candidate beaten in both coordinates by
+    another is dropped: it is never lexicographically smaller, and swapping
+    it for the one that beats it loses no edge.  The rest are tried in
+    increasing p, so the first path of `need` edges is the smallest.  A
+    state's bound is the least of its unused symbols, LCS(x[i:], y[j:]) and
+    its memo less one; it is expanded only when the bound reaches the edges
+    it still needs.  An exhausted state's bound becomes the largest of
+    1 + its tried children's bounds, and its memo that plus one, so after a
+    failed query failed[0] - 1, the root's bound, lies between the optimum
+    and the `need` that failed.
     """
     nx, ny, syms, nxt_x, nxt_y, suf_x, suf_y, rows, failed, left = search
-    stack: list[tuple[int, int, int, list]] = []
-    while True:
-        if need == 0:
-            return True
+    stack: list[list] = []  # frames [key, used, need, untried front, best]
+    path: list[tuple[int, int]] = []
+    i = j = used = 0
+    while need:
         key = (used * (nx + 1) + i) * (ny + 1) + j
         avail = suf_x[i] & suf_y[j] & ~used
         b = ny - j
-        if (
-            failed.get(key, need + 1) > need
-            and need <= avail.bit_count()
-            and need <= b - (rows[nx - i] & ((1 << b) - 1)).bit_count()
-        ):
+        bound = min(
+            avail.bit_count(),
+            b - (rows[nx - i] & ((1 << b) - 1)).bit_count(),
+            failed.get(key, need + 1) - 1,
+        )
+        if bound >= need:
             left[0] -= 1
             if left[0] < 0:
                 raise CapacityError(
@@ -234,74 +230,34 @@ def _feasible(search: tuple, i: int, j: int, used: int, need: int) -> bool:
             for p, q, low in cand:
                 if q < q_min:
                     q_min = q
-                    front.append((max(p, q), p, q, low))
-            front.sort(reverse=True)
-            stack.append((key, used, need, front))
-        while stack:
-            key, used, need, front = stack[-1]
-            if front:
-                break
-            failed[key] = need
-            stack.pop()
-        else:
-            return False
-        _, p, q, low = front.pop()
+                    front.append((p, q, low))
+            front.reverse()
+            stack.append([key, used, need, front, 0])
+        else:  # cut, so never the root
+            stack[-1][4] = max(stack[-1][4], 1 + bound)
+            path.pop()
+        while not stack[-1][3]:
+            key, _, _, _, best = stack.pop()
+            failed[key] = best + 1
+            if not stack:
+                return None
+            stack[-1][4] = max(stack[-1][4], 1 + best)
+            path.pop()
+        _, used, need, front, _ = stack[-1]
+        p, q, low = front.pop()
+        path.append((p, q))
         i, j, used, need = p + 1, q + 1, used | low, need - 1
-
-
-def _floor_edges(
-    x: Sequence[int],
-    y: Sequence[int],
-    rows: list[int],
-    nxt_x: dict[int, list[int]],
-    nxt_y: dict[int, list[int]],
-) -> list[tuple[int, int]]:
-    """A repetition-free common subsequence of x and y, as ascending edges,
-    so a floor on the optimum (the paper's lower-bound construction).
-
-    `rows` are those of `_lcs_rows(x[::-1], y[::-1])`.  Their LCS witness
-    keeps the first edge of each symbol; then, gap by gap from the left,
-    unused symbols among the keys of `nxt_y` are inserted between the kept
-    edges, each time the one whose earliest fit in the gap ends first.
-    """
-    nx, ny = len(x), len(y)
-    kept = []
-    seen = set()
-    for i, j in reversed(_lcs_backtrack(x[::-1], y[::-1], rows)):
-        i = nx - 1 - i
-        if x[i] not in seen:
-            seen.add(x[i])
-            kept.append((i, ny - 1 - j))
-    unused = [c for c in nxt_y if c not in seen]
-    edges: list[tuple[int, int]] = []
-    p0 = q0 = 0
-    for i_end, j_end in kept + [(nx, ny)]:
-        while unused:
-            best = None
-            for c in unused:
-                p, q = nxt_x[c][p0], nxt_y[c][q0]
-                if p < i_end and q < j_end and (best is None or max(p, q) < best[0]):
-                    best = (max(p, q), p, q, c)
-            if best is None:
-                break
-            _, p, q, c = best
-            edges.append((p, q))
-            unused.remove(c)
-            p0, q0 = p + 1, q + 1
-        if i_end < nx:
-            edges.append((i_end, j_end))
-        p0, q0 = i_end + 1, j_end + 1
-    return edges
+    return path
 
 
 def _canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]]:
     """Lexicographically smallest maximum repetition-free matching.
 
-    The optimum is min(L, m) when `_floor_edges` reaches that ceiling (L the
-    LCS length, m the number of common symbols); otherwise it is the largest
-    `need` feasible from (0, 0).  The witness is built greedily: each edge
-    takes the smallest i, then the earliest j, from which the rest stays
-    feasible.  Set-up is charged against EXACT_BUDGET before it is
+    Queries `_smallest_path` from the ceiling min(L, m) down (L the LCS
+    length, m the number of common symbols), each time to the root's bound
+    that the failed query left, which is at least the optimum; so the first
+    query that succeeds has `need` equal to the optimum and returns the
+    canonical witness.  Set-up is charged against EXACT_BUDGET before it is
     allocated, one unit per 16 machine words, and every expanded search
     state costs one more unit.
     """
@@ -318,32 +274,15 @@ def _canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]
             f"for n = {nx}, {ny} and m = {m} common symbols costs {setup}"
         )
     bit = {c: 1 << t for t, c in enumerate(common)}
-    nxt_x = _next_tables(x, common)
-    nxt_y = _next_tables(y, common)
-    suf_x = _suffix_masks(x, bit)
-    suf_y = _suffix_masks(y, bit)
     rows = _lcs_rows(x[::-1], y[::-1])
-    search = (nx, ny, common, nxt_x, nxt_y, suf_x, suf_y, rows, {}, [EXACT_BUDGET - setup])
-    total = min(ny - rows[nx].bit_count(), m)
-    if len(_floor_edges(x, y, rows, nxt_x, nxt_y)) < total:
-        total = 0
-        while _feasible(search, 0, 0, 0, total + 1):
-            total += 1
-    edges: list[tuple[int, int]] = []
-    used = i0 = j0 = 0
-    while len(edges) < total:
-        for i in range(i0, nx):
-            b = bit.get(x[i], 0) & ~used  # a common symbol, unmatched
-            if not b:
-                continue
-            j = nxt_y[x[i]][j0]
-            if j < ny and _feasible(search, i + 1, j + 1, used | b, total - len(edges) - 1):
-                edges.append((i, j))
-                used |= b
-                i0, j0 = i + 1, j + 1
-                break
-        else:  # unreachable: a feasible need always extends
-            raise RuntimeError("canonical recovery failed to extend matching")
+    failed: dict[int, int] = {}
+    search = (
+        nx, ny, common, _next_tables(x, common), _next_tables(y, common),
+        _suffix_masks(x, bit), _suffix_masks(y, bit), rows, failed, [EXACT_BUDGET - setup],
+    )
+    need = min(ny - rows[nx].bit_count(), m)
+    while (edges := _smallest_path(search, need)) is None:
+        need = failed[0] - 1  # the root's bound; key 0 is the root
     return edges
 
 

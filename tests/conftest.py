@@ -1,8 +1,8 @@
 """Shared test helpers: brute-force oracles kept independent of the
 implementation paths they check, the subset DP the exact solver replaced,
 kept as an oracle for its canonical witness, the exact solver as it was
-before it certified optimums from its floor, kept as an oracle for its
-budget, the all-pairs loop the uniformity tally replaced, the classical urn
+when it found the optimum by ascending queries and then recovered the
+witness edge by edge, kept as an oracle for its budget, the all-pairs loop the uniformity tally replaced, the classical urn
 sampler on 64-bit keys, and a child-process runner that reports peak
 memory."""
 
@@ -21,6 +21,7 @@ import pytest
 
 import rflcs
 from rflcs import solvers, urns
+from rflcs.errors import CapacityError
 from rflcs.model import Instance, is_subsequence
 from rflcs.solvers import _canonical_edges
 
@@ -234,11 +235,70 @@ def subset_dp_canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[
     return edges
 
 
+def _feasible(search: tuple, i: int, j: int, used: int, need: int) -> bool:
+    """Whether `need` more symbols outside the bit set `used` match as a
+    repetition-free common subsequence of x[i:] and y[j:].
+
+    Depth-first over states (i, j, used).  A state's candidates are its
+    unused symbols at their earliest positions (p, q) in both suffixes;
+    a candidate beaten in both coordinates by another is dropped, and the
+    rest are tried in order of max(p, q).  A state is cut when `need`
+    exceeds its unused symbols or LCS(x[i:], y[j:]); a failed state is
+    memoised with the smallest `need` that failed.
+    """
+    nx, ny, syms, nxt_x, nxt_y, suf_x, suf_y, rows, failed, left = search
+    stack: list[tuple[int, int, int, list]] = []
+    while True:
+        if need == 0:
+            return True
+        key = (used * (nx + 1) + i) * (ny + 1) + j
+        avail = suf_x[i] & suf_y[j] & ~used
+        b = ny - j
+        if (
+            failed.get(key, need + 1) > need
+            and need <= avail.bit_count()
+            and need <= b - (rows[nx - i] & ((1 << b) - 1)).bit_count()
+        ):
+            left[0] -= 1
+            if left[0] < 0:
+                raise CapacityError(
+                    f"exact solver exceeded its work budget of {solvers.EXACT_BUDGET} "
+                    "units of set-up and search states"
+                )
+            cand = []
+            while avail:
+                low = avail & -avail
+                avail ^= low
+                c = syms[low.bit_length() - 1]
+                cand.append((nxt_x[c][i], nxt_y[c][j], low))
+            cand.sort()
+            front = []
+            q_min = ny
+            for p, q, low in cand:
+                if q < q_min:
+                    q_min = q
+                    front.append((max(p, q), p, q, low))
+            front.sort(reverse=True)
+            stack.append((key, used, need, front))
+        while stack:
+            key, used, need, front = stack[-1]
+            if front:
+                break
+            failed[key] = need
+            stack.pop()
+        else:
+            return False
+        _, p, q, low = front.pop()
+        i, j, used, need = p + 1, q + 1, used | low, need - 1
+
+
 def loop_canonical_edges(x: Sequence[int], y: Sequence[int]) -> tuple[list[tuple[int, int]], int]:
-    """The exact solver before it certified optimums from its floor: the
-    optimum loop always runs, then the same greedy recovery.  Returns the
-    canonical edges and the units of EXACT_BUDGET they took (set-up plus
-    expanded search states)."""
+    """The exact solver as it was before it certified optimums from a floor,
+    with its boolean search `_feasible` frozen here: the optimum from
+    queries of growing `need` at the root, then a greedy recovery that
+    queries the search again for every edge.  Returns the canonical edges
+    and the units of EXACT_BUDGET they took (set-up plus expanded search
+    states)."""
     nx, ny = len(x), len(y)
     syms = sorted(set(x) & set(y))
     if not syms:
@@ -254,7 +314,7 @@ def loop_canonical_edges(x: Sequence[int], y: Sequence[int]) -> tuple[list[tuple
         solvers._lcs_rows(x[::-1], y[::-1]), {}, left,
     )
     total = 0
-    while solvers._feasible(search, 0, 0, 0, total + 1):
+    while _feasible(search, 0, 0, 0, total + 1):
         total += 1
     edges: list[tuple[int, int]] = []
     used = i0 = j0 = 0
@@ -264,7 +324,7 @@ def loop_canonical_edges(x: Sequence[int], y: Sequence[int]) -> tuple[list[tuple
             if not b or used & b:
                 continue
             j = nxt_y[x[i]][j0]
-            if j < ny and solvers._feasible(search, i + 1, j + 1, used | b, total - len(edges) - 1):
+            if j < ny and _feasible(search, i + 1, j + 1, used | b, total - len(edges) - 1):
                 edges.append((i, j))
                 used |= b
                 i0, j0 = i + 1, j + 1

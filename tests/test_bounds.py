@@ -178,6 +178,12 @@ class TestRegimeTargets:
         assert rt.target == 12.0
         assert math.isclose(rt.tail(1.0), 2 / 12)
 
+    @pytest.mark.parametrize("regime, param", [(2, dict(rho=1.0)), (3, dict(xi=1.0))])
+    def test_regimes_2_and_3_refuse_n(self, regime, param):
+        # they set n themselves: a given n would sit beside the target at theirs
+        with pytest.raises(ValueError, match="regime 1 only"):
+            regime_target(regime, 16, n=20, **param)
+
     def test_rejects_unknown_regime(self):
         with pytest.raises(ValueError):
             regime_target(4, 10)

@@ -470,6 +470,21 @@ class TestExitCodes:
         assert "work budget" in err and "Traceback" not in err
         assert peak_mb < cap_mb
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "--n", "10000000000", "--k", "2", "--seed", "1"),
+            ("sweep", "--regime", "3", "--xi", "1", "--k-list", "1000000", "--trials", "1", "--seed", "1"),
+        ],
+    )
+    def test_oversized_n_is_capacity_error(self, capsys, argv):
+        # n = 10^10, and 2.1 * 10^10 for the sweep's instances: past the
+        # generators' cap, so refused before numpy is asked for 74.5 or 154 GiB
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CAPACITY and out == "" and "Traceback" not in err
+        assert time.monotonic() - start < 1.0
+
     def test_exact_solver_large_k_small_m(self, capsys, tmp_path):
         # k = 25 but only 16 symbols occur in both sequences
         path = tmp_path / "inst.json"
@@ -495,6 +510,21 @@ class TestExitCodes:
         ],
     )
     def test_non_finite_and_overflow_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == "" and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--regime", "2", "--rho", "1", "--k-list", "16", "--n", "20", "--trials", "1", "--seed", "1"),
+            ("sweep", "--regime", "3", "--xi", "1", "--k-list", "16", "--n", "20", "--trials", "1", "--seed", "1"),
+            ("bounds", "--op", "regime", "--regime", "2", "--k", "16", "--rho", "1", "--n", "20"),
+            ("bounds", "--op", "regime", "--regime", "3", "--k", "16", "--xi", "1", "--n", "20"),
+        ],
+    )
+    def test_n_outside_regime_1_is_usage_error(self, capsys, argv):
+        # regimes 2 and 3 set n themselves; a row at --n beside their target
+        # at another n would contradict itself
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == "" and "Traceback" not in err
 

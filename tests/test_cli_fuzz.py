@@ -1,7 +1,8 @@
 """Fuzz of the command line: whatever the flags, ``main(argv)`` exits with
 0, 2, 3 or 4, prints no traceback, and every JSON document it prints is
 strict JSON (no NaN or Infinity).  ``solve`` runs every method on small
-instance files, and ``urn`` samples small urns and refuses huge ones.
+instance files, ``gen`` draws small instances and refuses huge n, and
+``urn`` samples small urns and refuses huge ones.
 Sweeps and ``--workers`` are left out: their cost grows with the flags,
 and they share the parsing fuzzed here."""
 
@@ -14,6 +15,7 @@ import tempfile
 from hypothesis import given, settings, strategies as st
 
 from rflcs.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, main
+from rflcs.generators import N_MAX
 from rflcs.urns import SAMPLER_COUNT_MAX, SURVIVAL_K_MAX
 
 EXIT_CODES = {0, 2, 3, 4}
@@ -92,15 +94,18 @@ def test_urn_exact(k, s_args):
 
 
 @given(
-    st.integers(-3, 60),
+    st.integers(-3, 60) | st.integers(N_MAX + 1, 10**30),
     wide_ints,
     wide_ints,
     st.one_of(st.just([]), small_ints.map(lambda l: [f"--planted={l}"])),
 )
 @settings(max_examples=60, deadline=None)
 def test_gen(n, k, seed, planted):
+    # n past the generators' cap is refused before any draw
     code, out = run(["gen", f"--n={n}", f"--k={k}", f"--seed={seed}", *planted])
-    if code == 0:
+    if n > N_MAX:
+        assert code in (EXIT_USAGE, EXIT_CAPACITY) and out == ""
+    elif code == 0:
         assert json.loads(out)["n"] == n
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from rflcs.errors import CapacityError
-from rflcs.generators import PLANTED_K_MAX, gen_planted_pair, gen_uniform_pair
+from rflcs.generators import N_MAX, PLANTED_K_MAX, gen_planted_pair, gen_uniform_pair
 from rflcs.model import validate_certificate
 from rflcs.rng import RngStream
 from rflcs.solvers import rflcs_exact
@@ -44,6 +44,18 @@ class TestUniformPair:
             gen_uniform_pair(5, 0, RngStream(1))
         with pytest.raises(ValueError):
             gen_uniform_pair(-1, 2, RngStream(1))
+
+    def test_n_cap_refused_before_any_draw(self):
+        class NoDraws:
+            seed = 0
+
+            def generator(self):
+                raise AssertionError("drew before the n cap was checked")
+
+        with pytest.raises(CapacityError):
+            gen_uniform_pair(N_MAX + 1, 2, NoDraws())
+        with pytest.raises(CapacityError):
+            gen_planted_pair(N_MAX + 1, 2, 1, NoDraws())
 
     def test_symbol_frequency_binomial(self):
         n = 100_000

@@ -22,12 +22,10 @@ from rflcs import cli
 from rflcs.bounds import regime_target
 from rflcs.errors import CapacityError
 from rflcs.generators import gen_uniform_pair
-from rflcs.model import Instance, is_subsequence, matching_from_edges, validate_matching
+from rflcs.model import Instance, is_subsequence, validate_matching
 from rflcs.rng import RngStream
 from rflcs.solvers import (
     _canonical_edges,
-    _floor_edges,
-    _lcs_rows,
     _next_tables,
     _segments,
     degree_one_edges,
@@ -238,9 +236,10 @@ class TestExactSolver:
 
     def test_block_reversal(self):
         # without the LCS bound the search needs about 4.2M states here,
-        # far past the budget; with it, 81.  The expected witness is the
-        # subset DP's (subset_dp_canonical_edges, m = 20), pinned because
-        # that DP takes about 19 s and 800 MB on this instance.
+        # far past the budget; with it, 9, one per edge of the witness.  The
+        # expected witness is the subset DP's (subset_dp_canonical_edges,
+        # m = 20), pinned because that DP takes about 19 s and 800 MB on
+        # this instance.
         x = tuple(range(20)) * 5
         y = tuple(range(19, -1, -1)) * 5
         assert _canonical_edges(x, y) == [
@@ -249,30 +248,40 @@ class TestExactSolver:
         ]
 
     @settings(max_examples=300, deadline=None)
-    @given(equal_length_pairs(20, 40))
-    def test_floor_is_a_repetition_free_matching_below_optimum(self, pair):
-        # floor <= R <= min(L, m), R from the solver without the certificate
-        x, y = pair
-        common = sorted(set(x) & set(y))
-        edges = _floor_edges(
-            x, y, _lcs_rows(x[::-1], y[::-1]), _next_tables(x, common), _next_tables(y, common)
-        )
-        inst = Instance(n=len(x), k=20, x=tuple(x), y=tuple(y))
-        assert edges == sorted(edges)
-        assert validate_matching(matching_from_edges(inst, edges), inst, require_repetition_free=True)
-        optimum = len(loop_canonical_edges(x, y)[0])
-        assert len(edges) <= optimum <= min(lcs_length(x, y).length, len(common))
-
-    @settings(max_examples=300, deadline=None)
     @given(equal_length_pairs(12, 32))
     def test_certificate_needs_no_more_budget(self, pair):
-        # with the budget cut to exactly what the solver took before it
-        # certified optimums, the same witness comes back and nothing is refused
+        # with the budget cut to exactly what the solver took when it found
+        # the optimum by ascending queries and recovered the witness edge by
+        # edge, the same witness comes back and nothing is refused
         x, y = pair
         edges, units = loop_canonical_edges(x, y)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rflcs.solvers, "EXACT_BUDGET", units)
             assert _canonical_edges(x, y) == edges
+
+    @settings(max_examples=300, deadline=None)
+    @given(equal_length_pairs(12, 32))
+    def test_failed_query_bounds_the_optimum(self, pair):
+        # a query above the optimum R leaves the root's memo failed[0] with
+        # R <= failed[0] - 1 < need, so the next query neither passes R by
+        # nor repeats its need
+        x, y = pair
+        optimum = len(loop_canonical_edges(x, y)[0])
+        failures = []
+        smallest_path = rflcs.solvers._smallest_path
+
+        def recording(search, need):
+            edges = smallest_path(search, need)
+            if edges is None:
+                failures.append((need, search[8][0]))  # search[8] is the memo
+            return edges
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rflcs.solvers, "_smallest_path", recording)
+            edges = _canonical_edges(x, y)
+        for need, root in failures:
+            assert optimum <= root - 1 < need
+        assert len(edges) == optimum
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -307,21 +316,21 @@ class TestExactSolver:
             monkeypatch.undo()
 
     def test_exact_sweep_is_certified(self, monkeypatch, capsys):
-        # every trial of this exact sweep reaches min(L, m) with its floor, so
-        # the optimum loop, whose queries all start at (0, 0), never runs
-        queries = {"loop": 0, "recovery": 0}
-        feasible = rflcs.solvers._feasible
+        # every trial of this exact sweep reaches the ceiling min(L, m) = 13,
+        # so each makes one query, and that query returns the witness
+        queries = []
+        smallest_path = rflcs.solvers._smallest_path
 
-        def counting(search, i, j, used, need):
-            queries["loop" if (i, j) == (0, 0) else "recovery"] += 1
-            return feasible(search, i, j, used, need)
+        def counting(search, need):
+            queries.append(need)
+            return smallest_path(search, need)
 
-        monkeypatch.setattr(rflcs.solvers, "_feasible", counting)
+        monkeypatch.setattr(rflcs.solvers, "_smallest_path", counting)
         argv = ["sweep", "--regime", "3", "--xi", "1", "--k-list", "13", "--trials", "8",
                 "--estimator", "exact", "--seed", "42", "--workers", "1"]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.count("\n") == 2  # header and the k = 13 row
-        assert queries["loop"] == 0 and queries["recovery"] >= 8 * 12
+        assert queries == [13] * 8
 
     def test_no_cyclic_garbage(self):
         # a solve leaves nothing for the cycle collector: cyclic garbage
