@@ -1,12 +1,13 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import time
 
 import pytest
 
-from conftest import run_child
+from conftest import FIXTURES, run_child
 from rflcs import cli
 from rflcs.cli import EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from rflcs.experiments import CSV_HEADER, uniformity_test_exhaustive
@@ -567,3 +568,20 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "solve", "--input", str(path), "--method", "exact")
         assert code == EXIT_USAGE and out == "" and "malformed instance" in err
+
+
+def test_golden_manifest():
+    # every argv of scripts/golden.py keeps the exit code and stdout bytes
+    # recorded in tests/fixtures/golden.json
+    path = FIXTURES.parents[1] / "scripts" / "golden.py"
+    spec = importlib.util.spec_from_file_location("golden", path)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    entries = json.loads((FIXTURES / "golden.json").read_text())
+    assert [(e["argv"], e["input"]) for e in entries] == golden.grid()
+    moved = [
+        (e["argv"], e["input"])
+        for e in entries
+        if golden.run(e["argv"], e["input"]) != (e["exit"], e["sha256"])
+    ]
+    assert moved == []
