@@ -23,7 +23,7 @@ import json
 import pathlib
 import tempfile
 
-from rflcs.cli import main
+from rflcs import cli
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "golden.json"
 
@@ -127,7 +127,7 @@ def grid():
 def _main_quietly(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        code = cli.main(argv)
     return code, out.getvalue()
 
 
@@ -144,16 +144,16 @@ def run(argv: list[str], instance: list[str] | None) -> tuple[int, str]:
     return code, hashlib.sha256(out.encode()).hexdigest()
 
 
-def main_script() -> None:
+def main() -> None:
     entries = []
     for argv, instance in grid():
         code, digest = run(argv, instance)
         entries.append({"argv": argv, "input": instance, "exit": code, "sha256": digest})
-        print(code, " ".join(argv))
+        print(code, *argv, *(["<", *instance] if instance else []))
     # one entry per line, so a diff of the manifest names the entries that moved
     OUT.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
     print(f"wrote {len(entries)} entries to {OUT}")
 
 
 if __name__ == "__main__":
-    main_script()
+    main()

@@ -176,6 +176,8 @@ def regime_target(
     if regime == 1:
         if n is None:
             raise ValueError("regime 1 requires an explicit n")
+        if n < 0:
+            raise ValueError("n must be nonnegative")
         if n > k * sqrt_k / 10.0:
             warnings.warn(
                 "regime 1 assumes n much smaller than k^(3/2); "

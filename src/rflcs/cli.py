@@ -42,7 +42,6 @@ from .rng import RngStream
 from .solvers import lcs_length, rflcs_bruteforce, rflcs_exact, segment_merge_heuristic
 from .urns import (
     GroupedUrnSpec,
-    check_survival_size,
     classical_urn_empty_counts,
     classical_urn_exact,
     grouped_urn_empty_counts,
@@ -101,11 +100,11 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"invalid integer list {text!r}") from exc
 
 
-def _solve_result_json(res) -> str:
+def _solve_result_json(res, method: str) -> str:
     return json.dumps(
         {
             "length": res.length,
-            "method": res.method,
+            "method": method,
             "symbols": sorted(res.symbol_set),
             "edges": [[i, j] for i, j in res.witness.edges],
         }
@@ -133,19 +132,17 @@ def cmd_solve(args) -> int:
         res = rflcs_bruteforce(inst)
     else:
         res = segment_merge_heuristic(inst, args.segment_size, per_segment=args.per_segment)
-    _emit(_solve_result_json(res), args.out)
+    _emit(_solve_result_json(res, args.method), args.out)
     return EXIT_OK
 
 
 def cmd_urn(args) -> int:
     k = args.k
     if args.s_vec is None:
-        check_survival_size(k)  # before sampling
         model, s_vec_label = "classical", str(args.s)
         samples = classical_urn_empty_counts(k, args.s, args.trials, RngStream(args.seed))
     else:
         spec = GroupedUrnSpec(k=k, s_vec=args.s_vec)
-        check_survival_size(k)  # before sampling
         model, s_vec_label = "grouped", ";".join(str(v) for v in spec.s_vec)
         samples = grouped_urn_empty_counts(spec, args.trials, RngStream(args.seed))
     surv = survival_from_samples(samples, k)

@@ -115,11 +115,10 @@ class NoncrossingMatching:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A solver's answer: a witness matching and the method that found it.
-    Length and symbol set are read off the witness."""
+    """A solver's answer: a witness matching, with its length and symbol
+    set read off it."""
 
     witness: NoncrossingMatching
-    method: str
 
     @property
     def length(self) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from typing import Sequence
 
 from .errors import CapacityError
@@ -91,7 +92,7 @@ def lcs_length(x: Sequence[int], y: Sequence[int]) -> SolveResult:
     witness = NoncrossingMatching(
         edges=tuple(edges), symbols=tuple(x[i] for i, _ in edges)
     )
-    return SolveResult(witness=witness, method="lcs")
+    return SolveResult(witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -135,23 +136,10 @@ def degree_one_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int,
     on the opposite side, and an x-side edge survives only if its symbol
     occurs exactly once in each sequence.
     """
-    count_x: dict[int, int] = {}
-    count_y: dict[int, int] = {}
-    first_x: dict[int, int] = {}
-    first_y: dict[int, int] = {}
-    for i, c in enumerate(x):
-        count_x[c] = count_x.get(c, 0) + 1
-        first_x.setdefault(c, i)
-    for j, c in enumerate(y):
-        count_y[c] = count_y.get(c, 0) + 1
-        first_y.setdefault(c, j)
-    edges = [
-        (first_x[c], first_y[c], c)
-        for c in count_x
-        if count_x[c] == 1 and count_y.get(c) == 1
-    ]
-    edges.sort()
-    return edges
+    count_x = Counter(x)
+    count_y = Counter(y)
+    once_y = {c: j for j, c in enumerate(y) if count_y[c] == 1}
+    return [(i, once_y[c], c) for i, c in enumerate(x) if count_x[c] == 1 and c in once_y]
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +283,7 @@ def rflcs_exact(inst: Instance) -> SolveResult:
     exceed the work budget EXACT_BUDGET, whatever the nominal k.
     """
     edges = _canonical_edges(inst.x, inst.y)
-    return SolveResult(witness=matching_from_edges(inst, edges), method="exact")
+    return SolveResult(witness=matching_from_edges(inst, edges))
 
 
 def rflcs_bruteforce(inst: Instance) -> SolveResult:
@@ -325,7 +313,7 @@ def rflcs_bruteforce(inst: Instance) -> SolveResult:
             j += 1
         best_len = len(z)
         best_edges = edges
-    return SolveResult(witness=matching_from_edges(inst, best_edges), method="brute")
+    return SolveResult(witness=matching_from_edges(inst, best_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -381,4 +369,4 @@ def segment_merge_heuristic(
             continue
         seen.add(c)
         kept.append((i, j))
-    return SolveResult(witness=matching_from_edges(inst, kept), method="heuristic")
+    return SolveResult(witness=matching_from_edges(inst, kept))

@@ -11,9 +11,12 @@ number of occupied urns (Feller Vol. 1, section II.11): group i moves h
 to h + j with weight C(k - h, j) * C(h, s_i - j), over the denominator
 prod_i C(k, s_i).  Integer weights carry no cancellation error, so the
 pmf entries are correctly rounded rationals and the dominance check
-compares them exactly.  One gate, EXACT_COST_MAX, caps the chain's work,
-weighted by the size of the integers it multiplies, before anything is
-allocated.
+compares them exactly.
+
+Every routine here refuses k above URN_K_MAX before it allocates or draws
+anything.  Beyond that, EXACT_COST_MAX caps the exact chain's work, weighted
+by the size of the integers it multiplies, and SAMPLER_COUNT_MAX and
+SAMPLER_CELLS_MAX cap a sample's trials, balls and cells.
 """
 
 from __future__ import annotations
@@ -27,11 +30,14 @@ import numpy as np
 from .errors import CapacityError
 from .rng import RngStream
 
+# The one cap on k: both samplers, both exact distributions, the dominance
+# check and the survival table.  At the cap `rflcs urn --trials 10` peaks near
+# 53 MB classical and 73 MB grouped (a row holds k uniforms with their ranks
+# and hits, 17 bytes per urn), and `rflcs urn-exact --s 0` near 83 MB.
+URN_K_MAX = 1 << 20
 # Cap on the exact chain's cost, in multiplications of one 64-bit word by
-# another (see _chain_cost).  Each of the k + 1 pmf entries costs
-# _ENTRY_COST, so k stays below 500,000.
+# another (see _chain_cost).
 EXACT_COST_MAX = 20_000_000
-_ENTRY_COST = 40
 # Stream layout of the grouped sampler: trials are drawn in blocks of
 # max(1, GROUPED_BLOCK_CELLS // k), and within a block all of group 1's
 # uniforms, then all of group 2's, in s_vec order.  Changing it changes the
@@ -42,21 +48,15 @@ GROUPED_BLOCK_CELLS = 1 << 22
 # uniforms.  Memory only: a sample does not depend on this value, because
 # consecutive draws continue one stream.
 _SAMPLER_CELLS = 1 << 18
-# Gates checked before a sampler allocates.  SAMPLER_COUNT_MAX caps trials and
-# one row, for memory: the output takes 8 bytes per trial, and one classical
-# trial's s draws, or one grouped row's k uniforms with their ranks and hits
-# (17 bytes per urn), are held at once however small _SAMPLER_CELLS is.  At
-# the cap a call peaks near 290 MB (grouped, k = 2^24).  The classical
-# sampler holds nothing per urn, so its k is not capped.  SAMPLER_CELLS_MAX
-# caps the work: the cells a call touches, trials * s classical and trials *
-# k per nonzero group (at least once) grouped; at 5-10 * 10^7 cells per
-# second a call at the cap takes about a minute.
+# Gates checked before a sampler draws, after k.  SAMPLER_COUNT_MAX caps
+# trials and a classical trial's s, for memory: the output takes 8 bytes per
+# trial, and one classical trial's s draws are held at once however small
+# _SAMPLER_CELLS is.  SAMPLER_CELLS_MAX caps the work: the cells a call
+# touches, trials * s classical and trials * k per nonzero group (at least
+# once) grouped; at 5-10 * 10^7 cells per second a call at the cap takes
+# about a minute.
 SAMPLER_COUNT_MAX = 1 << 24
 SAMPLER_CELLS_MAX = 1 << 32
-# Cap on k where the k + 1 survival rows are built: `rflcs urn` at k = 2^20
-# (--s 5 --trials 10) peaks near 53 MB, since it writes the CSV rows in
-# batches (202 MB when it joined them whole).
-SURVIVAL_K_MAX = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,20 @@ class GroupedUrnSpec:
         return len(self.s_vec)
 
 
-def _check_sampler_size(trials: int, row: int, cells: int) -> None:
-    """Refuse a call whose trials or row (a classical trial's s draws, or a
-    grouped row's k urns) pass SAMPLER_COUNT_MAX, or which touches more than
-    SAMPLER_CELLS_MAX cells."""
-    if max(trials, row) > SAMPLER_COUNT_MAX:
+def _check_k(k: int) -> None:
+    if k > URN_K_MAX:
+        raise CapacityError(f"urn models limited to k = {URN_K_MAX} (got k = {k})")
+
+
+def _check_sampler_size(k: int, trials: int, s: int, cells: int) -> None:
+    """Refuse a call whose k passes URN_K_MAX, whose trials or classical s
+    pass SAMPLER_COUNT_MAX, or which touches more than SAMPLER_CELLS_MAX
+    cells."""
+    _check_k(k)
+    if max(trials, s) > SAMPLER_COUNT_MAX:
         raise CapacityError(
             f"urn samplers limited to {SAMPLER_COUNT_MAX} trials and {SAMPLER_COUNT_MAX} "
-            f"cells per row (got trials = {trials}, row = {row})"
+            f"balls per classical trial (got trials = {trials}, s = {s})"
         )
     if cells > SAMPLER_CELLS_MAX:
         raise CapacityError(
@@ -102,19 +108,18 @@ def classical_urn_empty_counts(k: int, s: int, trials: int, rng: RngStream) -> n
     """
     if k < 1 or s < 0 or trials < 1:
         raise ValueError("require k >= 1, s >= 0, trials >= 1")
-    _check_sampler_size(trials, s, trials * s)
+    _check_sampler_size(k, trials, s, trials * s)
     g = rng.generator()
     if s == 0:
         return np.full(trials, k, dtype=np.int64)
     # numpy draws every range of at most 2^32 values through one 32-bit
     # bounded path (Lemire 2019), whatever the output dtype, so uint32 keys
     # hold the same values as int64 ones in half the bytes and sort in about
-    # half the time.  Wider ranges need 64-bit keys.
-    key_dtype = np.uint32 if k <= 1 << 32 else np.int64
+    # half the time.
     out = np.empty(trials, dtype=np.int64)
     chunk = max(1, _SAMPLER_CELLS // s)
     for done in range(0, trials, chunk):
-        draws = g.integers(0, k, size=(min(chunk, trials - done), s), dtype=key_dtype)
+        draws = g.integers(0, k, size=(min(chunk, trials - done), s), dtype=np.uint32)
         draws.sort(axis=1)
         repeats = np.count_nonzero(draws[:, 1:] == draws[:, :-1], axis=1)
         out[done : done + len(draws)] = k - s + repeats
@@ -132,7 +137,7 @@ def grouped_urn_empty_counts(spec: GroupedUrnSpec, trials: int, rng: RngStream) 
         raise ValueError("trials must be >= 1")
     k = spec.k
     sizes = [si for si in spec.s_vec if si]  # a zero group draws nothing
-    _check_sampler_size(trials, k, trials * k * max(1, len(sizes)))
+    _check_sampler_size(k, trials, 0, trials * k * max(1, len(sizes)))
     g = rng.generator()
     out = np.empty(trials, dtype=np.int64)
     block = max(1, GROUPED_BLOCK_CELLS // k)
@@ -158,10 +163,9 @@ def _chain_cost(k: int, groups, n_groups: int) -> int:
     classical model the factor is one word.  Every group costs at least 1,
     so n_groups refuses long group lists without walking them.
     """
-    cost = _ENTRY_COST * (k + 1)
-    if cost + n_groups > EXACT_COST_MAX:
-        return cost + n_groups
-    lo = hi = bits = 0
+    if n_groups > EXACT_COST_MAX:
+        return n_groups
+    cost = lo = hi = bits = 0
     for si in groups():
         step = max(1, min(si, k - si) * k.bit_length())  # >= C(k, si).bit_length()
         bits += step
@@ -180,10 +184,11 @@ def _occupancy_counts(k: int, groups, n_groups: int) -> tuple[list[int], int]:
     ``groups()`` returns a fresh iterable of the n_groups group sizes.
     Occupied counts reachable after each group form the interval [lo, hi].
     """
+    _check_k(k)
     if _chain_cost(k, groups, n_groups) > EXACT_COST_MAX:
         raise CapacityError(
             f"exact urn distribution limited to {EXACT_COST_MAX} word "
-            f"multiplications ({_ENTRY_COST} per pmf entry plus the chain's updates)"
+            "multiplications in the chain's updates"
         )
     lo = hi = 0
     w = [1]  # w[h - lo]: placements leaving h urns occupied
@@ -227,18 +232,13 @@ def survival_from_pmf(pmf) -> np.ndarray:
     return np.cumsum(pmf[::-1])[::-1]
 
 
-def check_survival_size(k: int) -> None:
-    if k > SURVIVAL_K_MAX:
-        raise CapacityError(f"urn survival table limited to k = {SURVIVAL_K_MAX} (got k = {k})")
-
-
 def survival_from_samples(samples, k: int) -> np.ndarray:
     """Empirical S(t) = P(value >= t) for t = 0..k.
 
     Tail counts are summed as integers and divided once, so S(0) is
     exactly 1 and S never increases.
     """
-    check_survival_size(k)
+    _check_k(k)
     counts = np.bincount(np.asarray(samples, dtype=np.int64), minlength=k + 1)
     return np.cumsum(counts[::-1])[::-1] / len(samples)
 

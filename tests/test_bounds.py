@@ -162,6 +162,8 @@ class TestRegimeTargets:
     def test_regime1_requires_n(self):
         with pytest.raises(ValueError):
             regime_target(1, 100)
+        with pytest.raises(ValueError, match="nonnegative"):
+            regime_target(1, 100, n=-5)
 
     def test_regime1_warns_when_n_large(self):
         with pytest.warns(UserWarning):

@@ -216,6 +216,18 @@ class TestUrnCommands:
         )
         assert peak_mb < cap_mb
 
+    def test_urn_exact_at_k_cap_in_bounded_memory(self):
+        # k = 2^20, the urn models' k cap, past the k < 500,000 that a charge
+        # per pmf entry allowed; it peaks near 83 MB
+        cap_mb = 150
+        code, out, err, peak_mb = run_child(
+            "-m", "rflcs.cli", "urn-exact", "--k", "1048576", "--s", "0",
+        )
+        assert code == EXIT_OK, err
+        probs = json.loads(out)
+        assert len(probs) == 2**20 + 1 and probs[-1] == 1.0 and not any(probs[:-1])
+        assert peak_mb < cap_mb
+
     def test_urn_survival_rounding_regression(self, capsys):
         # this seed used to sum the survival to 1 + 2^-52 and exit 2 with
         # "math domain error" in the stderr column
@@ -526,6 +538,18 @@ class TestExitCodes:
     def test_n_outside_regime_1_is_usage_error(self, capsys, argv):
         # regimes 2 and 3 set n themselves; a row at --n beside their target
         # at another n would contradict itself
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == "" and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--op", "regime", "--regime", "1", "--k", "4", "--n", "-5"),
+            ("sweep", "--regime", "1", "--k-list", "4", "--n", "-5", "--trials", "1", "--seed", "1"),
+        ],
+    )
+    def test_negative_n_is_usage_error(self, capsys, argv):
+        # the bounds op used to print a row with n = -5 and target -5.0
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == "" and "Traceback" not in err
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from rflcs.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, main
 from rflcs.generators import N_MAX
-from rflcs.urns import SAMPLER_COUNT_MAX, SURVIVAL_K_MAX
+from rflcs.urns import SAMPLER_COUNT_MAX, URN_K_MAX
 
 EXIT_CODES = {0, 2, 3, 4}
 BOUND_OPS = ("lambda", "bernstein", "coupon", "occupancy", "p1", "p2", "claim", "regime", "elb")
@@ -25,10 +25,10 @@ INT_FLAGS = ("k", "s", "n", "n-tilde", "b", "regime")
 
 small_ints = st.integers(-3, 40)
 wide_ints = small_ints | st.integers(-(10**30), 10**30)
-# counts past the urn samplers' cap and urn counts past the survival table's,
-# which must be refused before allocation
+# counts past the urn samplers' cap and urn counts past the k cap, which must
+# be refused before allocation
 huge_counts = st.integers(SAMPLER_COUNT_MAX + 1, 10**30)
-huge_k = st.integers(SURVIVAL_K_MAX + 1, 10**30)
+huge_k = st.integers(URN_K_MAX + 1, 10**30)
 
 
 def _reject_constant(name):
@@ -77,7 +77,7 @@ def test_bounds(op, float_args, int_args):
 
 
 @given(
-    wide_ints,
+    wide_ints | huge_k,
     st.one_of(
         wide_ints.map(lambda s: [f"--s={s}"]),
         st.lists(wide_ints, min_size=1, max_size=4).map(
@@ -89,7 +89,9 @@ def test_bounds(op, float_args, int_args):
 @settings(max_examples=60, deadline=None)
 def test_urn_exact(k, s_args):
     code, out = run(["urn-exact", f"--k={k}", *s_args])
-    if code == 0:
+    if k > URN_K_MAX:
+        assert code in (EXIT_USAGE, EXIT_CAPACITY) and out == ""
+    elif code == 0:
         assert len(json.loads(out, parse_constant=_reject_constant)) == k + 1
 
 
@@ -153,25 +155,21 @@ def test_solve(method, doc, size_args, segment_args):
 )
 @settings(max_examples=100, deadline=None)
 def test_urn(k, balls, trials, seed):
-    # `urn` checks the group sizes, then k against the survival table's cap
-    # before it samples, then s and trials, then the samplers' caps
+    # `urn` checks the group sizes, then k, s and trials, then the caps on k
+    # and on the trials and a classical trial's s, before it samples
     argv = ["urn", f"--k={k}", f"--trials={trials}", f"--seed={seed}"]
     if balls is None:
         spec_ok, s = False, 0
     elif balls[0] == "--s":
         spec_ok, s = True, balls[1]
         argv.append(f"--s={s}")
-    else:
-        spec_ok, s = k >= 1 and all(0 <= v <= k for v in balls[1]), sum(balls[1])
+    else:  # the spec checks the group sizes, and no count cap applies to them
+        spec_ok, s = k >= 1 and all(0 <= v <= k for v in balls[1]), 0
         argv.append(f"--s-vec={','.join(map(str, balls[1]))}")
     code, out = run(argv)
-    if not spec_ok:
+    if not spec_ok or not (k >= 1 and s >= 0 and trials >= 1):
         assert code == EXIT_USAGE
-    elif k > SURVIVAL_K_MAX:
-        assert code == EXIT_CAPACITY and out == ""
-    elif not (k >= 1 and s >= 0 and trials >= 1):
-        assert code == EXIT_USAGE
-    elif max(s, trials) > SAMPLER_COUNT_MAX:
+    elif k > URN_K_MAX or max(s, trials) > SAMPLER_COUNT_MAX:
         assert code == EXIT_CAPACITY and out == ""
     else:
         assert code == EXIT_OK

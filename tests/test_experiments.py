@@ -97,6 +97,36 @@ class TestSweep:
             )
         assert report.rows[0].n == 10
 
+    @pytest.mark.filterwarnings("ignore:regime 1 assumes")
+    @pytest.mark.parametrize(
+        "params, k, n",
+        [
+            (dict(regime=2, rho=1.0), 4, 4),
+            (dict(regime=3, xi=1.0), 2, 3),
+            (dict(regime=1, n_override=4), 7, 4),
+            (dict(regime=1, n_override=3), 14, 3),
+        ],
+    )
+    def test_matches_exact_pmf(self, params, k, n):
+        # E[R] over all k^(2n) pairs, from the uniformity tally: the exact
+        # sweep's mean lies within 4 standard errors of it, the bracket's
+        # mean floor at most 4 above it and its mean ceiling at most 4 below
+        trials = 2000
+        exact, bracket = (
+            run_regime_sweep(
+                self.config(k_list=(k,), trials=trials, master_seed=42, estimator=est, **params)
+            ).rows[0]
+            for est in ("exact", "bracket")
+        )
+        assert exact.n == bracket.n == n
+        tally = uniformity_test_exhaustive(n, k)
+        pmf = {l: c / tally.total_pairs for l, c in tally.size_counts.items()}
+        mean = sum(l * p for l, p in pmf.items())
+        se = math.sqrt(sum((l - mean) ** 2 * p for l, p in pmf.items()) / trials)
+        assert abs(exact.mean_R - mean) <= 4 * se
+        assert bracket.lower <= mean + 4 * se
+        assert bracket.upper >= mean - 4 * se
+
 
 class TestSaturation:
     def test_small_run(self):

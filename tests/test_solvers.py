@@ -145,6 +145,17 @@ class TestDegreeOne:
         edges = degree_one_edges([0, 1, 0, 2], [2, 1, 3, 3])
         assert edges == [(1, 1, 1), (3, 0, 2)]
 
+    @given(st.lists(st.integers(0, 6), max_size=14), st.lists(st.integers(0, 6), max_size=14))
+    def test_matches_definition(self, x, y):
+        # every edge x[i] = y[j] whose two vertices have degree 1, by i
+        want = [
+            (i, j, c)
+            for i, c in enumerate(x)
+            for j, d in enumerate(y)
+            if c == d and y.count(c) == 1 and x.count(d) == 1
+        ]
+        assert degree_one_edges(x, y) == want
+
 
 class TestExactSolver:
     def test_oracle_equivalence(self):

@@ -180,11 +180,11 @@ class TestSampling:
 
     @pytest.mark.parametrize("cells", [7, urns._SAMPLER_CELLS, 10**9])
     def test_classical_matches_int64_keys(self, monkeypatch, cells):
-        # uint32 keys up to k = 2^32 and int64 keys above it give the samples
-        # of the loop that drew int64 keys at every k; 301 trials and, where
-        # it stays small, one past two whole chunks end mid-chunk
+        # uint32 keys give the samples of the loop that drew int64 keys, up
+        # to the k cap; 301 trials and, where it stays small, one past two
+        # whole chunks end mid-chunk
         monkeypatch.setattr(urns, "_SAMPLER_CELLS", cells)
-        for k in (1, 2, 100, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40):
+        for k in (1, 2, 100, urns.URN_K_MAX):
             for s in (1, 7, 922):
                 chunk = max(1, cells // s)
                 for trials in {301, 2 * chunk + 1} if chunk * s <= 1 << 18 else {301}:
@@ -240,17 +240,25 @@ class TestSampling:
         ys = classical_urn_empty_counts(7, 0, 10, RngStream(45))
         assert (ys == 7).all()
 
-    def test_count_gate(self):
-        # a classical sampler allocates nothing per urn, so k is not capped
+    def test_count_gate(self, monkeypatch):
         cap = urns.SAMPLER_COUNT_MAX
         assert len(classical_urn_empty_counts(2, 1, cap, RngStream(53))) == cap
-        assert (classical_urn_empty_counts(2**40, 3, 2, RngStream(53)) == 2**40 - 3).all()
         for k, s, trials in ((2, cap + 1, 1), (2, 1, cap + 1)):
-            with pytest.raises(CapacityError, match="cells per row"):
+            with pytest.raises(CapacityError, match="balls per classical trial"):
                 classical_urn_empty_counts(k, s, trials, RngStream(53))
-        for spec, trials in ((GroupedUrnSpec(cap + 1, (1,)), 1), (GroupedUrnSpec(2, (1,)), cap + 1)):
-            with pytest.raises(CapacityError, match="cells per row"):
-                grouped_urn_empty_counts(spec, trials, RngStream(53))
+        with pytest.raises(CapacityError, match="balls per classical trial"):
+            grouped_urn_empty_counts(GroupedUrnSpec(2, (1,)), cap + 1, RngStream(53))
+
+        # k past the cap is refused before a generator is made
+        def no_generator(self):
+            raise AssertionError("a refused call drew")
+
+        monkeypatch.setattr(RngStream, "generator", no_generator)
+        for k in (urns.URN_K_MAX + 1, cap + 1, 2**40):
+            with pytest.raises(CapacityError, match="limited to k"):
+                classical_urn_empty_counts(k, 3, 2, RngStream(53))
+            with pytest.raises(CapacityError, match="limited to k"):
+                grouped_urn_empty_counts(GroupedUrnSpec(k, (1,)), 1, RngStream(53))
 
     def test_cells_gate(self):
         # trials * s classical, trials * k per nonzero group (at least once)
@@ -281,7 +289,7 @@ class TestSurvival:
         assert np.allclose(surv, [1.0, 0.75, 0.25])
 
     def test_k_gate(self):
-        k = urns.SURVIVAL_K_MAX
+        k = urns.URN_K_MAX
         assert len(survival_from_samples(np.array([k]), k)) == k + 1
         with pytest.raises(CapacityError):
             survival_from_samples(np.array([1]), k + 1)
