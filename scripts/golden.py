@@ -75,6 +75,7 @@ def grid():
         ["bounds", "--op", "coupon", "--k", "100", "--xi", "inf"],
         ["bounds", "--op", "regime", "--regime", "2", "--k", "16", "--rho", "1", "--n", "20"],
         ["bounds", "--op", "regime", "--regime", "1", "--k", "4", "--n", "-5"],
+        ["bounds", "--op", "p1", "--k", "10", "--n", "10", "--t", "1.4e154"],
         # sweep
         *_sweeps(),
         ["sweep", "--regime", "2", "--rho", "1", "--k-list", "16", "--n", "20", "--trials", "1", "--seed", "1"],
@@ -105,6 +106,13 @@ def grid():
         ["urn-exact", "--k", "1000000000", "--s", "1000000000"],
         ["urn-exact", "--k", "600000", "--s", "1"],
         ["urn-exact", "--k", "1048577", "--s", "0"],
+        # urn-exact at the chain's cost cap: both sides at k = 2^20, a huge
+        # classical s, and one or two wide groups
+        ["urn-exact", "--k", "1048576", "--s", "440"],
+        ["urn-exact", "--k", "1048576", "--s", "470"],
+        ["urn-exact", "--k", "5", "--s", "1000000000000000000000000000000"],
+        ["urn-exact", "--k", "200000", "--s-vec", "100000"],
+        ["urn-exact", "--k", "50000", "--s-vec", "5000,5000"],
         # check
         ["check", "--seed", "42", "--trials", "20000"],
         ["check", "--trials", "50000", "--seed", "652129507"],
