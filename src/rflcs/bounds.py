@@ -104,7 +104,7 @@ def occupancy_tail(k: int, s: int, a: float) -> float:
 def p1_bound(params: BoundParams, clamp: bool = True) -> float:
     """(2e(m_l+1))^b * exp(-t^2 / (16 (1+delta) n / sqrt(k))), in log space."""
     log_val = params.b * math.log(2.0 * math.e * (params.m_l + 1.0)) - (
-        params.t**2
+        params.t * params.t
     ) / (16.0 * (1.0 + params.delta) * params.n / math.sqrt(params.k))
     if clamp:
         return math.exp(min(log_val, 0.0))

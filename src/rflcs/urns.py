@@ -14,15 +14,16 @@ pmf entries are correctly rounded rationals and the dominance check
 compares them exactly.
 
 Every routine here refuses k above URN_K_MAX before it allocates or draws
-anything.  Beyond that, EXACT_COST_MAX caps the exact chain's work, weighted
-by the size of the integers it multiplies, and SAMPLER_COUNT_MAX and
-SAMPLER_CELLS_MAX cap a sample's trials, balls and cells.
+anything.  Beyond that, EXACT_COST_MAX caps the exact work, weighted by the
+size of the integers it multiplies, charged as the chain runs and before the
+dominance comparison; SAMPLER_COUNT_MAX and SAMPLER_CELLS_MAX cap a sample's
+trials, balls and cells before it draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -35,8 +36,11 @@ from .rng import RngStream
 # 53 MB classical and 73 MB grouped (a row holds k uniforms with their ranks
 # and hits, 17 bytes per urn), and `rflcs urn-exact --s 0` near 83 MB.
 URN_K_MAX = 1 << 20
-# Cap on the exact chain's cost, in multiplications of one 64-bit word by
-# another (see _chain_cost).
+# Cap on the exact work, in multiplications of one 64-bit word by another:
+# a chain's updates (charged in _occupancy_counts) or a dominance check's
+# comparison.  On a 2-CPU x86-64 host under Python 3.11 a unit took 1-15 ns
+# in chains just under the cap (classical k = 1000, s = 575 was the slowest,
+# 0.3 s) and 4-20 ns in comparisons (0.4 s at k = 2^20 with 9 groups).
 EXACT_COST_MAX = 20_000_000
 # Stream layout of the grouped sampler: trials are drawn in blocks of
 # max(1, GROUPED_BLOCK_CELLS // k), and within a block all of group 1's
@@ -153,52 +157,34 @@ def grouped_urn_empty_counts(spec: GroupedUrnSpec, trials: int, rng: RngStream) 
     return out
 
 
-def _chain_cost(k: int, groups, n_groups: int) -> int:
-    """The chain's work in word multiplications, counted until
-    EXACT_COST_MAX is passed.
+def _occupancy_counts(k: int, groups) -> tuple[list[int], int]:
+    """Placements leaving e = 0..k urns empty, and the number of placements.
 
-    An update of group i multiplies a weight of at most ``bits`` bits (the
-    running sum of ``step``) by a factor of at most C(k, s_i), which has at
-    most ``step`` bits; it costs the product of their word counts.  In the
-    classical model the factor is one word.  Every group costs at least 1,
-    so n_groups refuses long group lists without walking them.
+    Occupied counts reachable after each group form the interval [lo, hi].
+    Each update from h is charged before it is made: per j it multiplies a
+    weight of at most ``bits`` bits (the running sum of ``step``) by a factor
+    of at most C(k, s_i), of at most ``step`` bits, and costs the product of
+    their word counts.
     """
-    if n_groups > EXACT_COST_MAX:
-        return n_groups
-    cost = lo = hi = bits = 0
-    for si in groups():
+    _check_k(k)
+    lo = hi = bits = cost = 0
+    w = [1]  # w[h - lo]: placements leaving h urns occupied
+    total = 1
+    for si in groups:
         step = max(1, min(si, k - si) * k.bit_length())  # >= C(k, si).bit_length()
         bits += step
         words = (1 + bits // 64) * (1 + step // 64)
-        for h in range(lo, hi + 1):
-            cost += (min(si, k - h) - max(0, si - h) + 1) * words
-            if cost > EXACT_COST_MAX:
-                return cost
-        lo, hi = max(lo, si), min(k, hi + si)
-    return cost
-
-
-def _occupancy_counts(k: int, groups, n_groups: int) -> tuple[list[int], int]:
-    """Placements leaving e = 0..k urns empty, and the number of placements.
-
-    ``groups()`` returns a fresh iterable of the n_groups group sizes.
-    Occupied counts reachable after each group form the interval [lo, hi].
-    """
-    _check_k(k)
-    if _chain_cost(k, groups, n_groups) > EXACT_COST_MAX:
-        raise CapacityError(
-            f"exact urn distribution limited to {EXACT_COST_MAX} word "
-            "multiplications in the chain's updates"
-        )
-    lo = hi = 0
-    w = [1]  # w[h - lo]: placements leaving h urns occupied
-    total = 1
-    for si in groups():
         nlo, nhi = max(lo, si), min(k, hi + si)
         nw = [0] * (nhi - nlo + 1)
         for h in range(lo, hi + 1):
-            wh = w[h - lo]
             j0 = max(0, si - h)
+            cost += (min(si, k - h) - j0 + 1) * words
+            if cost > EXACT_COST_MAX:
+                raise CapacityError(
+                    f"exact urn distribution limited to {EXACT_COST_MAX} word "
+                    "multiplications in the chain's updates"
+                )
+            wh = w[h - lo]
             c = comb(k - h, j0) * comb(h, si - j0)
             for j in range(j0, min(si, k - h) + 1):
                 nw[h + j - nlo] += wh * c
@@ -216,13 +202,13 @@ def classical_urn_exact(k: int, s: int) -> list[float]:
     """Exact distribution of Y over 0..k empty urns."""
     if k < 1 or s < 0:
         raise ValueError("require k >= 1 and s >= 0")
-    counts, total = _occupancy_counts(k, lambda: repeat(1, s), s)
+    counts, total = _occupancy_counts(k, (1 for _ in range(s)))
     return [c / total for c in counts]
 
 
 def grouped_urn_exact(spec: GroupedUrnSpec) -> list[float]:
     """Exact distribution of X over 0..k empty urns."""
-    counts, total = _occupancy_counts(spec.k, lambda: spec.s_vec, spec.b)
+    counts, total = _occupancy_counts(spec.k, spec.s_vec)
     return [c / total for c in counts]
 
 
@@ -259,8 +245,15 @@ def dominance_check(spec: GroupedUrnSpec) -> DominanceReport:
     Exact: with tail counts Sx, Sy over denominators Dx, Dy, X is
     dominated by Y when Sx(t) * Dy <= Sy(t) * Dx at every t.
     """
-    cx, dx = _occupancy_counts(spec.k, lambda: spec.s_vec, spec.b)
-    cy, dy = _occupancy_counts(spec.k, lambda: repeat(1, spec.s), spec.s)
+    cx, dx = _occupancy_counts(spec.k, spec.s_vec)
+    cy, dy = _occupancy_counts(spec.k, (1 for _ in range(spec.s)))
+    # two products per t, each of a tail by the other model's denominator
+    cost = 2 * (spec.k + 1) * (1 + dx.bit_length() // 64) * (1 + dy.bit_length() // 64)
+    if cost > EXACT_COST_MAX:
+        raise CapacityError(
+            f"exact dominance check limited to {EXACT_COST_MAX} word "
+            "multiplications in its comparison"
+        )
     tail_x = accumulate(reversed(cx))
     tail_y = accumulate(reversed(cy))
     worst = max(a * dy - b * dx for a, b in zip(tail_x, tail_y))

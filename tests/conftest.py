@@ -3,8 +3,8 @@ implementation paths they check, the subset DP the exact solver replaced,
 kept as an oracle for its canonical witness, the exact solver as it was
 when it found the optimum by ascending queries and then recovered the
 witness edge by edge, kept as an oracle for its budget, the all-pairs loop the uniformity tally replaced, the classical urn
-sampler on 64-bit keys, and a child-process runner that reports peak
-memory."""
+sampler on 64-bit keys, the urn chain's cost pre-walk, and a child-process
+runner that reports peak memory."""
 
 import json
 import math
@@ -433,3 +433,30 @@ def grouped_urn_enumeration(k: int, s_vec) -> list[float]:
         counts[k - union.bit_count()] += 1
     total = math.prod(len(masks) for masks in masks_per_group)
     return [c / total for c in counts]
+
+
+def walked_chain_cost(k: int, groups, n_groups: int) -> int:
+    """The chain's work in word multiplications, counted until
+    EXACT_COST_MAX is passed: the pre-walk the exact urn chain ran before
+    it charged its updates as it made them, kept as an oracle for its
+    refusals.
+
+    An update of group i multiplies a weight of at most ``bits`` bits (the
+    running sum of ``step``) by a factor of at most C(k, s_i), which has at
+    most ``step`` bits; it costs the product of their word counts.  In the
+    classical model the factor is one word.  Every group costs at least 1,
+    so n_groups refuses long group lists without walking them.
+    """
+    if n_groups > urns.EXACT_COST_MAX:
+        return n_groups
+    cost = lo = hi = bits = 0
+    for si in groups():
+        step = max(1, min(si, k - si) * k.bit_length())  # >= C(k, si).bit_length()
+        bits += step
+        words = (1 + bits // 64) * (1 + step // 64)
+        for h in range(lo, hi + 1):
+            cost += (min(si, k - h) - max(0, si - h) + 1) * words
+            if cost > urns.EXACT_COST_MAX:
+                return cost
+        lo, hi = max(lo, si), min(k, hi + si)
+    return cost

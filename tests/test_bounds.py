@@ -124,6 +124,13 @@ class TestSegmentedBounds:
         for t in (0, 10, 1000):
             assert 0.0 <= p1_bound(self.params(t=float(t))) <= 1.0
 
+    def test_p1_huge_t(self):
+        # t^2 overflows past t = 1.34e154; the bound is exp(-inf) = 0 there,
+        # as at t = 1.3e154, not an OverflowError
+        for t in (1.3e154, 1.4e154, 1e200, 1.7e308):
+            assert p1_bound(self.params(t=t)) == 0.0
+            assert p1_bound(self.params(t=t), clamp=False) == 0.0
+
     def test_p2_reduction(self):
         p = self.params(r=40.0, t=7.5, a=4.0)
         q = p2_bound_reduction(p)

@@ -227,6 +227,15 @@ class TestUrnCommands:
         probs = json.loads(out)
         assert len(probs) == 2**20 + 1 and probs[-1] == 1.0 and not any(probs[:-1])
         assert peak_mb < cap_mb
+        # just past the chain's cost cap: the chain runs until its charge
+        # passes the cap, and the k + 1 counts are never allocated
+        start = time.monotonic()
+        code, out, err, peak_mb = run_child(
+            "-m", "rflcs.cli", "urn-exact", "--k", "1048576", "--s", "470",
+        )
+        assert time.monotonic() - start < 2.0
+        assert code == EXIT_CAPACITY and out == "" and "Traceback" not in err
+        assert peak_mb < cap_mb
 
     def test_urn_survival_rounding_regression(self, capsys):
         # this seed used to sum the survival to 1 + 2^-52 and exit 2 with
@@ -284,6 +293,12 @@ class TestBoundsCommand:
             capsys, "bounds", "--op", "occupancy", "--k", "1" + "0" * 30,
             "--s", "1", "--a", "1e300",
         )
+        assert code == EXIT_OK and json.loads(out)["value"] == 0.0
+
+    @pytest.mark.parametrize("t", ["1.4e154", "1e200"])
+    def test_p1_huge_t(self, capsys, t):
+        # t^2 overflows; this used to exit 2 with "Numerical result out of range"
+        code, out, _ = run_cli(capsys, "bounds", "--op", "p1", "--k", "10", "--n", "10", "--t", t)
         assert code == EXIT_OK and json.loads(out)["value"] == 0.0
 
 
@@ -516,7 +531,7 @@ class TestExitCodes:
             ("bounds", "--op", "regime", "--regime", "2", "--k", "4", "--rho", "1e308"),
             ("sweep", "--regime", "2", "--rho", "inf", "--k-list", "4", "--trials", "2", "--seed", "1"),
             ("bounds", "--op", "occupancy", "--k", "0", "--a", "1"),
-            ("bounds", "--op", "p1", "--k", "4", "--n", "10", "--n-tilde", "2", "--b", "2", "--t", "1e200"),
+            ("bounds", "--op", "p1", "--k", "4", "--n", "10", "--n-tilde", "2", "--b", "2", "--t", "inf"),
             ("bounds", "--op", "bernstein", "--k", "10", "--s", "5", "--a", "nan"),
             ("bounds", "--op", "elb", "--x", "inf", "--p-below", "0.5"),
             ("uniformity", "--n", "2", "--k", "0"),

@@ -2,16 +2,18 @@ import hashlib
 import math
 import time
 from itertools import repeat
+from operator import length_hint
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     classical_urn_inclusion_exclusion,
     grouped_urn_enumeration,
     int64_classical_urn_empty_counts,
     run_child,
+    walked_chain_cost,
 )
 from rflcs import urns
 from rflcs.bounds import lambda_empty
@@ -34,6 +36,15 @@ grouped_specs = st.integers(1, 6).flatmap(
         st.lists(st.integers(0, k), min_size=0, max_size=4),
     )
 )
+
+
+def _refused(k, groups) -> bool:
+    """Whether the exact chain refuses these groups with a CapacityError."""
+    try:
+        urns._occupancy_counts(k, groups)
+    except CapacityError:
+        return True
+    return False
 
 
 class TestSpecs:
@@ -75,7 +86,7 @@ class TestExactDistributions:
         with pytest.raises(CapacityError):
             classical_urn_exact(2, urns.EXACT_COST_MAX)
         with pytest.raises(CapacityError):
-            classical_urn_exact(5, 10**30)  # refused before the groups are walked
+            classical_urn_exact(5, 10**30)  # refused by the charge, not an OverflowError
         assert math.isclose(sum(classical_urn_exact(40, 5)), 1.0, abs_tol=1e-12)
 
     def test_classical_capacity_weighs_integer_size(self):
@@ -122,6 +133,42 @@ class TestExactDistributions:
             assert time.monotonic() - start < 1.0
         for spec in (GroupedUrnSpec(30, (15, 15)), GroupedUrnSpec(50, (10,) * 5)):
             assert math.isclose(sum(grouped_urn_exact(spec)), 1.0, abs_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "k, grid", [(1, (0, 1)), (3, (99_000,)), (200, (1500,)), (urns.URN_K_MAX, (440, 470))]
+    )
+    def test_classical_refusals_match_walked_cost(self, k, grid):
+        # the chain refuses exactly when the pre-walk's cost passes the cap:
+        # at the last admitted s, the first refused one, and a fixed grid
+        cap = urns.EXACT_COST_MAX
+        rest = repeat(1, cap)
+        assert walked_chain_cost(k, lambda: rest, cap) > cap
+        first = cap - length_hint(rest)  # the group during which the walk passed the cap
+        for s in (first - 1, first, *grid):
+            walked = walked_chain_cost(k, lambda: repeat(1, s), s)
+            assert _refused(k, repeat(1, s)) == (walked > cap), (k, s)
+
+    @given(
+        st.one_of(
+            # long lists of narrow groups
+            st.integers(1, 40).flatmap(
+                lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k), max_size=600))
+            ),
+            # a few wide groups
+            st.integers(1, urns.URN_K_MAX).flatmap(
+                lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k), max_size=3))
+            ),
+        )
+    )
+    @example((1, []))
+    @example((200_000, [100_000]))
+    @example((50_000, [5_000, 5_000]))
+    @example((1000, [500] * 10))
+    @settings(max_examples=60, deadline=None)
+    def test_grouped_refusals_match_walked_cost(self, args):
+        k, s_vec = args
+        walked = walked_chain_cost(k, lambda: s_vec, len(s_vec))
+        assert _refused(k, s_vec) == (walked > urns.EXACT_COST_MAX)
 
     @given(grouped_specs)
     @settings(max_examples=60, deadline=None)
@@ -312,10 +359,24 @@ class TestDominance:
         # with the two models swapped, the classical count is not dominated
         spec = GroupedUrnSpec(k=6, s_vec=(2, 2, 3))
         exact = urns._occupancy_counts
-        swapped = iter([exact(6, lambda: repeat(1, 7), 7), exact(6, lambda: spec.s_vec, 3)])
+        swapped = iter([exact(6, repeat(1, 7)), exact(6, spec.s_vec)])
         monkeypatch.setattr(urns, "_occupancy_counts", lambda *args: next(swapped))
         rep = dominance_check(spec)
         assert rep.violation and rep.margin > 0.0
+
+    def test_comparison_capacity(self):
+        # 2 (k + 1) tail products, each weighted by the word counts of the
+        # two denominators; the chains of these specs fit the cap.  This one
+        # took 5-7 s uncharged
+        start = time.monotonic()
+        with pytest.raises(CapacityError, match="dominance check"):
+            dominance_check(GroupedUrnSpec(400_000, (1,) * 100))
+        assert time.monotonic() - start < 1.0
+        # with 100 singletons both denominators are k^100, of 23 words for k
+        # near 19,000: 2 (k + 1) 23^2 passes the cap between these two k
+        assert not dominance_check(GroupedUrnSpec(18_902, (1,) * 100)).violation
+        with pytest.raises(CapacityError, match="dominance check"):
+            dominance_check(GroupedUrnSpec(18_903, (1,) * 100))
 
     @given(grouped_specs)
     @settings(max_examples=30, deadline=None)
