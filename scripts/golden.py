@@ -76,6 +76,7 @@ def grid():
         ["bounds", "--op", "regime", "--regime", "2", "--k", "16", "--rho", "1", "--n", "20"],
         ["bounds", "--op", "regime", "--regime", "1", "--k", "4", "--n", "-5"],
         ["bounds", "--op", "p1", "--k", "10", "--n", "10", "--t", "1.4e154"],
+        ["bounds", "--op", "p1", "--k", "10", "--n", "1" + "0" * 309, "--t", "1"],
         # sweep
         *_sweeps(),
         ["sweep", "--regime", "2", "--rho", "1", "--k-list", "16", "--n", "20", "--trials", "1", "--seed", "1"],
