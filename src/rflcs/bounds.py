@@ -103,9 +103,20 @@ def occupancy_tail(k: int, s: int, a: float) -> float:
 
 def p1_bound(params: BoundParams, clamp: bool = True) -> float:
     """(2e(m_l+1))^b * exp(-t^2 / (16 (1+delta) n / sqrt(k))), in log space."""
-    log_val = params.b * math.log(2.0 * math.e * (params.m_l + 1.0)) - (
-        params.t * params.t
-    ) / (16.0 * (1.0 + params.delta) * params.n / math.sqrt(params.k))
+    t = params.t
+    try:
+        exponent = (t * t) / (16.0 * (1.0 + params.delta) * params.n / math.sqrt(params.k))
+    except OverflowError:  # n does not fit a float
+        exponent = math.nan
+    if math.isnan(exponent):
+        # n overflowed, or t^2 and the denominator both read inf: the same
+        # exponent from logs, with 2 log t since t^2 may overflow
+        log_exponent = (
+            2.0 * (math.log(t) if t > 0.0 else -math.inf) + 0.5 * math.log(params.k)
+            - math.log(16.0 * (1.0 + params.delta)) - math.log(params.n)
+        )
+        exponent = math.exp(log_exponent) if log_exponent < 709.0 else math.inf
+    log_val = params.b * math.log(2.0 * math.e * (params.m_l + 1.0)) - exponent
     if clamp:
         return math.exp(min(log_val, 0.0))
     return math.exp(log_val) if log_val < 709.0 else math.inf

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 usage error, 3 capacity error, 4 check-suite
 failure.  All stochastic commands require an explicit --seed; there is
-no wall-clock seeding.  Outputs are single JSON documents or CSV tables,
-always ending with a newline.
+no wall-clock seeding.  Each command returns its exit code and its text
+(a JSON document, a CSV table or PASS/FAIL lines); ``main`` writes it,
+ending with a newline, to stdout or to the --out file.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
-from itertools import islice
-from typing import Iterator, Optional, Sequence, TextIO
+import warnings
+from contextlib import nullcontext
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 from .bounds import (
     BoundParams,
@@ -53,9 +55,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_CHECK_FAILED = 4
-# Survival rows `urn` joins per write: it bounds memory, while one write per
-# row ran about 15% slower at k = 2^20.  The bytes do not depend on it.
-_URN_ROWS_PER_WRITE = 1 << 12
 # The `bounds` ops that print {"op", their inputs in call order, "value"}.
 _PLAIN_BOUNDS = {
     "lambda": (lambda_empty, ("k", "s")),
@@ -64,22 +63,6 @@ _PLAIN_BOUNDS = {
     "claim": (claim_inequality_gap, ("x", "rho")),
     "elb": (expectation_lower_bound, ("x", "p_below")),
 }
-
-
-@contextmanager
-def _output(out_path: Optional[str]) -> Iterator[TextIO]:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            yield fh
-    else:
-        yield sys.stdout
-
-
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    with _output(out_path) as fh:
-        fh.write(text)
 
 
 def _finite_float(text: str) -> float:
@@ -100,28 +83,16 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"invalid integer list {text!r}") from exc
 
 
-def _solve_result_json(res, method: str) -> str:
-    return json.dumps(
-        {
-            "length": res.length,
-            "method": method,
-            "symbols": sorted(res.symbol_set),
-            "edges": [[i, j] for i, j in res.witness.edges],
-        }
-    )
-
-
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple[int, Iterable[str]]:
     stream = RngStream(args.seed)
     if args.planted is not None:
         inst = gen_planted_pair(args.n, args.k, args.planted, stream)
     else:
         inst = gen_uniform_pair(args.n, args.k, stream)
-    _emit(inst.to_json(), args.out)
-    return EXIT_OK
+    return EXIT_OK, [inst.to_json()]
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[int, Iterable[str]]:
     with open(args.input, "r", encoding="utf-8") as fh:
         inst = Instance.from_json(fh.read())
     if args.method == "lcs":
@@ -132,11 +103,16 @@ def cmd_solve(args) -> int:
         res = rflcs_bruteforce(inst)
     else:
         res = segment_merge_heuristic(inst, args.segment_size, per_segment=args.per_segment)
-    _emit(_solve_result_json(res, args.method), args.out)
-    return EXIT_OK
+    doc = {
+        "length": res.length,
+        "method": args.method,
+        "symbols": sorted(res.symbol_set),
+        "edges": [[i, j] for i, j in res.witness.edges],
+    }
+    return EXIT_OK, [json.dumps(doc)]
 
 
-def cmd_urn(args) -> int:
+def cmd_urn(args) -> tuple[int, Iterable[str]]:
     k = args.k
     if args.s_vec is None:
         model, s_vec_label = "classical", str(args.s)
@@ -146,28 +122,23 @@ def cmd_urn(args) -> int:
         model, s_vec_label = "grouped", ";".join(str(v) for v in spec.s_vec)
         samples = grouped_urn_empty_counts(spec, args.trials, RngStream(args.seed))
     surv = survival_from_samples(samples, k)
+    # the k + 1 rows are formatted as they are written, never held whole
     rows = (
         f"{model},{k},{s_vec_label},{t},{p:.10g},{math.sqrt(p * (1 - p) / args.trials):.10g}\n"
         for t, p in enumerate(surv)
     )
-    # k + 1 rows are formatted and written a batch at a time, never held whole
-    with _output(args.out) as fh:
-        fh.write("model,k,s_vec,t,survival,stderr\n")
-        while batch := "".join(islice(rows, _URN_ROWS_PER_WRITE)):
-            fh.write(batch)
-    return EXIT_OK
+    return EXIT_OK, chain(["model,k,s_vec,t,survival,stderr\n"], rows)
 
 
-def cmd_urn_exact(args) -> int:
+def cmd_urn_exact(args) -> tuple[int, Iterable[str]]:
     if args.s_vec is None:
         probs = classical_urn_exact(args.k, args.s)
     else:
         probs = grouped_urn_exact(GroupedUrnSpec(k=args.k, s_vec=args.s_vec))
-    _emit(json.dumps(probs), args.out)
-    return EXIT_OK
+    return EXIT_OK, [json.dumps(probs)]
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[int, Iterable[str]]:
     op = args.op
     if op in _PLAIN_BOUNDS:
         fn, names = _PLAIN_BOUNDS[op]
@@ -206,11 +177,10 @@ def cmd_bounds(args) -> int:
             result = {"op": op, "k": q.k, "s": q.s, "threshold": q.threshold}
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown op {op}")
-    _emit(json.dumps(result), args.out)
-    return EXIT_OK
+    return EXIT_OK, [json.dumps(result)]
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[int, Iterable[str]]:
     config = SweepConfig(
         regime=args.regime,
         k_list=args.k_list,
@@ -222,11 +192,10 @@ def cmd_sweep(args) -> int:
         n_override=args.n,
     )
     report = run_regime_sweep(config, workers=args.workers)
-    _emit(report.to_csv(), args.out)
-    return EXIT_OK
+    return EXIT_OK, [report.to_csv()]
 
 
-def cmd_uniformity(args) -> int:
+def cmd_uniformity(args) -> tuple[int, Iterable[str]]:
     report = uniformity_test_exhaustive(args.n, args.k)
     doc = {
         "n": report.n,
@@ -243,21 +212,17 @@ def cmd_uniformity(args) -> int:
             for l, bucket in sorted(report.subset_counts.items())
         },
     }
-    _emit(json.dumps(doc), args.out)
-    return EXIT_OK
+    return EXIT_OK, [json.dumps(doc)]
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, Iterable[str]]:
     report = run_tailbound_suite(RngStream(args.seed), trials=args.trials)
-    lines = []
-    for item in report.items:
-        status = "PASS" if item.passed else "FAIL"
-        lines.append(
-            f"{status} {item.name}: observed={item.observed:.6g} "
-            f"bound={item.bound:.6g} slack={item.slack:.6g}"
-        )
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    lines = (
+        f"{'PASS' if item.passed else 'FAIL'} {item.name}: observed={item.observed:.6g} "
+        f"bound={item.bound:.6g} slack={item.slack:.6g}\n"
+        for item in report.items
+    )
+    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--planted", type=int, default=None, metavar="L")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="solve an instance from JSON")
@@ -283,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--per-segment", choices=["exact", "lis"], default="exact", dest="per_segment"
     )
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("urn", help="Monte Carlo urn survival table (CSV)")
@@ -293,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     balls.add_argument("--s-vec", type=_parse_int_list, dest="s_vec")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_urn)
 
     p = sub.add_parser("urn-exact", help="exact empty-urn distribution (JSON)")
@@ -301,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     balls = p.add_mutually_exclusive_group(required=True)
     balls.add_argument("--s", type=int)
     balls.add_argument("--s-vec", type=_parse_int_list, dest="s_vec")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_urn_exact)
 
     p = sub.add_parser("bounds", help="evaluate a closed-form bound (JSON)")
@@ -324,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, default=1)
     p.add_argument("--delta", type=_finite_float, default=0.1)
     p.add_argument("--regime", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep", help="regime sweep (CSV)")
@@ -339,22 +299,25 @@ def build_parser() -> argparse.ArgumentParser:
     # A string default goes through type=int at parse time, so a malformed
     # RFLCS_WORKERS is a usage error of this subcommand only.
     p.add_argument("--workers", type=int, default=os.environ.get("RFLCS_WORKERS", "1"))
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("uniformity", help="exhaustive canonical symbol-set tally (JSON)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_uniformity)
 
     p = sub.add_parser("check", help="run the tail-bound verification battery")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
+
+
+def _print_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -364,7 +327,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            code, chunks = args.func(args)
+            # opened only now, so a refused command creates no file
+            out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+            with out as fh:
+                chunk = ""
+                for chunk in chunks:
+                    fh.write(chunk)
+                if not chunk.endswith("\n"):
+                    fh.write("\n")
+        return code
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

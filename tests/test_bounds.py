@@ -131,6 +131,26 @@ class TestSegmentedBounds:
             assert p1_bound(self.params(t=t)) == 0.0
             assert p1_bound(self.params(t=t), clamp=False) == 0.0
 
+    def test_p1_n_beyond_float(self):
+        # n = 10^309 does not convert to a float; the exponent t^2 sqrt(k) /
+        # (16 (1+delta) n) is then taken from logs instead of an OverflowError
+        n = 10**309
+        assert p1_bound(self.params(n=n, t=1.0)) == 1.0
+        p = self.params(n=n, t=1.0)
+        raw = p1_bound(p, clamp=False)
+        assert math.isclose(raw, (2 * math.e * (p.m_l + 1)) ** p.b, rel_tol=1e-9)
+        # the exponent is about 1.8e-81 here; log(t * t) would read inf
+        assert p1_bound(self.params(n=10**400, t=1e160)) == 1.0
+        assert p1_bound(self.params(n=n, t=0.0)) == 1.0
+        assert p1_bound(self.params(n=n, t=1e200)) == 0.0
+        assert p1_bound(self.params(n=n, t=1e200), clamp=False) == 0.0
+
+    def test_p1_t_squared_and_n_both_inf(self):
+        # t^2 and 16 (1+delta) n both overflow to inf, whose quotient is nan
+        for t, expected in ((1e200, 0.0), (1.4e154, 1.0)):
+            assert p1_bound(self.params(n=10**308, t=t)) == expected
+        assert p1_bound(self.params(n=10**308, t=1e200), clamp=False) == 0.0
+
     def test_p2_reduction(self):
         p = self.params(r=40.0, t=7.5, a=4.0)
         q = p2_bound_reduction(p)

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import time
+import warnings
 
 import pytest
 
@@ -205,7 +206,7 @@ class TestUrnCommands:
 
     def test_urn_survival_rows_in_bounded_memory(self):
         # 2^20 + 1 rows (32 MB of CSV) at the survival cap: the joined CSV
-        # peaked at 202 MB, the batched writes at about 53 MB
+        # peaked at 202 MB, the rows written as they are formatted about 53 MB
         cap_mb = 100
         code, out, err, peak_mb = run_child(
             "-m", "rflcs.cli", "urn", "--k", "1048576", "--s", "5", "--trials", "10", "--seed", "1",
@@ -300,6 +301,17 @@ class TestBoundsCommand:
         # t^2 overflows; this used to exit 2 with "Numerical result out of range"
         code, out, _ = run_cli(capsys, "bounds", "--op", "p1", "--k", "10", "--n", "10", "--t", t)
         assert code == EXIT_OK and json.loads(out)["value"] == 0.0
+
+    @pytest.mark.parametrize(
+        "n, t, value",
+        [("1" + "0" * 309, "1", 1.0), ("1" + "0" * 308, "1e200", 0.0)],
+        ids=["n=1e309", "n=1e308,t=1e200"],
+    )
+    def test_p1_huge_n(self, capsys, n, t, value):
+        # n = 10^309 used to exit 2 with "int too large to convert to float",
+        # and n = 10^308 at t = 1e200 printed NaN
+        code, out, _ = run_cli(capsys, "bounds", "--op", "p1", "--k", "10", "--n", n, "--t", t)
+        assert code == EXIT_OK and json.loads(out)["value"] == value
 
 
 class TestSweepCommand:
@@ -609,13 +621,62 @@ class TestExitCodes:
         assert code == EXIT_USAGE and out == "" and "malformed instance" in err
 
 
-def test_golden_manifest():
-    # every argv of scripts/golden.py keeps the exit code and stdout bytes
-    # recorded in tests/fixtures/golden.json
+class TestOutput:
+    """main writes every command's text once, to stdout or to --out."""
+
+    def test_out_file_on_golden_grid(self, tmp_path):
+        # --out gets exactly the recorded stdout bytes, and a usage or
+        # capacity exit creates no file
+        golden = _golden()
+        for i, e in enumerate(json.loads((FIXTURES / "golden.json").read_text())):
+            path = tmp_path / f"{i}.out"
+            code, stdout_digest = golden.run([*e["argv"], "--out", str(path)], e["input"])
+            assert code == e["exit"], e["argv"]
+            assert stdout_digest == hashlib.sha256(b"").hexdigest(), e["argv"]
+            if code in (EXIT_OK, EXIT_CHECK_FAILED):
+                assert hashlib.sha256(path.read_bytes()).hexdigest() == e["sha256"], e["argv"]
+            else:
+                assert not path.exists(), e["argv"]
+
+    def test_out_into_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.json"
+        code, out, err = run_cli(
+            capsys, "bounds", "--op", "lambda", "--k", "10", "--s", "10", "--out", str(path)
+        )
+        assert code == EXIT_USAGE and out == "" and not path.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("bounds", "--op", "regime", "--regime", "1", "--k", "4", "--n", "5"), "57ac21a7d92285abedc576213d53180d1d748cd60102167886a4f2000db5b037"),
+            (("sweep", "--regime", "1", "--n", "5", "--k-list", "4", "--trials", "2", "--seed", "1"), "439885b6f49ead8d7e1c4f1840fc8ba115eabd8b7ee58f1ae0d13260f32af583"),
+        ],
+    )
+    def test_warning_is_one_line(self, capsys, argv, digest):
+        # n = 5 > k^(3/2) / 10 warns; the warning used to print the path of
+        # the calling module and a source line
+        show = warnings.showwarning
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert err.startswith("warning: regime 1 assumes") and err.count("\n") == 1
+        assert ".py:" not in err
+        assert warnings.showwarning is show
+
+
+def _golden():
     path = FIXTURES.parents[1] / "scripts" / "golden.py"
     spec = importlib.util.spec_from_file_location("golden", path)
     golden = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(golden)
+    return golden
+
+
+def test_golden_manifest():
+    # every argv of scripts/golden.py keeps the exit code and stdout bytes
+    # recorded in tests/fixtures/golden.json
+    golden = _golden()
     entries = json.loads((FIXTURES / "golden.json").read_text())
     assert [(e["argv"], e["input"]) for e in entries] == golden.grid()
     moved = [

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import rflcs.experiments
-from conftest import all_pairs_uniformity
+from conftest import FIXTURES, all_pairs_uniformity, run_child
 from rflcs.errors import CapacityError
 from rflcs.experiments import (
     CSV_HEADER,
@@ -240,3 +240,17 @@ def test_regime2_row_consistent_with_target():
     assert row.n == math.ceil(2.0 * 8 * math.sqrt(8) / 2)
     assert math.isclose(row.theory_target, 8 * (1 - math.exp(-2.0)))
     assert row.mean_R <= 8.0
+
+
+def test_demo_sweep_script():
+    # scripts/demo_sweep.py builds its SweepConfigs by keyword: one exact
+    # sweep per regime, two alphabet sizes each
+    script = FIXTURES.parents[1] / "scripts" / "demo_sweep.py"
+    code, out, err, _ = run_child(str(script), "--trials", "2")
+    assert code == 0, err
+    blocks = out.strip("\n").split("\n\n")
+    assert len(blocks) == 3
+    for regime, block in enumerate(blocks, start=1):
+        title, header, *rows = block.split("\n")
+        assert title == f"# regime {regime}" and header == CSV_HEADER
+        assert len(rows) == 2 and all(row.startswith(f"{regime},") for row in rows)
