@@ -77,6 +77,15 @@ def grid():
         ["bounds", "--op", "regime", "--regime", "1", "--k", "4", "--n", "-5"],
         ["bounds", "--op", "p1", "--k", "10", "--n", "10", "--t", "1.4e154"],
         ["bounds", "--op", "p1", "--k", "10", "--n", "1" + "0" * 309, "--t", "1"],
+        # p2 without the segmentation it does not read, and p1 with an a it
+        # does not read
+        ["bounds", "--op", "p2", "--k", "100", "--t", "3", "--a", "2", "--r", "5"],
+        ["bounds", "--op", "p2", "--k", "100", "--n", "10", "--n-tilde", "31", "--b", "32", "--t", "3", "--a", "2", "--r", "5"],
+        ["bounds", "--op", "p1", "--k", "4", "--n", "10", "--t", "1", "--a", "-1"],
+        # p1 with a k, an n_tilde or a b that does not fit a float
+        ["bounds", "--op", "p1", "--k", "1" + "0" * 309, "--n", "10", "--t", "1"],
+        ["bounds", "--op", "p1", "--n", "1" + "0" * 400, "--n-tilde", "1" + "0" * 399, "--b", "2", "--t", "0"],
+        ["bounds", "--op", "p1", "--k", "4", "--n", "1" + "0" * 400, "--b", "1" + "0" * 399, "--t", "0"],
         # sweep
         *_sweeps(),
         ["sweep", "--regime", "2", "--rho", "1", "--k-list", "16", "--n", "20", "--trials", "1", "--seed", "1"],
