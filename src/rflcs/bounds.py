@@ -1,10 +1,10 @@
 """Closed-form evaluators for occupancy tail bounds and regime targets.
 
 Probability-valued bounds are computed in log space and clamped into
-[0, 1] by default, since several of them are vacuous (exceed 1) for
-small parameters and must not be reported as probabilities above 1.
-Where an unclamped value is needed (diagnostics, monotonicity checks),
-pass clamp=False.
+[0, 1], since several of them are vacuous (exceed 1) for small parameters
+and must not be reported as probabilities above 1.  Where an unclamped
+value of p1_bound is needed (diagnostics, monotonicity checks), pass
+clamp=False.
 """
 
 from __future__ import annotations
@@ -15,39 +15,23 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Bookkeeping for the segmented-bound evaluators.
-
-    m_l is the (1 - delta)-scaled per-segment target 2*n_tilde/sqrt(k).
-    """
-
-    k: int
-    n: int
-    n_tilde: int
-    b: int
-    delta: float
-    t: float = 0.0
-    a: float = 0.0
-    r: float = 0.0
-
-    def __post_init__(self):
-        if self.k < 1 or self.n < 1 or self.n_tilde < 1 or self.b < 1:
-            raise ValueError("k, n, n_tilde, b must be positive")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-        if self.b * self.n_tilde > self.n:
-            raise ValueError("b * n_tilde must not exceed n")
-        if min(self.t, self.a, self.r) < 0:
-            raise ValueError("t, a, r must be nonnegative")
-
-    @property
-    def m_l(self) -> float:
-        return (1.0 - self.delta) * 2.0 * self.n_tilde / math.sqrt(self.k)
-
-
 def _clamp01(v: float) -> float:
     return min(1.0, max(0.0, v))
+
+
+def _exp(log_v: float) -> float:
+    return math.exp(log_v) if log_v < 709.0 else math.inf
+
+
+def _or_from_log(value: Callable[[], float], log_v: float) -> float:
+    """value() of a positive term, or exp(log_v) where value() overflows: an
+    int does not fit a float, or the result reads inf, nan or 0 (a divisor
+    overflowed)."""
+    try:
+        v = value()
+    except OverflowError:
+        v = math.inf
+    return v if 0.0 < v < math.inf else _exp(log_v)
 
 
 def lambda_empty(k: int, s: int) -> float:
@@ -101,45 +85,44 @@ def occupancy_tail(k: int, s: int, a: float) -> float:
     return _clamp01(math.exp(a * math.log(base)))
 
 
-def p1_bound(params: BoundParams, clamp: bool = True) -> float:
-    """(2e(m_l+1))^b * exp(-t^2 / (16 (1+delta) n / sqrt(k))), in log space."""
-    t = params.t
-    try:
-        exponent = (t * t) / (16.0 * (1.0 + params.delta) * params.n / math.sqrt(params.k))
-    except OverflowError:  # n does not fit a float
-        exponent = math.nan
-    if math.isnan(exponent):
-        # n overflowed, or t^2 and the denominator both read inf: the same
-        # exponent from logs, with 2 log t since t^2 may overflow
-        log_exponent = (
-            2.0 * (math.log(t) if t > 0.0 else -math.inf) + 0.5 * math.log(params.k)
-            - math.log(16.0 * (1.0 + params.delta)) - math.log(params.n)
-        )
-        exponent = math.exp(log_exponent) if log_exponent < 709.0 else math.inf
-    log_val = params.b * math.log(2.0 * math.e * (params.m_l + 1.0)) - exponent
-    if clamp:
-        return math.exp(min(log_val, 0.0))
-    return math.exp(log_val) if log_val < 709.0 else math.inf
-
-
-@dataclass(frozen=True)
-class OccupancyQuery:
-    """Reduced query: evaluate P(k - Y^{(k,s)} <= threshold)."""
-
-    k: int
-    s: int
-    threshold: float
-
-
-def p2_bound_reduction(params: BoundParams) -> OccupancyQuery:
-    """Reduce the symbol-overlap probability to a classical-urn query with
-    s = ceil(r - t) and threshold r - a; callers evaluate the query exactly
-    or by Monte Carlo."""
-    if params.r < params.t:
-        raise ValueError("require r >= t")
-    return OccupancyQuery(
-        k=params.k, s=math.ceil(params.r - params.t), threshold=params.r - params.a
+def p1_bound(
+    k: int, n: int, n_tilde: int, b: int, delta: float, t: float, clamp: bool = True
+) -> float:
+    """(2e(m_l+1))^b * exp(-t^2 / (16 (1+delta) n / sqrt(k))), in log space,
+    where m_l = (1 - delta) 2 n_tilde / sqrt(k) is the per-segment target of
+    b segments of n_tilde symbols each."""
+    if min(k, n, n_tilde, b) < 1 or not (0.0 < delta < 1.0) or b * n_tilde > n or t < 0:
+        raise ValueError("require k, n, n_tilde, b >= 1, 0 < delta < 1, b * n_tilde <= n, t >= 0")
+    # each term is also taken from logs, for where its float expression
+    # overflows: 2 log t since t^2 may, and log(m_l + 1) from log m_l
+    log_exponent = (
+        2.0 * (math.log(t) if t > 0.0 else -math.inf) + 0.5 * math.log(k)
+        - math.log(16.0 * (1.0 + delta)) - math.log(n)
     )
+    log_m_l = math.log(2.0 * (1.0 - delta)) + math.log(n_tilde) - 0.5 * math.log(k)
+    log_prefactor = math.log(b) + math.log(
+        math.log(2.0 * math.e) + max(log_m_l, 0.0) + math.log1p(math.exp(-abs(log_m_l)))
+    )
+    exponent = _or_from_log(
+        lambda: (t * t) / (16.0 * (1.0 + delta) * n / math.sqrt(k)), log_exponent
+    )
+    prefactor = _or_from_log(
+        lambda: b * math.log(2.0 * math.e * ((1.0 - delta) * 2.0 * n_tilde / math.sqrt(k) + 1.0)),
+        log_prefactor,
+    )
+    log_val = prefactor - exponent
+    if math.isinf(prefactor) or math.isinf(exponent):  # a term read inf: compare logs
+        log_val = math.copysign(math.inf, log_prefactor - log_exponent)
+    return math.exp(min(log_val, 0.0)) if clamp else _exp(log_val)
+
+
+def p2_bound_reduction(k: int, t: float, a: float, r: float) -> tuple[int, float]:
+    """Reduce the symbol-overlap probability to the classical-urn query
+    P(k - Y^{(k,s)} <= threshold), with s = ceil(r - t) and threshold r - a;
+    callers evaluate the query exactly or by Monte Carlo."""
+    if k < 1 or min(t, a) < 0 or r < t:
+        raise ValueError("require k >= 1, t >= 0, a >= 0 and r >= t")
+    return math.ceil(r - t), r - a
 
 
 def claim_inequality_gap(x: float, rho: float) -> float:
@@ -172,12 +155,13 @@ def regime_target(
     """Targets and large-deviation tails for the three growth regimes.
 
     Regime 1 (n small relative to k^(3/2)): caller supplies n; target
-    2n/sqrt(k).  Regime 2 (n = rho k^(3/2) / 2): target k(1 - e^-rho).
+    2n/sqrt(k), tail 2 exp(-dev^2 target / 10).  Regime 2 (n = rho
+    k^(3/2) / 2): target k(1 - e^-rho), tail 2 exp(-dev^2 target / 35).
     Regime 3 (n = (1/2 + xi) k^(3/2) ln k): target k, saturation with
-    high probability.  n and s are rounded up where the asymptotic
-    statement treats them as reals.  Regimes 2 and 3 fix n themselves, so
-    an n given for them is refused rather than paired with the target at
-    another n.
+    high probability, tail 2 k^-xi.  Tails are clamped to [0, 1].  n and
+    s are rounded up where the asymptotic statement treats them as reals.
+    Regimes 2 and 3 fix n themselves, so an n given for them is refused
+    rather than paired with the target at another n.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -196,34 +180,22 @@ def regime_target(
                 stacklevel=2,
             )
         target = 2.0 * n / sqrt_k
-        return RegimeTarget(
-            regime=1,
-            n=n,
-            target=target,
-            tail=lambda dev, _t=target: _clamp01(2.0 * math.exp(-dev * dev * _t / 10.0)),
-        )
-    if regime == 2:
+        tail = lambda dev: _clamp01(2.0 * math.exp(-dev * dev * target / 10.0))
+    elif regime == 2:
         if rho <= 0:
             raise ValueError("regime 2 requires rho > 0")
-        n2 = math.ceil(rho * k * sqrt_k / 2.0)
+        n = math.ceil(rho * k * sqrt_k / 2.0)
         target = k * (1.0 - math.exp(-rho))
-        return RegimeTarget(
-            regime=2,
-            n=n2,
-            target=target,
-            tail=lambda dev, _t=target: _clamp01(2.0 * math.exp(-dev * dev * _t / 35.0)),
-        )
-    if regime == 3:
+        tail = lambda dev: _clamp01(2.0 * math.exp(-dev * dev * target / 35.0))
+    elif regime == 3:
         if xi <= 0:
             raise ValueError("regime 3 requires xi > 0")
-        n3 = math.ceil((0.5 + xi) * k * sqrt_k * math.log(k))
-        return RegimeTarget(
-            regime=3,
-            n=n3,
-            target=float(k),
-            tail=lambda _dev, _k=k, _xi=xi: _clamp01(2.0 / _k**_xi),
-        )
-    raise ValueError(f"unknown regime tag {regime!r}")
+        n = math.ceil((0.5 + xi) * k * sqrt_k * math.log(k))
+        target = float(k)
+        tail = lambda _dev: _clamp01(2.0 / k**xi)
+    else:
+        raise ValueError(f"unknown regime tag {regime!r}")
+    return RegimeTarget(regime=int(regime), n=n, target=target, tail=tail)
 
 
 def expectation_lower_bound(x: float, p_below: float) -> float:

@@ -20,7 +20,6 @@ from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .bounds import (
-    BoundParams,
     bernstein_tail,
     claim_inequality_gap,
     coupon_tail,
@@ -157,24 +156,13 @@ def cmd_bounds(args) -> tuple[int, Iterable[str]]:
             "target": rt.target,
             "tail_at_xi": rt.tail(args.xi),
         }
-    elif op in ("p1", "p2"):
+    elif op == "p1":
         if args.n is None:
-            raise ValueError(f"--op {op} requires --n")
-        params = BoundParams(
-            k=args.k,
-            n=args.n,
-            n_tilde=args.n_tilde,
-            b=args.b,
-            delta=args.delta,
-            t=args.t,
-            a=args.a,
-            r=args.r,
-        )
-        if op == "p1":
-            result = {"op": op, "value": p1_bound(params)}
-        else:
-            q = p2_bound_reduction(params)
-            result = {"op": op, "k": q.k, "s": q.s, "threshold": q.threshold}
+            raise ValueError("--op p1 requires --n")
+        result = {"op": op, "value": p1_bound(args.k, args.n, args.n_tilde, args.b, args.delta, args.t)}
+    elif op == "p2":
+        s, threshold = p2_bound_reduction(args.k, args.t, args.a, args.r)
+        result = {"op": op, "k": args.k, "s": s, "threshold": threshold}
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown op {op}")
     return EXIT_OK, [json.dumps(result)]

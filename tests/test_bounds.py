@@ -1,11 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rflcs.bounds import (
-    BoundParams,
     bernstein_tail,
     claim_inequality_gap,
     coupon_tail,
@@ -101,68 +101,120 @@ class TestOccupancy:
 
 
 class TestSegmentedBounds:
-    def params(self, **kw):
-        base = dict(k=100, n=1000, n_tilde=100, b=10, delta=0.1)
+    def p1(self, clamp=True, **kw):
+        base = dict(k=100, n=1000, n_tilde=100, b=10, delta=0.1, t=0.0)
         base.update(kw)
-        return BoundParams(**base)
-
-    def test_m_bounds(self):
-        p = self.params()
-        assert math.isclose(p.m_l, 0.9 * 2 * 100 / 10.0)
+        return p1_bound(**base, clamp=clamp)
 
     def test_p1_t_zero_unclamped_prefactor(self):
-        p = self.params(t=0.0)
-        raw = p1_bound(p, clamp=False)
-        assert math.isclose(raw, (2 * math.e * (p.m_l + 1)) ** p.b, rel_tol=1e-9)
-        assert p1_bound(p) == 1.0
+        # m_l = (1 - delta) 2 n_tilde / sqrt(k) = 0.9 * 2 * 100 / 10 = 18
+        raw = self.p1(clamp=False)
+        assert math.isclose(raw, (2 * math.e * (18 + 1)) ** 10, rel_tol=1e-9)
+        assert self.p1() == 1.0
 
     def test_p1_decreasing_in_t(self):
-        vals = [p1_bound(self.params(t=t), clamp=False) for t in (0, 50, 100, 200)]
+        vals = [self.p1(clamp=False, t=t) for t in (0, 50, 100, 200)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_p1_clamped_in_unit_interval(self):
         for t in (0, 10, 1000):
-            assert 0.0 <= p1_bound(self.params(t=float(t))) <= 1.0
+            assert 0.0 <= self.p1(t=float(t)) <= 1.0
 
     def test_p1_huge_t(self):
         # t^2 overflows past t = 1.34e154; the bound is exp(-inf) = 0 there,
         # as at t = 1.3e154, not an OverflowError
         for t in (1.3e154, 1.4e154, 1e200, 1.7e308):
-            assert p1_bound(self.params(t=t)) == 0.0
-            assert p1_bound(self.params(t=t), clamp=False) == 0.0
+            assert self.p1(t=t) == 0.0
+            assert self.p1(clamp=False, t=t) == 0.0
 
     def test_p1_n_beyond_float(self):
         # n = 10^309 does not convert to a float; the exponent t^2 sqrt(k) /
         # (16 (1+delta) n) is then taken from logs instead of an OverflowError
         n = 10**309
-        assert p1_bound(self.params(n=n, t=1.0)) == 1.0
-        p = self.params(n=n, t=1.0)
-        raw = p1_bound(p, clamp=False)
-        assert math.isclose(raw, (2 * math.e * (p.m_l + 1)) ** p.b, rel_tol=1e-9)
+        assert self.p1(n=n, t=1.0) == 1.0
+        raw = self.p1(clamp=False, n=n, t=1.0)
+        assert math.isclose(raw, (2 * math.e * (18 + 1)) ** 10, rel_tol=1e-9)
         # the exponent is about 1.8e-81 here; log(t * t) would read inf
-        assert p1_bound(self.params(n=10**400, t=1e160)) == 1.0
-        assert p1_bound(self.params(n=n, t=0.0)) == 1.0
-        assert p1_bound(self.params(n=n, t=1e200)) == 0.0
-        assert p1_bound(self.params(n=n, t=1e200), clamp=False) == 0.0
+        assert self.p1(n=10**400, t=1e160) == 1.0
+        assert self.p1(n=n, t=0.0) == 1.0
+        assert self.p1(n=n, t=1e200) == 0.0
+        assert self.p1(clamp=False, n=n, t=1e200) == 0.0
 
     def test_p1_t_squared_and_n_both_inf(self):
         # t^2 and 16 (1+delta) n both overflow to inf, whose quotient is nan
         for t, expected in ((1e200, 0.0), (1.4e154, 1.0)):
-            assert p1_bound(self.params(n=10**308, t=t)) == expected
-        assert p1_bound(self.params(n=10**308, t=1e200), clamp=False) == 0.0
+            assert self.p1(n=10**308, t=t) == expected
+        assert self.p1(clamp=False, n=10**308, t=1e200) == 0.0
 
-    def test_p2_reduction(self):
-        p = self.params(r=40.0, t=7.5, a=4.0)
-        q = p2_bound_reduction(p)
-        assert q.k == 100 and q.s == 33 and q.threshold == 36.0
+    def test_p1_k_beyond_float(self):
+        # sqrt(k) does not convert: m_l is about 5.7e-155, so the prefactor
+        # is log(2e), and the exponent sqrt(k) / 176 about 1.8e152
+        k = 10**309
+        assert self.p1(k=k, n=10, n_tilde=1, b=1, t=1.0) == 0.0
+        assert self.p1(k=k, n=10, n_tilde=1, b=1) == 1.0
+        raw = self.p1(clamp=False, k=k, n=10, n_tilde=1, b=1)
+        assert math.isclose(raw, 2 * math.e, rel_tol=1e-12)
 
-    def test_p2_rejects_r_below_t(self):
-        with pytest.raises(ValueError):
-            p2_bound_reduction(self.params(r=1.0, t=2.0))
+    def test_p1_n_tilde_beyond_float(self):
+        # 2 n_tilde does not convert: m_l is about 1.3e399, and the prefactor
+        # 2 log(2e (m_l + 1)) about 1841
+        args = dict(k=2, n=10**400, n_tilde=10**399, b=2)
+        assert self.p1(**args) == 1.0
+        assert self.p1(clamp=False, **args) == math.inf
+        # at t = 1.51e202 the exponent t^2 sqrt(2) / (17.6 * 10^400) is 9.2
+        # below the prefactor; the value is a 60-digit Decimal evaluation
+        assert math.isclose(self.p1(clamp=False, **args, t=1.51e202), 9915.7933869, rel_tol=1e-9)
+
+    def test_p1_b_beyond_float(self):
+        # b log(2e (m_l + 1)) does not convert: the prefactor reads inf
+        args = dict(k=4, n=10**400, n_tilde=1, b=10**399)
+        assert self.p1(**args) == 1.0
+        assert self.p1(clamp=False, **args) == math.inf
+
+    def test_p1_term_reads_inf(self):
+        # m_l = 1.8e308 reads inf, although the prefactor is about 712 and
+        # the exponent 5.7e10
+        assert self.p1(k=1, n=10**308, n_tilde=10**308, b=1, t=1e160) == 0.0
+        # t^2 reads inf, although the exponent is 5.7e11 and the prefactor
+        # 10^12 log(2e * 2.8), about 2.7e12
+        assert self.p1(k=1, n=10**307, n_tilde=1, b=10**12, t=1e160) == 1.0
+        # 16 (1 + delta) n reads inf, so t^2 over it read 0, although the
+        # exponent is 2.8e136
+        assert self.p1(k=10**290, n=2 * 10**307, n_tilde=1, b=1, t=1e150) == 0.0
+
+    def test_p1_both_terms_read_inf(self):
+        # log prefactor = log b + log log(2e (m_l + 1)), about 919.3; the log
+        # exponent 600 log 10 + (log k) / 2 - log(17.6 n) is 803 at
+        # k = 10^300 and 1609 at k = 10^1000
+        args = dict(n=10**400, n_tilde=1, b=10**399, t=1e300)
+        assert self.p1(k=10**300, **args) == 1.0
+        assert self.p1(k=10**1000, **args) == 0.0
+        # log prefactor about 6.6, log exponent about 709.3; the exponent
+        # over the prefactor read nan
+        assert self.p1(k=100, n=15 * 10**307, n_tilde=15 * 10**307, b=1, t=1.7e308) == 0.0
 
     def test_rejects_inconsistent_segmentation(self):
         with pytest.raises(ValueError):
-            BoundParams(k=10, n=10, n_tilde=4, b=3, delta=0.1)
+            p1_bound(k=10, n=10, n_tilde=4, b=3, delta=0.1, t=0.0)
+
+    @pytest.mark.parametrize(
+        "kw", [dict(k=0), dict(n=0), dict(n_tilde=0), dict(b=0), dict(delta=0.0), dict(t=-1.0)]
+    )
+    def test_p1_rejects_bad_inputs(self, kw):
+        with pytest.raises(ValueError):
+            self.p1(**kw)
+
+    def test_p2_reduction(self):
+        assert p2_bound_reduction(100, 7.5, 4.0, 40.0) == (33, 36.0)
+
+    def test_p2_rejects_r_below_t(self):
+        with pytest.raises(ValueError):
+            p2_bound_reduction(100, 2.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("k, t, a", [(0, 1.0, 0.0), (100, -1.0, 0.0), (100, 1.0, -1.0)])
+    def test_p2_rejects_bad_inputs(self, k, t, a):
+        with pytest.raises(ValueError):
+            p2_bound_reduction(k, t, a, 2.0)
 
 
 class TestClaim:
@@ -179,7 +231,41 @@ class TestClaim:
         assert claim_inequality_gap(x, rho) <= 1e-12
 
 
+def _clamp(v):
+    return min(1.0, max(0.0, v))
+
+
 class TestRegimeTargets:
+    @pytest.mark.parametrize("k", [2, 7, 16, 100, 1000, 10**6])
+    def test_formula_grid(self, k):
+        # n, target and tail(dev) are the docstring's formulas, to the bit
+        devs = (0.0, 0.1, 0.5, 1.0, 3.0, 25.0)
+        sqrt_k = math.sqrt(k)
+        for n in (0, 1, 5, 40):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rt = regime_target(1, k, n=n)
+            target = 2.0 * n / sqrt_k
+            assert (rt.regime, rt.n, rt.target) == (1, n, target)
+            assert [rt.tail(d) for d in devs] == [
+                _clamp(2.0 * math.exp(-d * d * target / 10.0)) for d in devs
+            ]
+        for rho in (0.01, 0.5, 1.0, 4.0):
+            rt = regime_target(2, k, rho=rho)
+            target = k * (1.0 - math.exp(-rho))
+            assert (rt.regime, rt.n) == (2, math.ceil(rho * k * sqrt_k / 2.0))
+            assert rt.target == target
+            assert [rt.tail(d) for d in devs] == [
+                _clamp(2.0 * math.exp(-d * d * target / 35.0)) for d in devs
+            ]
+        for xi in (0.01, 0.5, 1.0, 2.5):
+            rt = regime_target(3, k, xi=xi)
+            assert (rt.regime, rt.n) == (3, math.ceil((0.5 + xi) * k * sqrt_k * math.log(k)))
+            assert rt.target == float(k)
+            assert [rt.tail(d) for d in devs] == [_clamp(2.0 / k**xi)] * len(devs)
+        for regime, param in ((1, dict(n=0)), (2, dict(rho=1.0)), (3, dict(xi=1.0))):
+            assert type(regime_target(float(regime), k, **param).regime) is int
+
     def test_regime1(self):
         rt = regime_target(1, 100, n=50)
         assert rt.n == 50

@@ -274,12 +274,19 @@ class TestBoundsCommand:
         assert json.loads(out)["value"] <= 1e-12
 
     def test_p2(self, capsys):
-        _, out, _ = run_cli(
-            capsys, "bounds", "--op", "p2", "--k", "100", "--n", "1000",
-            "--n-tilde", "100", "--b", "10", "--r", "40", "--t", "7.5", "--a", "4",
-        )
-        doc = json.loads(out)
-        assert doc["s"] == 33 and doc["threshold"] == 36.0
+        # p2 reads only k, t, a and r: no segmentation, or one that p1 would
+        # refuse, gives the same document
+        for segmentation in (
+            ("--n", "1000", "--n-tilde", "100", "--b", "10"),
+            (),
+            ("--n", "10", "--n-tilde", "31", "--b", "32"),
+        ):
+            code, out, _ = run_cli(
+                capsys, "bounds", "--op", "p2", "--k", "100", *segmentation,
+                "--r", "40", "--t", "7.5", "--a", "4",
+            )
+            assert code == EXIT_OK
+            assert out == '{"op": "p2", "k": 100, "s": 33, "threshold": 36.0}\n'
 
     def test_occupancy_no_balls(self, capsys):
         # used to exit 2 with "math domain error" from log(0)

@@ -29,6 +29,9 @@ wide_ints = small_ints | st.integers(-(10**30), 10**30)
 # be refused before allocation
 huge_counts = st.integers(SAMPLER_COUNT_MAX + 1, 10**30)
 huge_k = st.integers(URN_K_MAX + 1, 10**30)
+# ints that do not convert to a float, which the bounds must take from logs
+# or refuse with a usage error
+beyond_float = st.integers(10**308, 10**400)
 
 
 def _reject_constant(name):
@@ -68,7 +71,11 @@ def flags(names, values):
     )
 
 
-@given(st.sampled_from(BOUND_OPS), flags(FLOAT_FLAGS, st.floats()), flags(INT_FLAGS, wide_ints))
+@given(
+    st.sampled_from(BOUND_OPS),
+    flags(FLOAT_FLAGS, st.floats()),
+    flags(INT_FLAGS, wide_ints | beyond_float),
+)
 @settings(max_examples=200, deadline=None)
 def test_bounds(op, float_args, int_args):
     code, out = run(["bounds", f"--op={op}", *float_args, *int_args])
