@@ -106,6 +106,14 @@ class TestSegmentedBounds:
         base.update(kw)
         return p1_bound(**base, clamp=clamp)
 
+    def test_m_bounds(self):
+        # at t = 0 the unclamped bound is (2e(m_l + 1))^b, so m_l is read back
+        # from it and checked against (1 - delta) 2 n_tilde / sqrt(k)
+        for k, n_tilde, b, delta in ((100, 100, 10, 0.1), (4, 7, 3, 0.5), (81, 30, 2, 0.25)):
+            raw = self.p1(clamp=False, k=k, n_tilde=n_tilde, b=b, delta=delta)
+            m_l = raw ** (1.0 / b) / (2 * math.e) - 1
+            assert math.isclose(m_l, (1 - delta) * 2 * n_tilde / math.sqrt(k), rel_tol=1e-9)
+
     def test_p1_t_zero_unclamped_prefactor(self):
         # m_l = (1 - delta) 2 n_tilde / sqrt(k) = 0.9 * 2 * 100 / 10 = 18
         raw = self.p1(clamp=False)
