@@ -14,6 +14,7 @@ nominal k.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields
@@ -36,7 +37,6 @@ from .urns import classical_urn_empty_counts
 # (9, 2) with 2^17 solves, takes about 5 s.
 UNIFORMITY_PAIRS_MAX = 10_000_000
 UNIFORMITY_SOLVES_MAX = 1 << 17
-FORMAT_VERSION = 1
 # A CSV-byte policy, not a capacity gate: bracket sweeps solve segments
 # exactly for k up to this and by LIS above it, which fixes which rows
 # report which floor.
@@ -82,7 +82,6 @@ CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 @dataclass(frozen=True)
 class SweepReport:
     rows: tuple[SweepRow, ...]
-    format_version: int = FORMAT_VERSION
 
     def to_csv(self) -> str:
         def fmt(v) -> str:
@@ -112,8 +111,17 @@ def _sweep_trial(args: tuple[int, int, int, int, int, str]) -> tuple[int, int]:
         return val, val
     per_segment = "exact" if k <= EXACT_SEGMENTS_K_MAX else "lis"
     lower = segment_merge_heuristic(inst, per_segment=per_segment).length
-    upper = min(lcs_length(inst.x, inst.y).length, k)
+    upper = lcs_length(inst.x, inst.y, cap=k).length
     return lower, upper
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or the machine's count where the
+    platform cannot tell."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def run_regime_sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
@@ -122,8 +130,9 @@ def run_regime_sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
         raise ValueError("workers must be >= 1")
     rows = []
     # Under fork a pool starts all its workers at the first submit, so it
-    # never gets more workers than there are trials to share.
-    workers = min(workers, config.trials)
+    # never gets more workers than there are trials to share or CPUs to run
+    # them on.
+    workers = min(workers, config.trials, _usable_cpus())
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for k_idx, k in enumerate(config.k_list):
             rt = regime_target(

@@ -46,40 +46,62 @@ N_MAX_BRUTE = 12
 # Classical LCS
 
 
-def _lcs_rows(x: Sequence[int], y: Sequence[int]) -> list[int]:
+def _lcs_rows(x: Sequence[int], y: Sequence[int], cap: int | None = None) -> list[int]:
     """Bit-parallel LCS rows (Allison & Dix 1986, Hyyro 2004) of x against y.
 
     Row i is an int V_i with bit j clear where D(i, j+1) = D(i, j) + 1, D
     being the classical LCS table of x[:i] and y[:j], so D(i, j) = j -
-    popcount(V_i below bit j).  All len(x) + 1 rows are kept, about
-    len(x) * len(y) / 8 bytes.
+    popcount(V_i below bit j).  The rows of the longest prefix x[:i] with
+    D(i, len(y)) <= cap are kept, about i * len(y) / 8 bytes; without a cap
+    that is every row of x.  D(i, len(y)) grows by at most 1 a row, so it is
+    read only at the rows where it could first exceed cap.
     """
-    full = (1 << len(y)) - 1
+    ny = len(y)
+    full = (1 << ny) - 1
     masks: dict[int, int] = {}
     for j, c in enumerate(y):
         masks[c] = masks.get(c, 0) | 1 << j
+    if cap is None:
+        cap = len(x)  # never exceeded
     v = full
     rows = [v]
-    for c in x:
-        u = v & masks.get(c, 0)
-        v = ((v + u) | (v - u)) & full
-        rows.append(v)
+    i, stop = 0, cap + 1
+    while i < len(x):
+        for c in x[i:stop]:
+            u = v & masks.get(c, 0)
+            v = ((v + u) | (v - u)) & full
+            rows.append(v)
+        i = len(rows) - 1
+        d = ny - v.bit_count()  # D(i, ny)
+        if d > cap:
+            rows.pop()
+            break
+        stop = i + cap + 1 - d
     return rows
 
 
-def lcs_length(x: Sequence[int], y: Sequence[int]) -> SolveResult:
+def lcs_length(x: Sequence[int], y: Sequence[int], cap: int | None = None) -> SolveResult:
     """LCS with a witness, by backtracking on the rows of `_lcs_rows`.
+
+    With a cap, the witness is that of the longest prefix of x whose LCS
+    with y is at most cap: the same witness when L <= cap, and a common
+    subsequence of exactly cap symbols when L > cap.
 
     A match steps diagonally.  Otherwise D(i, j) = d is the max of D(i-1, j)
     and D(i, j-1), both in {d-1, d}: the backtrack steps up when D(i-1, j)
-    = d, else left, and d is unchanged either way.
+    = d, else left, and d is unchanged either way.  After a left step
+    D(i-1, j') <= D(i-1, j) = d - 1 for every j' < j, so the path stays in
+    row i until the previous occurrence of x[i-1] in y, found by a scan.
     """
-    rows = _lcs_rows(x, y)
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be nonnegative")
+    rows = _lcs_rows(x, y, cap)
     edges = []
-    i, j = len(x), len(y)
+    i, j = len(rows) - 1, len(y)
     d = j - rows[i].bit_count()  # D(i, j); no match is left once it is 0
     while d:
-        if x[i - 1] == y[j - 1]:
+        c = x[i - 1]
+        if c == y[j - 1]:
             edges.append((i - 1, j - 1))
             i -= 1
             j -= 1
@@ -88,6 +110,8 @@ def lcs_length(x: Sequence[int], y: Sequence[int]) -> SolveResult:
             i -= 1
         else:
             j -= 1
+            while y[j - 1] != c:
+                j -= 1
     edges.reverse()
     witness = NoncrossingMatching(
         edges=tuple(edges), symbols=tuple(x[i] for i, _ in edges)

@@ -517,6 +517,18 @@ class TestExitCodes:
         assert "work budget" in err and "Traceback" not in err
         assert peak_mb < cap_mb
 
+    def test_bracket_sweep_regime3_in_bounded_memory(self):
+        # regime 3 at k = 500 (n = 104,223): L is far above k, so the upper's
+        # LCS pass stops once it reaches k.  All n + 1 rows took 1.4 GB.
+        cap_mb = 150
+        code, out, err, peak_mb = run_child(
+            "-m", "rflcs.cli", "sweep", "--regime", "3", "--xi", "1",
+            "--k-list", "500", "--trials", "1", "--seed", "1",
+        )
+        assert code == EXIT_OK, err
+        assert out.splitlines()[1] == "3,500,104223,1,500,0,500,500,500,1,0.004"
+        assert peak_mb < cap_mb
+
     @pytest.mark.parametrize(
         "argv",
         [

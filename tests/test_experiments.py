@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -60,8 +61,10 @@ class TestSweep:
         b = run_regime_sweep(cfg, workers=3).to_csv()
         assert a == b
 
-    def test_pool_capped_at_trial_count(self, monkeypatch):
-        # a fake pool that maps serially, so no process is started
+    @staticmethod
+    def serial_pool(monkeypatch):
+        """Replace the process pool by one that maps serially, so no process
+        is started; returns the max_workers of every pool opened."""
         opened = []
 
         class SerialPool:
@@ -78,11 +81,32 @@ class TestSweep:
                 return map(fn, jobs)
 
         monkeypatch.setattr(rflcs.experiments, "ProcessPoolExecutor", SerialPool)
+        return opened
+
+    def test_pool_capped_at_trial_count(self, monkeypatch):
+        opened = self.serial_pool(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         cfg = self.config(trials=2)
         assert run_regime_sweep(cfg, workers=64).to_csv() == run_regime_sweep(cfg).to_csv()
         assert opened == [2]
         run_regime_sweep(self.config(trials=1), workers=4)
         assert opened == [2]  # one trial opens no pool
+
+    def test_pool_capped_at_usable_cpus(self, monkeypatch):
+        opened = self.serial_pool(monkeypatch)
+        cfg = self.config(trials=8, k_list=(4,))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        expected = run_regime_sweep(cfg).to_csv()
+        assert run_regime_sweep(cfg, workers=64).to_csv() == expected
+        assert opened == [3]
+        # where the affinity call is missing, the machine's CPU count caps it
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert run_regime_sweep(cfg, workers=64).to_csv() == expected
+        assert opened == [3, 2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
+        assert run_regime_sweep(cfg, workers=64).to_csv() == expected
+        assert opened == [3, 2]
 
     def test_seed_sensitivity(self):
         a = run_regime_sweep(self.config(master_seed=5)).to_csv()

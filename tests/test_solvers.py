@@ -114,6 +114,64 @@ class TestLcs:
         assert ok == "True" and int(length) > 0
         assert peak_mb < cap_mb
 
+    @staticmethod
+    def check_capped(x, y, cap, L):
+        res = lcs_length(x, y, cap=cap)
+        edges = res.witness.edges
+        assert res.length == len(edges) == min(L, cap)
+        assert all(a < c and b < d for (a, b), (c, d) in zip(edges, edges[1:]))
+        assert all(x[i] == y[j] for i, j in edges)
+        if L <= cap:
+            assert edges == quadratic_lcs_edges(x, y)
+        # the witness of the longest prefix of x whose LCS is at most cap
+        p = len(x)
+        while len(quadratic_lcs_edges(x[:p], y)) > cap:
+            p -= 1
+        assert edges == quadratic_lcs_edges(x[:p], y)
+        rows = rflcs.solvers._lcs_rows(x, y, cap)
+        assert rows == rflcs.solvers._lcs_rows(x, y)[: p + 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.integers(0, k - 1), max_size=10),
+                st.lists(st.integers(0, k - 1), max_size=14),
+            )
+        ),
+        st.integers(0, 12),
+    )
+    def test_capped_against_enumeration(self, pair, cap):
+        x, y = pair
+        self.check_capped(x, y, cap, exhaustive_lcs(x, y))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 30).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.integers(0, k - 1), max_size=60),
+                st.lists(st.integers(0, k - 1), max_size=60),
+            )
+        ),
+        st.integers(0, 70),
+    )
+    def test_capped_against_quadratic_table(self, pair, cap):
+        x, y = pair
+        self.check_capped(x, y, cap, len(quadratic_lcs_edges(x, y)))
+
+    def test_capped_at_sweep_size(self):
+        # regime 3 at k = 60 (n = 2,855): L = 636 against the cap k
+        inst = gen_uniform_pair(2855, 60, RngStream(1))
+        L = lcs_length(inst.x, inst.y).length
+        res = lcs_length(inst.x, inst.y, cap=60)
+        assert L > 60 and res.length == 60
+        assert validate_matching(res.witness, inst, require_repetition_free=False)
+        assert len(rflcs.solvers._lcs_rows(inst.x, inst.y, 60)) < inst.n // 4
+
+    def test_rejects_negative_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            lcs_length([0], [0], cap=-1)
+
 
 class TestLis:
     def test_basic(self):
