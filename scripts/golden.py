@@ -96,6 +96,11 @@ def grid():
         ["uniformity", "--n", "3", "--k", "4"],
         ["uniformity", "--n", "2", "--k", "0"],
         ["uniformity", "--n", "7", "--k", "3"],
+        # one pair and no buckets; the largest k at n = 1, one bucket of k
+        # keys; and the first k past the pair cap
+        ["uniformity", "--n", "0", "--k", "5"],
+        ["uniformity", "--n", "1", "--k", "3162"],
+        ["uniformity", "--n", "1", "--k", "3163"],
         # urn
         ["urn", "--k", "5", "--s", "5", "--trials", "2000", "--seed", "9"],
         ["urn", "--k", "100", "--s", "922", "--trials", "5000", "--seed", "7"],
