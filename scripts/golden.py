@@ -86,6 +86,8 @@ def grid():
         ["bounds", "--op", "p1", "--k", "1" + "0" * 309, "--n", "10", "--t", "1"],
         ["bounds", "--op", "p1", "--n", "1" + "0" * 400, "--n-tilde", "1" + "0" * 399, "--b", "2", "--t", "0"],
         ["bounds", "--op", "p1", "--k", "4", "--n", "1" + "0" * 400, "--b", "1" + "0" * 399, "--t", "0"],
+        # a regime-1 n that fits a float, but whose target 2n/sqrt(k) does not
+        ["bounds", "--op", "regime", "--regime", "1", "--k", "2", "--n", "1" + "0" * 308],
         # sweep
         *_sweeps(),
         ["sweep", "--regime", "2", "--rho", "1", "--k-list", "16", "--n", "20", "--trials", "1", "--seed", "1"],

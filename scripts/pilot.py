@@ -35,14 +35,9 @@ def main() -> None:
         "fraction_full": sum(v == k for v in vals) / trials,
     }
 
-    sat = run_fixed_k_saturation(4, 500, 200, base.substream(3000))
-    fixed_k = {
-        "k": sat.k,
-        "n": sat.n,
-        "trials": sat.trials,
-        "stream_base": 3000,
-        "mean": sat.mean,
-    }
+    k, n, trials = 4, 500, 200
+    mean, _ = run_fixed_k_saturation(k, n, trials, base.substream(3000))
+    fixed_k = {"k": k, "n": n, "trials": trials, "stream_base": 3000, "mean": mean}
 
     he, ex = [], []
     for t in range(50):

