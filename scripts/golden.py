@@ -32,6 +32,7 @@ MIXED = ["gen", "--n", "30", "--k", "25", "--seed", "27"]
 SMALL = ["gen", "--n", "12", "--k", "4", "--seed", "3"]
 PLANTED = ["gen", "--n", "40", "--k", "8", "--seed", "5", "--planted", "6"]
 TOO_LONG_FOR_BRUTE = ["gen", "--n", "13", "--k", "4", "--seed", "3"]
+DISJOINT = ["gen", "--n", "3", "--k", "1000", "--seed", "1"]  # no common symbol
 
 
 def _sweeps():
@@ -145,6 +146,11 @@ def grid():
         (["solve", "--method", "brute"], SMALL),
         (["solve", "--method", "heuristic", "--segment-size", "0"], MIXED),
         (["solve", "--method", "brute"], TOO_LONG_FOR_BRUTE),
+        # an LCS witness with repeated symbols, whose symbol set is deduplicated
+        (["solve", "--method", "lcs"], SMALL),
+        # an empty witness
+        (["solve", "--method", "lcs"], DISJOINT),
+        (["solve", "--method", "heuristic"], DISJOINT),
     ]
     return [(argv, None) for argv in plain] + solves
 
