@@ -5,10 +5,8 @@ occupancy models, closed-form tail bounds, and a Monte Carlo harness."""
 from .errors import CapacityError
 from .model import (
     Instance,
-    NoncrossingMatching,
     PlantedCertificate,
     SolveResult,
-    is_common_subsequence,
     is_repetition_free,
     validate_certificate,
     validate_matching,
@@ -18,11 +16,9 @@ from .rng import RngStream
 __all__ = [
     "CapacityError",
     "Instance",
-    "NoncrossingMatching",
     "PlantedCertificate",
     "RngStream",
     "SolveResult",
-    "is_common_subsequence",
     "is_repetition_free",
     "validate_certificate",
     "validate_matching",

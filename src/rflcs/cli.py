@@ -106,8 +106,8 @@ def cmd_solve(args) -> tuple[int, Iterable[str]]:
     doc = {
         "length": res.length,
         "method": args.method,
-        "symbols": sorted(res.symbol_set),
-        "edges": [[i, j] for i, j in res.witness.edges],
+        "symbols": sorted({inst.x[i] for i, _ in res.witness}),
+        "edges": res.witness,
     }
     return EXIT_OK, [json.dumps(doc)]
 

@@ -1,16 +1,17 @@
-"""Domain types: instances, planted certificates, noncrossing matchings.
+"""Domain types: instances, planted certificates and solver results.
 
 Symbols are integers in [0, k).  All types are immutable after
-construction and safe to share across concurrent workers.  Validators
-here double as test oracles: they recompute everything from the raw
-sequences rather than trusting cached fields.
+construction and safe to share across concurrent workers.  A noncrossing
+matching is a tuple of edges (i, j), ascending on both sides, each with
+symbol x[i] = y[j]; it carries no symbols of its own.  Validators here
+double as test oracles: they recompute everything from the raw sequences.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,8 @@ class Instance:
 
     @classmethod
     def from_json(cls, text: str) -> "Instance":
-        """Parse an instance; a malformed document raises ValueError."""
+        """Parse an instance; a malformed document, or a planted certificate
+        that does not match x and y, raises ValueError."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("malformed instance JSON: not an object")
@@ -94,39 +96,27 @@ class Instance:
             n, k, x, y = doc["n"], doc["k"], tuple(doc["x"]), tuple(doc["y"])
             if not all(type(v) is int for v in (n, k, *x, *y)):
                 raise TypeError("n, k and symbols must be integers")
-            return cls(n=n, k=k, x=x, y=y, seed=doc.get("seed", 0), planted=planted)
+            inst = cls(n=n, k=k, x=x, y=y, seed=doc.get("seed", 0), planted=planted)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed instance JSON: {exc!r}") from exc
-
-
-@dataclass(frozen=True)
-class NoncrossingMatching:
-    """Strictly increasing index pairs into (x, y), one symbol per edge."""
-
-    edges: tuple[tuple[int, int], ...]
-    symbols: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.edges)
+        if planted is not None and not validate_certificate(inst):
+            raise ValueError("malformed instance JSON: planted certificate does not match x and y")
+        return inst
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A solver's answer: a witness matching, with its length and symbol
-    set read off it."""
+    """A solver's answer: its witness matching and that matching's length.
 
-    witness: NoncrossingMatching
+    The witness is a tuple of edges (i, j) ascending on both sides, each
+    joining x[i] to y[j] = x[i], so the symbol of an edge is x[i].
+    """
+
+    witness: tuple[tuple[int, int], ...]
 
     @property
     def length(self) -> int:
         return len(self.witness)
-
-    @property
-    def symbol_set(self) -> frozenset[int]:
-        return frozenset(self.witness.symbols)
 
 
 def is_subsequence(z: Sequence[int], x: Sequence[int]) -> bool:
@@ -135,33 +125,26 @@ def is_subsequence(z: Sequence[int], x: Sequence[int]) -> bool:
     return all(c in it for c in z)
 
 
-def is_common_subsequence(z: Sequence[int], x: Sequence[int], y: Sequence[int]) -> bool:
-    """True iff z embeds in both x and y."""
-    return is_subsequence(z, x) and is_subsequence(z, y)
-
-
 def is_repetition_free(z: Sequence[int]) -> bool:
     """True iff no symbol occurs twice in z."""
     return len(set(z)) == len(z)
 
 
 def validate_matching(
-    m: NoncrossingMatching, inst: Instance, require_repetition_free: bool = False
+    edges: Sequence[tuple[int, int]], inst: Instance, require_repetition_free: bool = False
 ) -> bool:
-    """Check m against inst: index ranges, strict monotonicity on both sides,
-    symbols recomputed from the sequences, and (optionally) distinctness."""
-    if len(m.edges) != len(m.symbols):
-        return False
+    """Check edges against inst: index ranges, strict ascent on both sides,
+    x[i] == y[j] on every edge, and (optionally) distinct symbols."""
     prev_i, prev_j = -1, -1
-    for (i, j), c in zip(m.edges, m.symbols):
+    for i, j in edges:
         if not (0 <= i < inst.n and 0 <= j < inst.n):
             return False
         if i <= prev_i or j <= prev_j:
             return False
-        if inst.x[i] != c or inst.y[j] != c:
+        if inst.x[i] != inst.y[j]:
             return False
         prev_i, prev_j = i, j
-    if require_repetition_free and not is_repetition_free(m.symbols):
+    if require_repetition_free and not is_repetition_free([inst.x[i] for i, _ in edges]):
         return False
     return True
 
@@ -180,8 +163,3 @@ def validate_certificate(inst: Instance) -> bool:
             return False
     return True
 
-
-def matching_from_edges(inst: Instance, edges: Sequence[tuple[int, int]]) -> NoncrossingMatching:
-    """Build a matching carrying its symbols redundantly, read off inst.x."""
-    edges = tuple(sorted(edges))
-    return NoncrossingMatching(edges=edges, symbols=tuple(inst.x[i] for i, _ in edges))

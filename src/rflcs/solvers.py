@@ -22,13 +22,7 @@ from collections import Counter
 from typing import Sequence
 
 from .errors import CapacityError
-from .model import (
-    Instance,
-    NoncrossingMatching,
-    SolveResult,
-    is_subsequence,
-    matching_from_edges,
-)
+from .model import Instance, SolveResult, is_subsequence
 
 # The exact solver's only capacity gate: a count, not a timer, so whether
 # an instance is refused never depends on the machine.  An expanded search
@@ -113,10 +107,7 @@ def lcs_length(x: Sequence[int], y: Sequence[int], cap: int | None = None) -> So
             while y[j - 1] != c:
                 j -= 1
     edges.reverse()
-    witness = NoncrossingMatching(
-        edges=tuple(edges), symbols=tuple(x[i] for i, _ in edges)
-    )
-    return SolveResult(witness=witness)
+    return SolveResult(witness=tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +298,7 @@ def rflcs_exact(inst: Instance) -> SolveResult:
     exceed the work budget EXACT_BUDGET, whatever the nominal k.
     """
     edges = _canonical_edges(inst.x, inst.y)
-    return SolveResult(witness=matching_from_edges(inst, edges))
+    return SolveResult(witness=tuple(edges))
 
 
 def rflcs_bruteforce(inst: Instance) -> SolveResult:
@@ -337,7 +328,7 @@ def rflcs_bruteforce(inst: Instance) -> SolveResult:
             j += 1
         best_len = len(z)
         best_edges = edges
-    return SolveResult(witness=matching_from_edges(inst, best_edges))
+    return SolveResult(witness=tuple(best_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -393,4 +384,4 @@ def segment_merge_heuristic(
             continue
         seen.add(c)
         kept.append((i, j))
-    return SolveResult(witness=matching_from_edges(inst, kept))
+    return SolveResult(witness=tuple(kept))

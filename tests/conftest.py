@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import rflcs
 from rflcs import solvers, urns
@@ -26,6 +27,10 @@ from rflcs.model import Instance, is_subsequence
 from rflcs.solvers import _canonical_edges
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# a failing draw prints the @reproduce_failure line that replays it
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 
 @pytest.fixture(scope="session")

@@ -635,8 +635,13 @@ class TestExitCodes:
             {"n": 2, "k": 3, "x": [0, "a"], "y": [1, 2]},
             {"n": 2, "k": 3, "x": [0, 1.5], "y": [1, 2]},
             [0, 1],
+            # positions_x = 9 is past n = 3, so the planted 1 is not in x
+            {
+                "n": 3, "k": 4, "x": [3, 1, 0], "y": [3, 0, 1],
+                "planted": {"z": [3, 1], "positions_x": [0, 9], "positions_y": [0, 2]},
+            },
         ],
-        ids=["missing-key", "string-symbol", "float-symbol", "not-an-object"],
+        ids=["missing-key", "string-symbol", "float-symbol", "not-an-object", "false-certificate"],
     )
     def test_malformed_instance(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"

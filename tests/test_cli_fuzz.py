@@ -12,10 +12,11 @@ import json
 import pathlib
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rflcs.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, main
 from rflcs.generators import N_MAX
+from rflcs.model import Instance, validate_matching
 from rflcs.urns import SAMPLER_COUNT_MAX, URN_K_MAX
 
 EXIT_CODES = {0, 2, 3, 4}
@@ -76,6 +77,8 @@ def flags(names, values):
     flags(FLOAT_FLAGS, st.floats()),
     flags(INT_FLAGS, wide_ints | beyond_float),
 )
+# a regime-1 n that fits a float, but whose target 2n/sqrt(k) does not
+@example("regime", [], ["--regime=1", "--k=2", "--n=1" + "0" * 308])
 @settings(max_examples=200, deadline=None)
 def test_bounds(op, float_args, int_args):
     code, out = run(["bounds", f"--op={op}", *float_args, *int_args])
@@ -148,6 +151,12 @@ def test_solve(method, doc, size_args, segment_args):
     if code == 0:
         res = json.loads(out, parse_constant=_reject_constant)
         assert res["method"] == method and res["length"] == len(res["edges"])
+        # the printed witness is a matching of the instance, repetition-free
+        # unless it is a plain LCS, and its symbols are those of its edges
+        edges = res["edges"]
+        inst = Instance.from_json(json.dumps(doc))
+        assert validate_matching(edges, inst, require_repetition_free=method != "lcs")
+        assert res["symbols"] == sorted({doc["x"][i] for i, _ in edges})
 
 
 @given(

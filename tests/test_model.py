@@ -5,10 +5,9 @@ from hypothesis import given, strategies as st
 
 from rflcs.model import (
     Instance,
-    NoncrossingMatching,
     PlantedCertificate,
-    is_common_subsequence,
     is_repetition_free,
+    is_subsequence,
     validate_certificate,
     validate_matching,
 )
@@ -18,15 +17,19 @@ def make_inst(x, y, k):
     return Instance(n=len(x), k=k, x=tuple(x), y=tuple(y))
 
 
+def is_common(z, x, y):
+    return is_subsequence(z, x) and is_subsequence(z, y)
+
+
 class TestSubsequencePredicates:
     def test_empty_is_common(self):
-        assert is_common_subsequence([], [0, 1], [1, 0])
+        assert is_common([], [0, 1], [1, 0])
 
     def test_direct_embedding(self):
-        assert is_common_subsequence([0, 1], [0, 1, 0], [1, 0, 1])
+        assert is_common([0, 1], [0, 1, 0], [1, 0, 1])
 
     def test_not_subsequence_of_x(self):
-        assert not is_common_subsequence([0, 0], [0, 1], [0, 0])
+        assert not is_common([0, 0], [0, 1], [0, 0])
 
     def test_repetition_free(self):
         assert is_repetition_free([])
@@ -37,23 +40,22 @@ class TestSubsequencePredicates:
 class TestValidateMatching:
     def test_empty_matching(self):
         inst = make_inst([0, 1], [1, 0], 2)
-        assert validate_matching(NoncrossingMatching((), ()), inst)
+        assert validate_matching((), inst)
 
     def test_crossing_pair_rejected(self):
         inst = make_inst([0, 1], [1, 0], 2)
-        m = NoncrossingMatching(edges=((0, 1), (1, 0)), symbols=(0, 1))
-        assert not validate_matching(m, inst)
+        assert not validate_matching(((0, 1), (1, 0)), inst)
 
     def test_repeated_symbol_rejected(self):
         inst = make_inst([5, 1, 5], [5, 1, 5], 6)
-        m = NoncrossingMatching(edges=((0, 0), (2, 2)), symbols=(5, 5))
-        assert validate_matching(m, inst, require_repetition_free=False)
-        assert not validate_matching(m, inst, require_repetition_free=True)
+        edges = ((0, 0), (2, 2))
+        assert validate_matching(edges, inst, require_repetition_free=False)
+        assert not validate_matching(edges, inst, require_repetition_free=True)
 
     def test_wrong_symbol_rejected(self):
-        inst = make_inst([0, 1], [0, 1], 2)
-        m = NoncrossingMatching(edges=((0, 0),), symbols=(1,))
-        assert not validate_matching(m, inst)
+        # x[0] = 0 joined to y[0] = 1
+        inst = make_inst([0, 1], [1, 0], 2)
+        assert not validate_matching(((0, 0),), inst)
 
 
 class TestInstanceInvariants:
@@ -111,4 +113,4 @@ def test_common_subsequence_matches_bruteforce(args):
                 j += 1
         return j == len(a)
 
-    assert is_common_subsequence(z, x, y) == (is_sub(z, x) and is_sub(z, y))
+    assert is_common(z, x, y) == (is_sub(z, x) and is_sub(z, y))

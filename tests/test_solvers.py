@@ -61,13 +61,13 @@ class TestLcs:
 
     def test_disjoint(self):
         res = lcs_length([0, 0], [1, 1])
-        assert res.length == 0 and res.witness.edges == ()
+        assert res.length == 0 and res.witness == ()
 
     def test_witness_is_valid_common_subsequence(self):
         inst = gen_uniform_pair(40, 3, RngStream(20))
         res = lcs_length(inst.x, inst.y)
         assert validate_matching(res.witness, inst, require_repetition_free=False)
-        assert len(res.witness.edges) == res.length
+        assert len(res.witness) == res.length
 
     def test_against_enumeration(self):
         for inst, _, _ in small_instances(60, seed=21):
@@ -86,13 +86,13 @@ class TestLcs:
     def test_witness_matches_quadratic_table(self, pair):
         # the same edges, tie-breaks included, not just the same length
         x, y = pair
-        assert lcs_length(x, y).witness.edges == quadratic_lcs_edges(x, y)
+        assert lcs_length(x, y).witness == quadratic_lcs_edges(x, y)
 
     @pytest.mark.parametrize("n, k", [(267, 16), (500, 100), (800, 400)])
     def test_witness_matches_quadratic_table_at_sweep_sizes(self, n, k):
         # regime 3 k=16, regime 2 k=100 and regime 1 n=800 shapes
         inst = gen_uniform_pair(n, k, RngStream(n))
-        assert lcs_length(inst.x, inst.y).witness.edges == quadratic_lcs_edges(inst.x, inst.y)
+        assert lcs_length(inst.x, inst.y).witness == quadratic_lcs_edges(inst.x, inst.y)
 
     def test_memory_bound_regime3_k200(self):
         # regime 3 at k = 200 (n = 22,479): the kept rows take about
@@ -117,7 +117,7 @@ class TestLcs:
     @staticmethod
     def check_capped(x, y, cap, L):
         res = lcs_length(x, y, cap=cap)
-        edges = res.witness.edges
+        edges = res.witness
         assert res.length == len(edges) == min(L, cap)
         assert all(a < c and b < d for (a, b), (c, d) in zip(edges, edges[1:]))
         assert all(x[i] == y[j] for i, j in edges)
@@ -224,14 +224,14 @@ class TestExactSolver:
         for inst, _, _ in small_instances(40, seed=24):
             res = rflcs_exact(inst)
             assert validate_matching(res.witness, inst, require_repetition_free=True)
-            assert len(res.witness.edges) == res.length
+            assert len(res.witness) == res.length
 
     def test_canonical_matches_enumeration(self):
         for inst, _, _ in small_instances(60, n_max=7, seed=25):
             length, edges = enumerate_canonical(inst)
             got = rflcs_exact(inst).witness
-            assert len(got.edges) == length
-            assert got.edges == (edges or ())
+            assert len(got) == length
+            assert got == (edges or ())
 
     def test_upper_bounds(self):
         for inst, _, k in small_instances(40, seed=26):
@@ -420,7 +420,6 @@ class TestExactSolver:
         assert len(set(inst.x) & set(inst.y)) == m
         res = rflcs_exact(inst)
         assert validate_matching(res.witness, inst, require_repetition_free=True)
-        assert res.symbol_set == frozenset(res.witness.symbols)
 
     def test_canonical_allows_large_k_small_alphabet(self):
         # nominal k is large but only a few symbols actually occur
@@ -444,7 +443,7 @@ class TestExactSolver:
         k, x, y = args
         inst = Instance(n=len(x), k=k, x=tuple(x), y=tuple(y))
         _, edges = enumerate_canonical(inst)
-        assert rflcs_exact(inst).witness.edges == (edges or ())
+        assert rflcs_exact(inst).witness == (edges or ())
 
     @given(
         st.integers(2, 4).flatmap(
