@@ -1,45 +1,42 @@
 #!/usr/bin/env python3
-"""Small end-to-end demo: run one sweep per growth regime and print the
-CSV next to the theory targets.
+"""Small end-to-end demo: run one `rflcs sweep` per growth regime and print
+each CSV, with its theory targets, under a "# regime N" title.
 
 Every sweep here is exact: with k <= 20 every instance solves well within
-the exact solver's work budget.  For larger alphabets use
-estimator="bracket"; an exact sweep stops with CapacityError at the first
+the exact solver's work budget.  For larger alphabets use the default
+--estimator bracket; an exact sweep exits 3 (capacity error) at the first
 instance that exceeds the budget.
 """
 
 import argparse
 
-from rflcs.experiments import SweepConfig, run_regime_sweep
+from rflcs.cli import main as rflcs
+
+SWEEPS = [
+    ["--regime", "1", "--k-list", "16,20", "--n", "6"],
+    ["--regime", "2", "--k-list", "8,12", "--rho", "1"],
+    ["--regime", "3", "--k-list", "8,12", "--xi", "1"],
+]
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--trials", type=int, default=30)
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
-    configs = [
-        SweepConfig(
-            regime=1, k_list=(16, 20), trials=args.trials,
-            master_seed=args.seed, estimator="exact", n_override=6,
-        ),
-        SweepConfig(
-            regime=2, k_list=(8, 12), trials=args.trials,
-            master_seed=args.seed, rho=1.0, estimator="exact",
-        ),
-        SweepConfig(
-            regime=3, k_list=(8, 12), trials=args.trials,
-            master_seed=args.seed, xi=1.0, estimator="exact",
-        ),
-    ]
-    for cfg in configs:
-        report = run_regime_sweep(cfg, workers=args.workers)
-        print(f"# regime {cfg.regime}")
-        print(report.to_csv(), end="")
+    for regime, sweep in enumerate(SWEEPS, start=1):
+        print(f"# regime {regime}")
+        code = rflcs(
+            ["sweep", *sweep, "--trials", str(args.trials), "--seed", str(args.seed),
+             "--estimator", "exact", "--workers", str(args.workers)]
+        )
+        if code:
+            return code
         print()
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

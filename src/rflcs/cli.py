@@ -17,6 +17,7 @@ import os
 import sys
 import warnings
 from contextlib import nullcontext
+from dataclasses import astuple, fields
 from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence
 
@@ -33,7 +34,7 @@ from .bounds import (
 )
 from .errors import CapacityError
 from .experiments import (
-    SweepConfig,
+    SweepRow,
     run_regime_sweep,
     run_tailbound_suite,
     uniformity_test_exhaustive,
@@ -55,6 +56,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_CHECK_FAILED = 4
+# the sweep CSV: one column per SweepRow field, in order
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 # The `bounds` ops that print {"op", their inputs in call order, "value"}.
 _PLAIN_BOUNDS = {
     "lambda": (lambda_empty, ("k", "s")),
@@ -170,18 +173,22 @@ def cmd_bounds(args) -> tuple[int, Iterable[str]]:
 
 
 def cmd_sweep(args) -> tuple[int, Iterable[str]]:
-    config = SweepConfig(
-        regime=args.regime,
-        k_list=args.k_list,
-        trials=args.trials,
-        master_seed=args.seed,
+    rows = run_regime_sweep(
+        args.regime,
+        args.k_list,
+        args.trials,
+        args.seed,
         rho=args.rho,
         xi=args.xi,
         estimator=args.estimator,
-        n_override=args.n,
+        n=args.n,
+        workers=args.workers,
     )
-    report = run_regime_sweep(config, workers=args.workers)
-    return EXIT_OK, [report.to_csv()]
+    lines = (
+        ",".join(str(v) if isinstance(v, int) else f"{v:.10g}" for v in astuple(row)) + "\n"
+        for row in rows
+    )
+    return EXIT_OK, chain([CSV_HEADER + "\n"], lines)
 
 
 def cmd_uniformity(args) -> tuple[int, Iterable[str]]:

@@ -1,10 +1,11 @@
 """Monte Carlo harness: regime sweeps, exhaustive uniformity check, and the
 tail-bound verification battery.
 
-Determinism contract: every report is a pure function of its config and
-master seed.  Each trial owns the stream (master_seed -> k index ->
-trial ordinal), and results are merged in trial order, so the worker
-count never changes output bytes.
+Determinism contract: every result is a pure function of its arguments,
+the master seed among them.  Each trial owns the stream (master_seed ->
+k index -> trial ordinal), and results are merged in trial order, so the
+worker count never changes output bytes.  Results are values; the CLI
+formats them.
 
 Exact estimates have no size check of their own: the solver's work budget
 raises CapacityError from the first trial that exceeds it, whatever the
@@ -17,7 +18,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
@@ -44,24 +45,6 @@ EXACT_SEGMENTS_K_MAX = 20
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    regime: int
-    k_list: tuple[int, ...]
-    trials: int
-    master_seed: int
-    rho: float = 0.0
-    xi: float = 0.0
-    estimator: str = "bracket"  # exact | bracket
-    n_override: Optional[int] = None
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.estimator not in ("exact", "bracket"):
-            raise ValueError("estimator must be exact or bracket")
-
-
-@dataclass(frozen=True)
 class SweepRow:
     regime: int
     k: int
@@ -74,24 +57,6 @@ class SweepRow:
     theory_target: float
     tail_xi: float
     tail_value: float
-
-
-CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    rows: tuple[SweepRow, ...]
-
-    def to_csv(self) -> str:
-        def fmt(v) -> str:
-            if isinstance(v, int):
-                return str(v)
-            return f"{v:.10g}"
-
-        lines = [CSV_HEADER]
-        lines += (",".join(fmt(v) for v in astuple(r)) for r in self.rows)
-        return "\n".join(lines) + "\n"
 
 
 def _mean_stderr(values: Sequence[int]) -> tuple[float, float]:
@@ -124,25 +89,35 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_regime_sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
-    """One row per k: Monte Carlo estimates of E[R] with theory overlays."""
+def run_regime_sweep(
+    regime: int,
+    k_list: Sequence[int],
+    trials: int,
+    seed: int,
+    *,
+    rho: float = 0.0,
+    xi: float = 0.0,
+    estimator: str = "bracket",
+    n: Optional[int] = None,
+    workers: int = 1,
+) -> tuple[SweepRow, ...]:
+    """One row per k: Monte Carlo estimates of E[R] with theory overlays.
+    estimator is "exact" or "bracket"; an n replaces the regime's length."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if estimator not in ("exact", "bracket"):
+        raise ValueError("estimator must be exact or bracket")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     rows = []
     # Under fork a pool starts all its workers at the first submit, so it
     # never gets more workers than there are trials to share or CPUs to run
     # them on.
-    workers = min(workers, config.trials, _usable_cpus())
+    workers = min(workers, trials, _usable_cpus())
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for k_idx, k in enumerate(config.k_list):
-            rt = regime_target(
-                config.regime, k, rho=config.rho, xi=config.xi, n=config.n_override
-            )
-            n = rt.n
-            jobs = [
-                (config.master_seed, k_idx, trial, n, k, config.estimator)
-                for trial in range(config.trials)
-            ]
+        for k_idx, k in enumerate(k_list):
+            rt = regime_target(regime, k, rho=rho, xi=xi, n=n)
+            jobs = [(seed, k_idx, trial, rt.n, k, estimator) for trial in range(trials)]
             if pool is not None:
                 results = list(pool.map(_sweep_trial, jobs, chunksize=8))
             else:
@@ -152,20 +127,20 @@ def run_regime_sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
             mean, stderr = _mean_stderr(lowers)
             rows.append(
                 SweepRow(
-                    regime=config.regime,
+                    regime=regime,
                     k=k,
-                    n=n,
-                    trials=config.trials,
+                    n=rt.n,
+                    trials=trials,
                     mean_R=mean,
                     stderr=stderr,
                     lower=mean,
                     upper=float(np.mean(uppers)),
                     theory_target=rt.target,
-                    tail_xi=config.xi,
-                    tail_value=rt.tail(config.xi),
+                    tail_xi=xi,
+                    tail_value=rt.tail(xi),
                 )
             )
-    return SweepReport(rows=tuple(rows))
+    return tuple(rows)
 
 
 def run_fixed_k_saturation(k: int, n: int, trials: int, rng: RngStream) -> tuple[float, float]:
@@ -235,7 +210,10 @@ class TailboundItem:
     observed: float
     bound: float
     slack: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.observed <= self.bound + self.slack
 
 
 def _tail_item(name: str, p_hat: float, bound: float, trials: int) -> TailboundItem:
@@ -243,7 +221,7 @@ def _tail_item(name: str, p_hat: float, bound: float, trials: int) -> TailboundI
     standard errors of a proportion min(max(p_hat, bound), 1) over `trials`."""
     p = min(max(p_hat, bound), 1.0)
     slack = 3.0 * math.sqrt(p * (1.0 - p) / trials)
-    return TailboundItem(name, p_hat, bound, slack, passed=p_hat <= bound + slack)
+    return TailboundItem(name, p_hat, bound, slack)
 
 
 def run_tailbound_suite(
@@ -275,15 +253,8 @@ def run_tailbound_suite(
     s2, bound2 = coupon_tail(k2, xi2)
     y2 = classical_urn_empty_counts(k2, s2, trials, rng.substream(2))
     p_hat2 = float(np.mean(y2 != 0))
-    items.append(
-        TailboundItem(
-            name=f"coupon_k{k2}_xi{xi2:g}",
-            observed=p_hat2,
-            bound=bound2,
-            slack=bound2,  # fixed budget: bound + bound = 0.02
-            passed=p_hat2 <= 2.0 * bound2,
-        )
-    )
+    # fixed budget: slack = bound, so the item passes at p_hat2 <= 0.02
+    items.append(TailboundItem(f"coupon_k{k2}_xi{xi2:g}", p_hat2, bound2, bound2))
 
     # Collision lower tail at k=10^4, s=50, a=10.
     k3, s3, a3 = 10_000, 50, 10.0

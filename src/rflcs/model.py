@@ -79,8 +79,9 @@ class Instance:
 
     @classmethod
     def from_json(cls, text: str) -> "Instance":
-        """Parse an instance; a malformed document, or a planted certificate
-        that does not match x and y, raises ValueError."""
+        """Parse an instance; a malformed document (a missing seed means 0),
+        or a planted certificate that does not match x and y, raises
+        ValueError."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("malformed instance JSON: not an object")
@@ -93,10 +94,13 @@ class Instance:
                     positions_x=tuple(p["positions_x"]),
                     positions_y=tuple(p["positions_y"]),
                 )
+                if p.get("l", planted.l) != planted.l:
+                    raise ValueError("malformed instance JSON: planted l is not len(z)")
             n, k, x, y = doc["n"], doc["k"], tuple(doc["x"]), tuple(doc["y"])
-            if not all(type(v) is int for v in (n, k, *x, *y)):
-                raise TypeError("n, k and symbols must be integers")
-            inst = cls(n=n, k=k, x=x, y=y, seed=doc.get("seed", 0), planted=planted)
+            seed = doc.get("seed", 0)
+            if not all(type(v) is int for v in (n, k, seed, *x, *y)):
+                raise TypeError("n, k, seed and symbols must be integers")
+            inst = cls(n=n, k=k, x=x, y=y, seed=seed, planted=planted)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed instance JSON: {exc!r}") from exc
         if planted is not None and not validate_certificate(inst):

@@ -10,10 +10,9 @@ import numpy as np
 
 from conftest import all_pairs_uniformity, exhaustive_lcs
 from rflcs.bounds import claim_inequality_gap, coupon_tail, lambda_empty
+from rflcs.cli import main
 from rflcs.experiments import (
-    SweepConfig,
     run_fixed_k_saturation,
-    run_regime_sweep,
     run_tailbound_suite,
     uniformity_test_exhaustive,
 )
@@ -223,17 +222,15 @@ def test_criterion_11_regime2_floor():
     report("criterion-11 regime2-floor", ok, "; ".join(details))
 
 
-def test_criterion_12_determinism():
-    cfg = SweepConfig(
-        regime=2,
-        k_list=(4, 8),
-        trials=20,
-        master_seed=MASTER_SEED,
-        rho=1.0,
-        estimator="exact",
-    )
-    a = run_regime_sweep(cfg, workers=1).to_csv()
-    b = run_regime_sweep(cfg, workers=8).to_csv()
+def test_criterion_12_determinism(tmp_path):
+    argv = ["sweep", "--regime", "2", "--rho", "1", "--k-list", "4,8", "--trials", "20"]
+    argv += ["--seed", str(MASTER_SEED), "--estimator", "exact"]
+    out = []
+    for workers in ("1", "8"):
+        path = tmp_path / f"workers{workers}.csv"
+        assert main([*argv, "--workers", workers, "--out", str(path)]) == 0
+        out.append(path.read_bytes())
+    a, b = out
     report(
         "criterion-12 determinism",
         a == b,

@@ -9,8 +9,7 @@ import pytest
 
 from conftest import FIXTURES, run_child
 from rflcs import cli
-from rflcs.cli import EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
-from rflcs.experiments import CSV_HEADER
+from rflcs.cli import CSV_HEADER, EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
 def run_cli(capsys, *argv):
@@ -640,8 +639,17 @@ class TestExitCodes:
                 "n": 3, "k": 4, "x": [3, 1, 0], "y": [3, 0, 1],
                 "planted": {"z": [3, 1], "positions_x": [0, 9], "positions_y": [0, 2]},
             },
+            {"n": 2, "k": 3, "seed": "abc", "x": [0, 1], "y": [1, 2]},
+            # a true certificate of one symbol that claims l = 5
+            {
+                "n": 3, "k": 4, "x": [3, 1, 0], "y": [3, 0, 1],
+                "planted": {"l": 5, "z": [1], "positions_x": [1], "positions_y": [2]},
+            },
         ],
-        ids=["missing-key", "string-symbol", "float-symbol", "not-an-object", "false-certificate"],
+        ids=[
+            "missing-key", "string-symbol", "float-symbol", "not-an-object", "false-certificate",
+            "string-seed", "planted-l-not-len-z",
+        ],
     )
     def test_malformed_instance(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"

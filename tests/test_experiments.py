@@ -8,9 +8,9 @@ import rflcs.experiments
 from conftest import FIXTURES, all_pairs_uniformity, run_child
 from rflcs.bounds import regime_target
 from rflcs.errors import CapacityError
+from rflcs.cli import CSV_HEADER
 from rflcs.experiments import (
-    CSV_HEADER,
-    SweepConfig,
+    TailboundItem,
     run_fixed_k_saturation,
     run_regime_sweep,
     run_tailbound_suite,
@@ -21,39 +21,39 @@ from rflcs.rng import RngStream
 
 class TestSweep:
     def config(self, **kw):
-        base = dict(
-            regime=2,
-            k_list=(4, 6),
-            trials=8,
-            master_seed=5,
-            rho=1.0,
-            estimator="exact",
-        )
+        """run_regime_sweep's keyword arguments."""
+        base = dict(regime=2, k_list=(4, 6), trials=8, seed=5, rho=1.0, estimator="exact")
         base.update(kw)
-        return SweepConfig(**base)
+        return base
 
     def test_rejects_exact_estimator_beyond_cap(self):
         # regime 3 at k = 200 (n = 22,479, m = 200): refused at set-up
         config = self.config(regime=3, xi=1.0, k_list=(4, 200), trials=2)
         with pytest.raises(CapacityError):
-            run_regime_sweep(config)
+            run_regime_sweep(**config)
 
-    def test_csv_shape(self):
-        report = run_regime_sweep(self.config())
-        csv = report.to_csv()
-        lines = csv.strip().split("\n")
-        assert lines[0] == CSV_HEADER
-        assert len(lines) == 3
-        assert csv.endswith("\n")
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(trials=0), "trials must be >= 1"),
+            (dict(estimator="heuristic"), "estimator must be exact or bracket"),
+            (dict(workers=0), "workers must be >= 1"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            run_regime_sweep(**self.config(**kw))
+
+    def test_one_row_per_k(self):
+        rows = run_regime_sweep(**self.config())
+        assert [(row.regime, row.k, row.trials) for row in rows] == [(2, 4, 8), (2, 6, 8)]
 
     def test_exact_estimator_lower_equals_upper(self):
-        report = run_regime_sweep(self.config())
-        for row in report.rows:
+        for row in run_regime_sweep(**self.config()):
             assert row.lower == row.upper == row.mean_R
 
     def test_bracket_orders_estimates(self):
-        report = run_regime_sweep(self.config(estimator="bracket", k_list=(6,)))
-        row = report.rows[0]
+        (row,) = run_regime_sweep(**self.config(estimator="bracket", k_list=(6,)))
         assert row.lower <= row.upper
         assert row.mean_R == row.lower
 
@@ -83,9 +83,7 @@ class TestSweep:
 
     def test_worker_independence(self):
         cfg = self.config(trials=6)
-        a = run_regime_sweep(cfg, workers=1).to_csv()
-        b = run_regime_sweep(cfg, workers=3).to_csv()
-        assert a == b
+        assert run_regime_sweep(**cfg, workers=1) == run_regime_sweep(**cfg, workers=3)
 
     @staticmethod
     def serial_pool(monkeypatch):
@@ -113,39 +111,37 @@ class TestSweep:
         opened = self.serial_pool(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         cfg = self.config(trials=2)
-        assert run_regime_sweep(cfg, workers=64).to_csv() == run_regime_sweep(cfg).to_csv()
+        assert run_regime_sweep(**cfg, workers=64) == run_regime_sweep(**cfg)
         assert opened == [2]
-        run_regime_sweep(self.config(trials=1), workers=4)
+        run_regime_sweep(**self.config(trials=1), workers=4)
         assert opened == [2]  # one trial opens no pool
 
     def test_pool_capped_at_usable_cpus(self, monkeypatch):
         opened = self.serial_pool(monkeypatch)
         cfg = self.config(trials=8, k_list=(4,))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        expected = run_regime_sweep(cfg).to_csv()
-        assert run_regime_sweep(cfg, workers=64).to_csv() == expected
+        expected = run_regime_sweep(**cfg)
+        assert run_regime_sweep(**cfg, workers=64) == expected
         assert opened == [3]
         # where the affinity call is missing, the machine's CPU count caps it
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert run_regime_sweep(cfg, workers=64).to_csv() == expected
+        assert run_regime_sweep(**cfg, workers=64) == expected
         assert opened == [3, 2]
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
-        assert run_regime_sweep(cfg, workers=64).to_csv() == expected
+        assert run_regime_sweep(**cfg, workers=64) == expected
         assert opened == [3, 2]
 
     def test_seed_sensitivity(self):
-        a = run_regime_sweep(self.config(master_seed=5)).to_csv()
-        b = run_regime_sweep(self.config(master_seed=6)).to_csv()
+        a = run_regime_sweep(**self.config(seed=5))
+        b = run_regime_sweep(**self.config(seed=6))
         assert a != b
 
     def test_n_override(self):
         # n=10 deliberately exceeds the regime-1 small-n guidance for k=9
         with pytest.warns(UserWarning):
-            report = run_regime_sweep(
-                self.config(regime=1, k_list=(9,), n_override=10, rho=0.0)
-            )
-        assert report.rows[0].n == 10
+            (row,) = run_regime_sweep(**self.config(regime=1, k_list=(9,), n=10, rho=0.0))
+        assert row.n == 10
 
     @pytest.mark.filterwarnings("ignore:regime 1 assumes")
     @pytest.mark.parametrize(
@@ -153,8 +149,8 @@ class TestSweep:
         [
             (dict(regime=2, rho=1.0), 4, 4),
             (dict(regime=3, xi=1.0), 2, 3),
-            (dict(regime=1, n_override=4), 7, 4),
-            (dict(regime=1, n_override=3), 14, 3),
+            (dict(regime=1, n=4), 7, 4),
+            (dict(regime=1, n=3), 14, 3),
         ],
     )
     def test_matches_exact_pmf(self, params, k, n):
@@ -164,8 +160,8 @@ class TestSweep:
         trials = 2000
         exact, bracket = (
             run_regime_sweep(
-                self.config(k_list=(k,), trials=trials, master_seed=42, estimator=est, **params)
-            ).rows[0]
+                **self.config(k_list=(k,), trials=trials, seed=42, estimator=est, **params)
+            )[0]
             for est in ("exact", "bracket")
         )
         assert exact.n == bracket.n == n
@@ -277,20 +273,22 @@ class TestTailboundSuite:
         b = run_tailbound_suite(RngStream(7), trials=5_000, solver_trials=3)
         assert a == b
 
+    def test_passed_is_observed_within_bound_plus_slack(self):
+        # the coupon item's case: slack = bound, so 0.02 passes at the edge
+        assert TailboundItem("coupon", 0.02, 0.01, 0.01).passed
+        assert not TailboundItem("coupon", 0.0200001, 0.01, 0.01).passed
+
 
 def test_regime2_row_consistent_with_target():
-    cfg = SweepConfig(
-        regime=2, k_list=(8,), trials=12, master_seed=9, rho=2.0, estimator="exact"
-    )
-    row = run_regime_sweep(cfg).rows[0]
+    (row,) = run_regime_sweep(2, (8,), 12, 9, rho=2.0, estimator="exact")
     assert row.n == math.ceil(2.0 * 8 * math.sqrt(8) / 2)
     assert math.isclose(row.theory_target, 8 * (1 - math.exp(-2.0)))
     assert row.mean_R <= 8.0
 
 
 def test_demo_sweep_script():
-    # scripts/demo_sweep.py builds its SweepConfigs by keyword: one exact
-    # sweep per regime, two alphabet sizes each
+    # scripts/demo_sweep.py runs one exact `rflcs sweep` per regime, two
+    # alphabet sizes each
     script = FIXTURES.parents[1] / "scripts" / "demo_sweep.py"
     code, out, err, _ = run_child(str(script), "--trials", "2")
     assert code == 0, err
