@@ -10,7 +10,7 @@ instance that exceeds the budget.
 
 import argparse
 
-from rflcs.cli import main as rflcs
+from rflcs import cli
 
 SWEEPS = [
     ["--regime", "1", "--k-list", "16,20", "--n", "6"],
@@ -28,7 +28,7 @@ def main() -> int:
 
     for regime, sweep in enumerate(SWEEPS, start=1):
         print(f"# regime {regime}")
-        code = rflcs(
+        code = cli.main(
             ["sweep", *sweep, "--trials", str(args.trials), "--seed", str(args.seed),
              "--estimator", "exact", "--workers", str(args.workers)]
         )
