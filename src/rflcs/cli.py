@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 capacity error (a size refused
 before the work, or memory running out during it), 4 check-suite failure.
+A command's configuration is its argv alone: no environment variable is
+read, and one parser, built at import, serves every call of ``main``.
 All stochastic commands require an explicit --seed; there is no
 wall-clock seeding.  Each command returns its exit code and its text (a
 JSON document, a CSV table or PASS/FAIL lines); ``main`` writes it,
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import warnings
 from contextlib import nullcontext
@@ -297,9 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--estimator", choices=["exact", "bracket"], default="bracket")
     p.add_argument("--n", type=int, default=None)
-    # A string default goes through type=int at parse time, so a malformed
-    # RFLCS_WORKERS is a usage error of this subcommand only.
-    p.add_argument("--workers", type=int, default=os.environ.get("RFLCS_WORKERS", "1"))
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("uniformity", help="exhaustive canonical symbol-set tally (JSON)")
@@ -321,10 +320,12 @@ def _print_warning(message, *_) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

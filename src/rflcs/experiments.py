@@ -224,15 +224,13 @@ def _tail_item(name: str, p_hat: float, bound: float, trials: int) -> TailboundI
     return TailboundItem(name, p_hat, bound, slack)
 
 
-def run_tailbound_suite(
-    rng: RngStream, trials: int = 100_000, solver_trials: int = 30
-) -> tuple[TailboundItem, ...]:
+def run_tailbound_suite(rng: RngStream, trials: int = 100_000) -> tuple[TailboundItem, ...]:
     """Fixed battery of Monte Carlo vs closed-form bound comparisons, one
     item per comparison in a fixed order; `rflcs check` fails unless every
     item passed.
 
     Occupancy items use `trials` urn samples; the matching-length item
-    uses `solver_trials` heuristic solves.  Statistical slack is 3
+    uses a fixed 30 heuristic solves.  Statistical slack is 3
     standard errors throughout (the coupon item keeps the fixed 0.02
     budget, i.e. the bound 0.01 doubled).
     """
@@ -265,7 +263,7 @@ def run_tailbound_suite(
     )
 
     # Small-growth regime lower tail via the heuristic lower estimate.
-    k4, n4, xi4 = 400, 800, 0.5
+    k4, n4, xi4, solver_trials = 400, 800, 0.5, 30
     rt = regime_target(1, k4, n=n4)
     threshold = (1.0 - xi4) * rt.target
     below = 0

@@ -86,23 +86,22 @@ class Instance:
         if not isinstance(doc, dict):
             raise ValueError("malformed instance JSON: not an object")
         try:
-            planted = None
-            if doc.get("planted") is not None:
-                p = doc["planted"]
-                planted = PlantedCertificate(
-                    z=tuple(p["z"]),
-                    positions_x=tuple(p["positions_x"]),
-                    positions_y=tuple(p["positions_y"]),
-                )
-                if p.get("l", planted.l) != planted.l:
-                    raise ValueError("malformed instance JSON: planted l is not len(z)")
             n, k, x, y = doc["n"], doc["k"], tuple(doc["x"]), tuple(doc["y"])
             seed = doc.get("seed", 0)
-            if not all(type(v) is int for v in (n, k, seed, *x, *y)):
-                raise TypeError("n, k, seed and symbols must be integers")
+            ints = (n, k, seed, *x, *y)
+            planted = p = doc.get("planted")
+            if p is not None:
+                planted = PlantedCertificate(
+                    tuple(p["z"]), tuple(p["positions_x"]), tuple(p["positions_y"])
+                )
+                ints += (p.get("l", 0), *planted.z, *planted.positions_x, *planted.positions_y)
+            if not all(type(v) is int for v in ints):
+                raise TypeError("n, k, seed, symbols and planted fields must be integers")
             inst = cls(n=n, k=k, x=x, y=y, seed=seed, planted=planted)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed instance JSON: {exc!r}") from exc
+        if planted is not None and p.get("l", planted.l) != planted.l:
+            raise ValueError("malformed instance JSON: planted l is not len(z)")
         if planted is not None and not validate_certificate(inst):
             raise ValueError("malformed instance JSON: planted certificate does not match x and y")
         return inst

@@ -3,8 +3,9 @@ implementation paths they check, the subset DP the exact solver replaced,
 kept as an oracle for its canonical witness, the exact solver as it was
 when it found the optimum by ascending queries and then recovered the
 witness edge by edge, kept as an oracle for its budget, the all-pairs loop the uniformity tally replaced, the classical urn
-sampler on 64-bit keys, the urn chain's cost pre-walk, and a child-process
-runner that reports peak memory."""
+sampler on 64-bit keys, the urn chain's cost pre-walk, a child-process
+runner that reports peak memory, and a serial stand-in for the sweep's
+process pool."""
 
 import json
 import math
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import settings
 
 import rflcs
+import rflcs.experiments
 from rflcs import solvers, urns
 from rflcs.errors import CapacityError
 from rflcs.model import Instance, is_subsequence
@@ -61,6 +63,28 @@ def run_child(*args: str) -> tuple[int, str, str, float]:
     err, _, last = proc.stderr.rstrip("\n").rpartition("\n")
     code, maxrss_kib = map(int, last.split())
     return code, proc.stdout, err, maxrss_kib / 1024
+
+
+def serial_pool(monkeypatch) -> list[int]:
+    """Replace the sweep's process pool by one that maps serially, so no
+    process is started; returns the max_workers of every pool opened."""
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(rflcs.experiments, "ProcessPoolExecutor", SerialPool)
+    return opened
 
 
 def exhaustive_lcs(x, y) -> int:

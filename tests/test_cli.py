@@ -1,13 +1,15 @@
+import argparse
 import hashlib
 import importlib.util
 import json
 import math
+import os
 import time
 import warnings
 
 import pytest
 
-from conftest import FIXTURES, run_child
+from conftest import FIXTURES, run_child, serial_pool
 from rflcs import cli
 from rflcs.cli import CSV_HEADER, EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
@@ -320,6 +322,8 @@ class TestBoundsCommand:
 
 
 class TestSweepCommand:
+    SWEEP = ("sweep", "--regime", "2", "--k-list", "4", "--rho", "1", "--trials", "4", "--seed", "21")
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--regime", "2", "--k-list", "4,6", "--rho", "1",
@@ -329,13 +333,26 @@ class TestSweepCommand:
         lines = out.strip().split("\n")
         assert lines[0] == CSV_HEADER and len(lines) == 3
 
-    def test_workers_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("RFLCS_WORKERS", "2")
-        code, out, _ = run_cli(
-            capsys, "sweep", "--regime", "2", "--k-list", "4", "--rho", "1",
-            "--trials", "4", "--seed", "21", "--estimator", "exact",
-        )
-        assert code == EXIT_OK and out.startswith(CSV_HEADER)
+    def test_workers_env_is_ignored(self, capsys, monkeypatch):
+        # a sweep's configuration is its argv alone
+        opened = serial_pool(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.delenv("RFLCS_WORKERS", raising=False)
+        expected = run_cli(capsys, *self.SWEEP)
+        assert expected[0] == EXIT_OK
+        for env in ("2", "abc"):
+            monkeypatch.setenv("RFLCS_WORKERS", env)
+            assert run_cli(capsys, *self.SWEEP) == expected
+        assert opened == []
+
+    def test_workers_flag_does_not_stick(self, capsys, monkeypatch):
+        # the parser is shared by every call of main in a process
+        opened = serial_pool(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        code, out, _ = run_cli(capsys, *self.SWEEP, "--workers", "2")
+        assert code == EXIT_OK and opened == [2]
+        assert run_cli(capsys, *self.SWEEP) == (EXIT_OK, out, "")
+        assert opened == [2]
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -607,18 +624,11 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "solve", "--input", "/nonexistent.json", "--method", "exact")
         assert code == EXIT_USAGE
 
-    def test_malformed_workers_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("RFLCS_WORKERS", "abc")
-        code, out, _ = run_cli(capsys, "bounds", "--op", "lambda", "--k", "10", "--s", "10")
-        assert code == EXIT_OK and json.loads(out)["op"] == "lambda"
-        code, _, err = run_cli(
-            capsys, "sweep", "--regime", "2", "--k-list", "4", "--rho", "1",
-            "--trials", "2", "--seed", "21",
-        )
-        assert code == EXIT_USAGE and "abc" in err
-
-    @pytest.mark.parametrize("flag, env", [(["--workers=0"], None), (["--workers", "-3"], None), ([], "0")])
+    @pytest.mark.parametrize(
+        "flag, env", [(["--workers=0"], None), (["--workers", "-3"], None), (["--workers=0"], "2")]
+    )
     def test_workers_below_one(self, capsys, monkeypatch, flag, env):
+        # a valid RFLCS_WORKERS in the environment rescues nothing
         if env is not None:
             monkeypatch.setenv("RFLCS_WORKERS", env)
         code, out, err = run_cli(
@@ -645,10 +655,25 @@ class TestExitCodes:
                 "n": 3, "k": 4, "x": [3, 1, 0], "y": [3, 0, 1],
                 "planted": {"l": 5, "z": [1], "positions_x": [1], "positions_y": [2]},
             },
+            # each used to reach the certificate check, which indexed x by
+            # the position or matched the symbol 1.0 to 1
+            {
+                "n": 2, "k": 3, "x": [1, 2], "y": [1, 2],
+                "planted": {"z": [1], "positions_x": [0.0], "positions_y": [0]},
+            },
+            {
+                "n": 2, "k": 3, "x": [1, 2], "y": [1, 2],
+                "planted": {"z": [1], "positions_x": ["0"], "positions_y": [0]},
+            },
+            {
+                "n": 2, "k": 3, "x": [1, 2], "y": [1, 2],
+                "planted": {"z": [1.0], "positions_x": [0], "positions_y": [0]},
+            },
         ],
         ids=[
             "missing-key", "string-symbol", "float-symbol", "not-an-object", "false-certificate",
-            "string-seed", "planted-l-not-len-z",
+            "string-seed", "planted-l-not-len-z", "float-position", "string-position",
+            "float-planted-symbol",
         ],
     )
     def test_malformed_instance(self, capsys, tmp_path, doc):
@@ -660,6 +685,16 @@ class TestExitCodes:
 
 class TestOutput:
     """main writes every command's text once, to stdout or to --out."""
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("main built an ArgumentParser")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+        code, out, _ = run_cli(capsys, "bounds", "--op", "lambda", "--k", "10", "--s", "10")
+        assert code == EXIT_OK and json.loads(out)["op"] == "lambda"
+        code, out, _ = run_cli(capsys, *TestSweepCommand.SWEEP)
+        assert code == EXIT_OK and out.startswith(CSV_HEADER)
 
     def test_out_file_on_golden_grid(self, tmp_path):
         # --out gets exactly the recorded stdout bytes, and a usage or

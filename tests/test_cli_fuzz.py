@@ -48,20 +48,54 @@ def run(argv):
     return code, out.getvalue()
 
 
+# what a broken integer field of an instance file may hold instead
+junk = st.floats() | st.text(max_size=2) | st.booleans() | st.none()
+
+
+@st.composite
+def certificates(draw, x, y):
+    """A true planted certificate of x and y: a repetition-free common
+    subsequence at positions drawn in x and matched greedily in y."""
+    z, pos_x, pos_y = [], [], []
+    j = 0
+    for i in sorted(draw(st.sets(st.integers(0, max(len(x) - 1, 0)), min_size=1, max_size=4))):
+        if i < len(x) and x[i] not in z and x[i] in y[j:]:
+            z.append(x[i])
+            pos_x.append(i)
+            pos_y.append(y.index(x[i], j))
+            j = pos_y[-1] + 1
+    cert = {"z": z, "positions_x": pos_x, "positions_y": pos_y}
+    if draw(st.booleans()):
+        cert["l"] = len(z)
+    return cert
+
+
 @st.composite
 def instance_docs(draw):
-    """A small instance document, valid or with one field broken, so that
-    both the solvers and the instance parser are fuzzed."""
+    """A small instance document, maybe with a seed and a true planted
+    certificate, valid or with one field broken, so that both the solvers
+    and the instance parser are fuzzed.  A broken certificate has an entry
+    of one of its lists, or a whole field, replaced by junk or an
+    out-of-range int."""
     k = draw(st.integers(1, 8))
     n = draw(st.integers(0, 14))  # brute force refuses n > 12
     seq = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
     doc = {"n": n, "k": k, "x": draw(seq), "y": draw(seq)}
-    broken = draw(st.sampled_from((None, None, None, "n", "k", "x", "y")))
-    if broken is not None:
-        doc[broken] = draw(
-            st.none() | st.integers(-2, 20) | st.text(max_size=2)
-            | st.lists(st.integers(-2, 10), max_size=4)
-        )
+    broken = draw(st.sampled_from((None, None, "n", "k", "x", "y", "seed", "planted")))
+    if draw(st.booleans()):
+        doc["seed"] = draw(st.integers(-(10**20), 10**20))
+    if broken == "planted" or draw(st.booleans()):
+        doc["planted"] = draw(certificates(doc["x"], doc["y"]))
+    bad = draw(st.integers(-2, 20) | st.floats(-2, 20) | junk)
+    if broken == "planted":
+        cert = doc["planted"]
+        field = draw(st.sampled_from(("l", "z", "positions_x", "positions_y")))
+        if field != "l" and cert[field]:
+            cert[field][draw(st.integers(0, len(cert[field]) - 1))] = bad
+        else:
+            cert[field] = bad
+    elif broken is not None:
+        doc[broken] = draw(st.just(bad) | st.lists(st.integers(-2, 10), max_size=4))
     return doc
 
 
@@ -139,6 +173,16 @@ def test_uniformity(nk):
     instance_docs(),
     flags(("segment-size",), st.integers(-2, 16)),
     flags(("per-segment",), st.sampled_from(("exact", "lis"))),
+)
+# a float position used to reach the certificate check and crash it
+@example(
+    "exact",
+    {
+        "n": 2, "k": 3, "x": [1, 2], "y": [1, 2],
+        "planted": {"z": [1], "positions_x": [0.0], "positions_y": [0]},
+    },
+    [],
+    [],
 )
 @settings(max_examples=150, deadline=None)
 def test_solve(method, doc, size_args, segment_args):

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 import rflcs.experiments
-from conftest import FIXTURES, all_pairs_uniformity, run_child
+from conftest import FIXTURES, all_pairs_uniformity, run_child, serial_pool
 from rflcs.bounds import regime_target
 from rflcs.errors import CapacityError
 from rflcs.cli import CSV_HEADER
@@ -85,30 +85,8 @@ class TestSweep:
         cfg = self.config(trials=6)
         assert run_regime_sweep(**cfg, workers=1) == run_regime_sweep(**cfg, workers=3)
 
-    @staticmethod
-    def serial_pool(monkeypatch):
-        """Replace the process pool by one that maps serially, so no process
-        is started; returns the max_workers of every pool opened."""
-        opened = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(rflcs.experiments, "ProcessPoolExecutor", SerialPool)
-        return opened
-
     def test_pool_capped_at_trial_count(self, monkeypatch):
-        opened = self.serial_pool(monkeypatch)
+        opened = serial_pool(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         cfg = self.config(trials=2)
         assert run_regime_sweep(**cfg, workers=64) == run_regime_sweep(**cfg)
@@ -117,7 +95,7 @@ class TestSweep:
         assert opened == [2]  # one trial opens no pool
 
     def test_pool_capped_at_usable_cpus(self, monkeypatch):
-        opened = self.serial_pool(monkeypatch)
+        opened = serial_pool(monkeypatch)
         cfg = self.config(trials=8, k_list=(4,))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         expected = run_regime_sweep(**cfg)
@@ -257,7 +235,7 @@ class TestUniformity:
 
 class TestTailboundSuite:
     def test_reference_seed_small_budget(self):
-        items = run_tailbound_suite(RngStream(42), trials=20_000, solver_trials=10)
+        items = run_tailbound_suite(RngStream(42), trials=20_000)
         assert len(items) == 6
         names = [item.name for item in items]
         assert names[0].startswith("bernstein")
@@ -269,8 +247,8 @@ class TestTailboundSuite:
             assert item.bound >= 0.0
 
     def test_determinism(self):
-        a = run_tailbound_suite(RngStream(7), trials=5_000, solver_trials=3)
-        b = run_tailbound_suite(RngStream(7), trials=5_000, solver_trials=3)
+        a = run_tailbound_suite(RngStream(7), trials=5_000)
+        b = run_tailbound_suite(RngStream(7), trials=5_000)
         assert a == b
 
     def test_passed_is_observed_within_bound_plus_slack(self):
