@@ -15,7 +15,6 @@ nominal k.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from .errors import CapacityError
 from .generators import gen_uniform_pair
 from .rng import RngStream
 from .solvers import _canonical_edges, lcs_length, rflcs_exact, segment_merge_heuristic
-from .urns import classical_urn_empty_counts
+from .urns import _usable_cpus, classical_urn_empty_counts
 
 # Caps of uniformity_test_exhaustive: the k^(2n) pairs it tallies, which also
 # bounds the k^n sequences it scans for patterns, and the solves, which follow
@@ -78,15 +77,6 @@ def _sweep_trial(args: tuple[int, int, int, int, int, str]) -> tuple[int, int]:
     lower = segment_merge_heuristic(inst, per_segment=per_segment).length
     upper = lcs_length(inst.x, inst.y, cap=k).length
     return lower, upper
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on, or the machine's count where the
-    platform cannot tell."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def run_regime_sweep(

@@ -22,6 +22,9 @@ trials, balls and cells before it draws.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
@@ -33,8 +36,10 @@ from .rng import RngStream
 
 # The one cap on k: both samplers, both exact distributions, the dominance
 # check and the survival table.  At the cap `rflcs urn --trials 10` peaks near
-# 53 MB classical and 73 MB grouped (a row holds k uniforms with their ranks
-# and hits, 17 bytes per urn), and `rflcs urn-exact --s 0` near 83 MB.
+# 53 MB classical (`--s 922`) and 66 MB grouped (`--s-vec 400,300,200`: a
+# slice of one row takes two uniform buffers, a partition scratch and marks,
+# 25 bytes per urn, beside 4 rows of hits), and `rflcs urn-exact --s 0` near
+# 83 MB.
 URN_K_MAX = 1 << 20
 # Cap on the exact work, in multiplications of one 64-bit word by another:
 # a chain's updates (charged in _occupancy_counts) or a dominance check's
@@ -47,10 +52,13 @@ EXACT_COST_MAX = 20_000_000
 # uniforms, then all of group 2's, in s_vec order.  Changing it changes the
 # samples.
 GROUPED_BLOCK_CELLS = 1 << 22
-# Cells (draws, or uniforms) each sampler holds at once: max(1, _SAMPLER_CELLS
-# // s) classical trials, or max(1, _SAMPLER_CELLS // k) rows of one group's
-# uniforms.  Memory only: a sample does not depend on this value, because
-# consecutive draws continue one stream.
+# Cells (draws, or uniforms) in one chunk: max(1, _SAMPLER_CELLS // s)
+# classical trials, or max(1, _SAMPLER_CELLS // k) rows of one group's
+# uniforms.  A sampler holds the chunk being drawn and the one being reduced:
+# classical, two chunks of uint32 draws and a bool chunk of equal neighbours;
+# grouped, two slices of uniforms, a partition scratch slice and a bool slice
+# of marks, besides its block of hits.  Memory only: a sample does not depend
+# on this value, because consecutive draws continue one stream.
 _SAMPLER_CELLS = 1 << 18
 # Gates checked before a sampler draws, after k.  SAMPLER_COUNT_MAX caps
 # trials and a classical trial's s, for memory: the output takes 8 bytes per
@@ -100,11 +108,90 @@ def _check_sampler_size(k: int, trials: int, s: int, cells: int) -> None:
         )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or the machine's count where the
+    platform cannot tell."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _pipeline():
+    """Yield submit(fn, *args), which runs fn(*args) after every call
+    submitted before it.
+
+    With two or more usable CPUs the calls run on one helper thread while
+    the caller goes on.  submit first waits for the call before, so when it
+    returns every buffer handed to an earlier call is free again, except
+    the ones it just handed over.  With one CPU submit runs the call inline
+    and no thread starts.  Either way every call has returned, and the
+    thread has been joined, when the block exits, also when a call raises;
+    its error reaches the caller.
+    """
+    if _usable_cpus() < 2:
+        yield lambda fn, *args: fn(*args)
+        return
+    last = None
+    with ThreadPoolExecutor(max_workers=1) as pool:
+
+        def submit(fn, *args):
+            nonlocal last
+            if last is not None:
+                last.result()
+            last = pool.submit(fn, *args)
+
+        yield submit
+        if last is not None:
+            last.result()
+
+
+def _count_empty(k: int, draws: np.ndarray, equal: np.ndarray, out: np.ndarray) -> None:
+    """Sort each row of draws in place and write its empty-urn count,
+    k - s + the number of equal neighbours, into out; equal is a bool
+    buffer of at least len(draws) rows of s - 1."""
+    n, s = draws.shape
+    draws.sort(axis=1)
+    np.equal(draws[:, 1:], draws[:, :-1], out=equal[:n])
+    out[:] = k - s + np.count_nonzero(equal[:n], axis=1)
+
+
+def _mark_smallest(
+    hit: np.ndarray, u: np.ndarray, si: int, scratch: np.ndarray, marks: np.ndarray
+) -> None:
+    """Set in each row of hit the urns of the si smallest uniforms of that
+    row of u, the ones np.argpartition picks; scratch (float) and marks
+    (bool) are buffers of at least len(u) rows.
+
+    A row's si-th smallest value is its threshold, and the uniforms at or
+    below it are marked.  More than len(u) * si marks mean that a row ties
+    at its threshold, and that slice takes argpartition's choice instead.
+    """
+    n = len(u)
+    part = scratch[:n]
+    np.copyto(part, u)
+    part.partition(si - 1, axis=1)
+    below = np.less_equal(u, part[:, si - 1 : si], out=marks[:n])
+    if np.count_nonzero(below) == n * si:
+        hit |= below
+    else:
+        np.put_along_axis(hit, np.argpartition(u, si - 1, axis=1)[:, :si], True, axis=1)
+
+
+def _count_unhit(k: int, hit: np.ndarray, out: np.ndarray) -> None:
+    """Write each row's count of urns left unhit into out, then clear hit."""
+    out[:] = k - hit.sum(axis=1)
+    hit[:] = False
+
+
 def classical_urn_empty_counts(k: int, s: int, trials: int, rng: RngStream) -> np.ndarray:
     """Vectorized batch of Y draws, in chunks of about _SAMPLER_CELLS draws.
 
     Each trial's draws are sorted, and Y = k - s + the number of equal
-    neighbours.
+    neighbours.  The calling thread draws every chunk from its one
+    generator, in order, while the previous chunk is sorted and counted
+    (on a helper thread where two CPUs are usable, see _pipeline).
     """
     if k < 1 or s < 0 or trials < 1:
         raise ValueError("require k >= 1, s >= 0, trials >= 1")
@@ -117,12 +204,12 @@ def classical_urn_empty_counts(k: int, s: int, trials: int, rng: RngStream) -> n
     # hold the same values as int64 ones in half the bytes and sort in about
     # half the time.
     out = np.empty(trials, dtype=np.int64)
-    chunk = max(1, _SAMPLER_CELLS // s)
-    for done in range(0, trials, chunk):
-        draws = g.integers(0, k, size=(min(chunk, trials - done), s), dtype=np.uint32)
-        draws.sort(axis=1)
-        repeats = np.count_nonzero(draws[:, 1:] == draws[:, :-1], axis=1)
-        out[done : done + len(draws)] = k - s + repeats
+    chunk = min(trials, max(1, _SAMPLER_CELLS // s))
+    equal = np.empty((chunk, s - 1), dtype=bool)
+    with _pipeline() as submit:
+        for done in range(0, trials, chunk):
+            draws = g.integers(0, k, size=(min(chunk, trials - done), s), dtype=np.uint32)
+            submit(_count_empty, k, draws, equal, out[done : done + len(draws)])
     return out
 
 
@@ -131,7 +218,10 @@ def grouped_urn_empty_counts(spec: GroupedUrnSpec, trials: int, rng: RngStream) 
 
     Per group, a uniform s_i-subset per trial is obtained by ranking i.i.d.
     uniforms over the k urns, which is exchangeable hence uniform over
-    subsets.  A group's uniforms are drawn in slices of about _SAMPLER_CELLS.
+    subsets.  A group's uniforms are drawn in slices of about _SAMPLER_CELLS,
+    by the calling thread from its one generator, in order, into two buffers
+    by turns, while the previous slice's subsets are marked (on a helper
+    thread where two CPUs are usable, see _pipeline).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -140,16 +230,22 @@ def grouped_urn_empty_counts(spec: GroupedUrnSpec, trials: int, rng: RngStream) 
     _check_sampler_size(k, trials, 0, trials * k * max(1, len(sizes)))
     g = rng.generator()
     out = np.empty(trials, dtype=np.int64)
-    block = max(1, GROUPED_BLOCK_CELLS // k)
-    rows = max(1, _SAMPLER_CELLS // k)
-    for done in range(0, trials, block):
-        hit = np.zeros((min(block, trials - done), k), dtype=bool)
-        for si in sizes:
-            for r in range(0, len(hit), rows):
-                part = hit[r : r + rows]
-                idx = np.argpartition(g.random(part.shape), si - 1, axis=1)[:, :si]
-                np.put_along_axis(part, idx, True, axis=1)
-        out[done : done + len(hit)] = k - hit.sum(axis=1)
+    block = min(trials, max(1, GROUPED_BLOCK_CELLS // k))
+    rows = min(block, max(1, _SAMPLER_CELLS // k))
+    hit = np.zeros((block, k), dtype=bool)
+    uniforms = (np.empty((rows, k)), np.empty((rows, k)))
+    scratch = np.empty((rows, k))
+    marks = np.empty((rows, k), dtype=bool)
+    turn = 0
+    with _pipeline() as submit:
+        for done in range(0, trials, block):
+            n = min(block, trials - done)
+            for si in sizes:
+                for r in range(0, n, rows):
+                    u = g.random(out=uniforms[turn][: min(rows, n - r)])
+                    turn ^= 1
+                    submit(_mark_smallest, hit[r : r + len(u)], u, si, scratch, marks)
+            submit(_count_unhit, k, hit[:n], out[done : done + n])
     return out
 
 

@@ -447,6 +447,28 @@ def int64_classical_urn_empty_counts(k: int, s: int, trials: int, rng) -> np.nda
     return out
 
 
+def argpartition_grouped_urn_empty_counts(spec, trials: int, rng) -> np.ndarray:
+    """The grouped urn sampler as it was before it marked subsets by a
+    partition threshold: argpartition picks each row's s_i smallest
+    uniforms, drawn in fresh slices of urns._SAMPLER_CELLS, and every slice
+    is drawn and marked in turn on the calling thread."""
+    k = spec.k
+    sizes = [si for si in spec.s_vec if si]
+    g = rng.generator()
+    out = np.empty(trials, dtype=np.int64)
+    block = max(1, urns.GROUPED_BLOCK_CELLS // k)
+    rows = max(1, urns._SAMPLER_CELLS // k)
+    for done in range(0, trials, block):
+        hit = np.zeros((min(block, trials - done), k), dtype=bool)
+        for si in sizes:
+            for r in range(0, len(hit), rows):
+                part = hit[r : r + rows]
+                idx = np.argpartition(g.random(part.shape), si - 1, axis=1)[:, :si]
+                np.put_along_axis(part, idx, True, axis=1)
+        out[done : done + len(hit)] = k - hit.sum(axis=1)
+    return out
+
+
 def grouped_urn_enumeration(k: int, s_vec) -> list[float]:
     """Exact pmf of the grouped empty-urn count by enumerating every
     combination of one s_i-subset per group."""

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 import time
 from itertools import repeat
 from operator import length_hint
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    argpartition_grouped_urn_empty_counts,
     classical_urn_inclusion_exclusion,
     grouped_urn_enumeration,
     int64_classical_urn_empty_counts,
@@ -258,12 +261,125 @@ class TestSampling:
             outputs.append(draw())
         assert all((out == outputs[0]).all() for out in outputs[1:])
 
+    # k = 1, k at the cap (a row per slice at the first two cell counts),
+    # zero groups, s_i = k, and ragged last slices: k = 3 has slices of 2
+    # rows at 7 cells, k = 1000 slices of 262 rows in blocks of 4194 trials
+    GROUPED_ORACLE_SHAPES = (
+        (GroupedUrnSpec(1, (1, 0, 1)), 5),
+        (GroupedUrnSpec(urns.URN_K_MAX, (400, 0, urns.URN_K_MAX, 1)), 2),
+        (GroupedUrnSpec(4, ()), 3),
+        (GroupedUrnSpec(4, (0, 0)), 3),
+        (GroupedUrnSpec(3, (2, 0, 3, 1)), 301),
+        (GroupedUrnSpec(12, (12, 5)), 301),
+        (GroupedUrnSpec(1000, (3, 0, 5)), 5000),
+    )
+
+    @pytest.mark.parametrize("cells", [7, urns._SAMPLER_CELLS, 10**9])
+    def test_grouped_matches_argpartition_oracle(self, monkeypatch, cells):
+        # the threshold marks give the samples argpartition gave
+        monkeypatch.setattr(urns, "_SAMPLER_CELLS", cells)
+        for spec, trials in self.GROUPED_ORACLE_SHAPES:
+            got = grouped_urn_empty_counts(spec, trials, RngStream(spec.k, trials))
+            want = argpartition_grouped_urn_empty_counts(spec, trials, RngStream(spec.k, trials))
+            assert got.dtype == want.dtype == np.int64
+            assert (got == want).all(), (spec, trials)
+
+    def test_tie_at_threshold_marks_argpartition_choice(self, monkeypatch):
+        # row 0 ties three ways at its 2nd smallest value, so the slice has
+        # more than 2 marks a row and takes argpartition's choice
+        u = np.array(
+            [[0.5, 0.2, 0.5, 0.9, 0.5], [0.3, 0.1, 0.7, 0.6, 0.4], [0.8, 0.8, 0.1, 0.9, 0.95]]
+        )
+        si = 2
+        hit = np.zeros(u.shape, dtype=bool)
+        want = hit.copy()
+        np.put_along_axis(want, np.argpartition(u, si - 1, axis=1)[:, :si], True, axis=1)
+        urns._mark_smallest(hit, u, si, np.empty((4, 5)), np.empty((4, 5), dtype=bool))
+        assert (hit == want).all()
+        assert hit.sum(axis=1).tolist() == [si] * 3
+        # a slice without ties at its thresholds, even with ties below them,
+        # is marked by the thresholds alone
+        def no_argpartition(*args, **kwargs):
+            raise AssertionError("a slice without ties took argpartition")
+
+        monkeypatch.setattr(np, "argpartition", no_argpartition)
+        hit = np.zeros((2, 4), dtype=bool)
+        u = np.array([[0.1, 0.1, 0.5, 0.7], [0.9, 0.3, 0.2, 0.6]])
+        urns._mark_smallest(hit, u, 3, np.empty((2, 4)), np.empty((2, 4), dtype=bool))
+        assert hit.tolist() == [[True, True, True, False], [False, True, True, True]]
+
+    def test_one_cpu_reduces_inline(self, monkeypatch):
+        # on one usable CPU no thread starts, and the samples are the same
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a sampler started a thread on one CPU")
+
+        monkeypatch.setattr(urns, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(urns, "ThreadPoolExecutor", no_thread)
+        monkeypatch.setattr(urns, "_SAMPLER_CELLS", 50)
+        got = classical_urn_empty_counts(100, 7, 301, RngStream(55))
+        assert (got == int64_classical_urn_empty_counts(100, 7, 301, RngStream(55))).all()
+        spec = GroupedUrnSpec(12, (0, 3, 5))
+        got = grouped_urn_empty_counts(spec, 301, RngStream(56))
+        assert (got == argpartition_grouped_urn_empty_counts(spec, 301, RngStream(56))).all()
+
+    def test_helper_thread_joined(self, monkeypatch):
+        # with two CPUs the reductions run on one helper thread, which is
+        # gone when the sampler returns; a short switch interval lets the
+        # threads interleave often, and a buffer reused too early would
+        # change the samples
+        pools = []
+
+        class Recorded(urns.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(urns, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(urns, "ThreadPoolExecutor", Recorded)
+        monkeypatch.setattr(urns, "_SAMPLER_CELLS", 50)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            classical = classical_urn_empty_counts(100, 7, 301, RngStream(55))
+            assert threading.active_count() == before
+            spec = GroupedUrnSpec(12, (0, 3, 5))
+            grouped = grouped_urn_empty_counts(spec, 301, RngStream(56))
+            assert threading.active_count() == before
+        finally:
+            sys.setswitchinterval(interval)
+        assert (classical == int64_classical_urn_empty_counts(100, 7, 301, RngStream(55))).all()
+        assert (grouped == argpartition_grouped_urn_empty_counts(spec, 301, RngStream(56))).all()
+        assert pools == [1, 1]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("trials", [1, 301])
+    @pytest.mark.parametrize("reduction", ["_count_empty", "_mark_smallest", "_count_unhit"])
+    def test_reduction_error_reaches_caller(self, monkeypatch, cpus, trials, reduction):
+        # one chunk raises at the end of the loop, many at the next submit;
+        # either way the error reaches the caller and no thread survives
+        def fail(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(urns, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(urns, reduction, fail)
+        monkeypatch.setattr(urns, "_SAMPLER_CELLS", 50)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected"):
+            if reduction == "_count_empty":
+                classical_urn_empty_counts(100, 7, trials, RngStream(57))
+            else:
+                grouped_urn_empty_counts(GroupedUrnSpec(12, (3, 5)), trials, RngStream(57))
+        assert threading.active_count() == before
+
     def test_memory_bound_battery_samplers(self):
         # the battery's two samplers at 50,000 trials, imports included:
         # sorting 4M draws at once and (block x k) key arrays took 99 and
         # 94 MB; slices of _SAMPLER_CELLS cells take 39 and 43 MB, and uint32
-        # keys take the classical one to 37 MB.  This child, running both,
-        # peaks at 43 MB (imports alone 28 MB; numpy 2.4, Python 3.11)
+        # keys take the classical one to 37 MB.  Drawing one chunk while the
+        # helper thread reduces the one before keeps the classical one at
+        # 37 MB and takes the grouped one to 44 MB.  This child, running
+        # both, peaks at 45 MB (imports alone 28 MB; numpy 2.4, Python 3.11)
         cap_mb = 70
         script = (
             "from rflcs.rng import RngStream\n"
