@@ -18,6 +18,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Optional, Sequence
 
@@ -30,11 +31,10 @@ from .rng import RngStream
 from .solvers import _canonical_edges, lcs_length, rflcs_exact, segment_merge_heuristic
 from .urns import _usable_cpus, classical_urn_empty_counts
 
-# Caps of uniformity_test_exhaustive: the k^(2n) pairs it tallies, which also
-# bounds the k^n sequences it scans for patterns, and the solves, which follow
-# the patterns, not the pairs (153 for 117,649 pairs at n = 3, k = 7; 2^21 for
-# 4.2M at n = 11, k = 2).  At about 40 us a solve, the largest shape admitted,
-# (9, 2) with 2^17 solves, takes about 5 s.
+# Caps of uniformity_test_exhaustive: the k^(2n) pairs it tallies, and the
+# solves, which follow the patterns, not the pairs (153 for 117,649 pairs at
+# n = 3, k = 7; 2^21 for 4.2M at n = 11, k = 2).  At about 40 us a solve, the
+# largest shape admitted, (9, 2) with 2^17 solves, takes about 5 s.
 UNIFORMITY_PAIRS_MAX = 10_000_000
 UNIFORMITY_SOLVES_MAX = 1 << 17
 # A CSV-byte policy, not a capacity gate: bracket sweeps solve segments
@@ -65,10 +65,9 @@ def _mean_stderr(values: Sequence[int]) -> tuple[float, float]:
     return float(vals.mean()), stderr
 
 
-def _sweep_trial(args: tuple[int, int, int, int, int, str]) -> tuple[int, int]:
-    """One trial; returns (lower, upper) estimates of R for one instance."""
-    master_seed, k_idx, trial, n, k, estimator = args
-    stream = RngStream(master_seed, k_idx).substream(trial)
+def _sweep_trial(stream: RngStream, n: int, k: int, estimator: str) -> tuple[int, int]:
+    """One trial on the instance drawn from `stream`; returns (lower, upper)
+    estimates of its R, equal when estimator is "exact"."""
     inst = gen_uniform_pair(n, k, stream)
     if estimator == "exact":
         val = rflcs_exact(inst).length
@@ -99,20 +98,21 @@ def run_regime_sweep(
         raise ValueError("estimator must be exact or bracket")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    # every k is checked before the first trial runs
+    targets = [regime_target(regime, k, rho=rho, xi=xi, n=n) for k in k_list]
     rows = []
     # Under fork a pool starts all its workers at the first submit, so it
     # never gets more workers than there are trials to share or CPUs to run
     # them on.
     workers = min(workers, trials, _usable_cpus())
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for k_idx, k in enumerate(k_list):
-            rt = regime_target(regime, k, rho=rho, xi=xi, n=n)
-            jobs = [(seed, k_idx, trial, rt.n, k, estimator) for trial in range(trials)]
-            if pool is not None:
-                results = list(pool.map(_sweep_trial, jobs, chunksize=8))
-            else:
-                results = [_sweep_trial(j) for j in jobs]
-            lowers, uppers = zip(*results)
+        # multiprocessing.Pool.map's default chunks: about four per worker
+        chunksize = math.ceil(trials / (4 * workers))
+        run = map if pool is None else partial(pool.map, chunksize=chunksize)
+        for k_idx, (k, rt) in enumerate(zip(k_list, targets)):
+            trial = partial(_sweep_trial, n=rt.n, k=k, estimator=estimator)
+            streams = [RngStream(seed, k_idx).substream(t) for t in range(trials)]
+            lowers, uppers = zip(*run(trial, streams))
             # exact: lower == upper; bracket: mean_R reports the floor
             mean, stderr = _mean_stderr(lowers)
             rows.append(
@@ -135,16 +135,14 @@ def run_regime_sweep(
 
 def run_fixed_k_saturation(k: int, n: int, trials: int, rng: RngStream) -> tuple[float, float]:
     """(mean, stderr) of exact R over `trials` seeded instances of length n
-    over k symbols, trial t drawn from rng.substream(t).
+    over k symbols: the sweep's exact trial on rng.substream(t) for trial t.
 
     Raises CapacityError from the first trial whose instance exceeds the
     exact solver's work budget.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return _mean_stderr(
-        [rflcs_exact(gen_uniform_pair(n, k, rng.substream(t))).length for t in range(trials)]
-    )
+    return _mean_stderr([_sweep_trial(rng.substream(t), n, k, "exact")[0] for t in range(trials)])
 
 
 def uniformity_test_exhaustive(n: int, k: int) -> dict[int, int]:
@@ -174,11 +172,9 @@ def uniformity_test_exhaustive(n: int, k: int) -> dict[int, int]:
             f"uniformity_test_exhaustive limited to n <= 12 and "
             f"{UNIFORMITY_PAIRS_MAX} pairs (requested {k}^{2 * n})"
         )
-    patterns = []  # (px, d)
-    for x in product(range(k), repeat=n):
-        label: dict[int, int] = {}
-        if x == tuple(label.setdefault(c, len(label)) for c in x):
-            patterns.append((x, len(label)))
+    patterns = [((), 0)]  # (px, d): the restricted-growth strings, in lexicographic order
+    for _ in range(n):
+        patterns = [(px + (c,), max(d, c + 1)) for px, d in patterns for c in range(min(d + 1, k))]
     solves = sum(min(d + 1, k) ** n for _, d in patterns)
     if solves > UNIFORMITY_SOLVES_MAX:
         raise CapacityError(

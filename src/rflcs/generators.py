@@ -52,11 +52,11 @@ def gen_planted_pair(n: int, k: int, l: int, rng: RngStream) -> Instance:
     if k > PLANTED_K_MAX:
         raise CapacityError(f"planted generation limited to k <= {PLANTED_K_MAX}")
     g = rng.generator()
-    x = [int(c) for c in g.integers(0, k, size=n)]
-    y = [int(c) for c in g.integers(0, k, size=n)]
-    z = tuple(int(c) for c in g.permutation(k)[:l])
-    pos_x = tuple(sorted(int(p) for p in g.choice(n, size=l, replace=False))) if l else ()
-    pos_y = tuple(sorted(int(p) for p in g.choice(n, size=l, replace=False))) if l else ()
+    x = g.integers(0, k, size=n).tolist()
+    y = g.integers(0, k, size=n).tolist()
+    z = tuple(g.permutation(k)[:l].tolist())
+    pos_x = tuple(sorted(g.choice(n, size=l, replace=False).tolist())) if l else ()
+    pos_y = tuple(sorted(g.choice(n, size=l, replace=False).tolist())) if l else ()
     for i, c in enumerate(z):
         x[pos_x[i]] = c
         y[pos_y[i]] = c

@@ -65,9 +65,10 @@ def run_child(*args: str) -> tuple[int, str, str, float]:
     return code, proc.stdout, err, maxrss_kib / 1024
 
 
-def serial_pool(monkeypatch) -> list[int]:
+def serial_pool(monkeypatch, chunksizes: list[int] | None = None) -> list[int]:
     """Replace the sweep's process pool by one that maps serially, so no
-    process is started; returns the max_workers of every pool opened."""
+    process is started; returns the max_workers of every pool opened, and
+    appends the chunksize of every map to `chunksizes` when it is given."""
     opened = []
 
     class SerialPool:
@@ -81,6 +82,8 @@ def serial_pool(monkeypatch) -> list[int]:
             return False
 
         def map(self, fn, jobs, chunksize=1):
+            if chunksizes is not None:
+                chunksizes.append(chunksize)
             return map(fn, jobs)
 
     monkeypatch.setattr(rflcs.experiments, "ProcessPoolExecutor", SerialPool)

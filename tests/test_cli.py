@@ -620,6 +620,15 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == "" and "Traceback" not in err
 
+    def test_refused_k_stops_sweep_before_any_trial(self, capsys):
+        # k = 1 is refused before k = 300's trials, which would exit 3 for
+        # the exact solver's set-up charge
+        code, out, err = run_cli(
+            capsys, "sweep", "--regime", "3", "--xi", "1", "--k-list", "300,1",
+            "--trials", "4", "--seed", "1", "--estimator", "exact",
+        )
+        assert code == EXIT_USAGE and out == "" and "k must be >= 2" in err
+
     def test_missing_input_file(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--input", "/nonexistent.json", "--method", "exact")
         assert code == EXIT_USAGE

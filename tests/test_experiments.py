@@ -76,9 +76,9 @@ class TestSweep:
         # has lower <= R <= upper, R from the exact solver on that instance
         n = regime_target(regime, k, **params).n
         for trial in range(20):
-            job = (7, 1, trial, n, k)
-            lower, upper = rflcs.experiments._sweep_trial((*job, "bracket"))
-            r, _ = rflcs.experiments._sweep_trial((*job, "exact"))
+            stream = RngStream(7, 1).substream(trial)
+            lower, upper = rflcs.experiments._sweep_trial(stream, n, k, "bracket")
+            r, _ = rflcs.experiments._sweep_trial(stream, n, k, "exact")
             assert lower <= r <= upper, (trial, lower, r, upper)
 
     def test_worker_independence(self):
@@ -109,6 +109,27 @@ class TestSweep:
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
         assert run_regime_sweep(**cfg, workers=64) == expected
         assert opened == [3, 2]
+
+    def test_pool_chunks_follow_pool_map_default(self, monkeypatch):
+        # ceil(trials / (4 workers)) trials a chunk, as multiprocessing.Pool.map
+        chunksizes = []
+        opened = serial_pool(monkeypatch, chunksizes)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for trials in (8, 200):
+            cfg = self.config(k_list=(4,), trials=trials)
+            assert run_regime_sweep(**cfg, workers=2) == run_regime_sweep(**cfg)
+        assert opened == [2, 2] and chunksizes == [1, 25]
+
+    def test_every_k_checked_before_any_trial(self, monkeypatch):
+        # regime_target refuses k = 1, so k = 16's trials never run
+        calls = []
+        trial = rflcs.experiments._sweep_trial
+        monkeypatch.setattr(
+            rflcs.experiments, "_sweep_trial", lambda *a, **kw: calls.append(a) or trial(*a, **kw)
+        )
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            run_regime_sweep(3, (16, 1), 2, 1, xi=1.0)
+        assert calls == []
 
     def test_seed_sensitivity(self):
         a = run_regime_sweep(**self.config(seed=5))
