@@ -97,7 +97,7 @@ def cmd_gen(args) -> tuple[int, Iterable[str]]:
 
 
 def cmd_solve(args) -> tuple[int, Iterable[str]]:
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with open(args.input, "rb") as fh:
         inst = Instance.from_json(fh.read())
     if args.method == "lcs":
         res = lcs_length(inst.x, inst.y)

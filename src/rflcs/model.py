@@ -89,14 +89,16 @@ class Instance:
         return json.dumps(doc)
 
     @classmethod
-    def from_json(cls, text: str) -> "Instance":
-        """Parse an instance (a missing seed means 0).  Every refused
-        document raises one ValueError, "malformed instance JSON: ...",
-        whether it is not JSON or nested too deep to parse, lacks a field,
-        holds a non-integer field, gives a planted l other than len(z), or
-        is refused by a constructor."""
+    def from_json(cls, text: str | bytes) -> "Instance":
+        """Parse an instance (a missing seed means 0) from text, or from
+        bytes in UTF-8.  Every refused document raises one ValueError,
+        "malformed instance JSON: ...", whether it is not UTF-8 or not JSON
+        or nested too deep to parse, lacks a field, holds a non-integer
+        field, gives a planted l other than len(z), or is refused by a
+        constructor."""
         try:
-            doc = json.loads(text)
+            # decoded here, not by json.loads, which would take UTF-16 too
+            doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
             if not isinstance(doc, dict):
                 raise TypeError("not an object")
             n, k, x, y = doc["n"], doc["k"], tuple(doc["x"]), tuple(doc["y"])

@@ -10,8 +10,12 @@ root, so the query that proves the optimum returns the canonical
 (lexicographically smallest) maximum witness.  On the m = 13 exact-sweep
 shapes (regime 3 xi = 1 and 2, regime 2 rho = 4; eight trials at seed 42)
 every solve makes that one query and expands 13, 13 and 80 states on
-average.  Its only capacity gate is the work budget EXACT_BUDGET, which
-counts set-up words and expanded search states.
+average.  Set-up is O(n + m): each common symbol's positions in x and y and
+the masks of the symbols left in each suffix.  A state's next occurrences
+are found by bisection on those positions the first time a candidate needs
+them, and kept in rows shared by the solve's queries.  The solver's only
+capacity gate is the work budget EXACT_BUDGET, which counts set-up words,
+with the rows as though every one were filled, and expanded search states.
 """
 
 from __future__ import annotations
@@ -27,11 +31,12 @@ from .model import Instance, SolveResult, is_subsequence
 # The exact solver's only capacity gate: a count, not a timer, so whether
 # an instance is refused never depends on the machine.  An expanded search
 # state costs one unit and about 90 bytes of memo, and set-up one unit per 16
-# machine words.  The time a state takes grows with m, since each state scans
-# its unused common symbols: on a 2-CPU x86-64 host under Python 3.11 it is
-# 15-16 us at n = 253, m = 40 (a refusal after 7.5-8.2 s), and 55-105 us at
-# n = 800, m = 306-311 (`gen --n 800 --k 400 --seed 1|2`, refused after
-# 26-50 s; seed 3 solves in 11 s).
+# machine words of the next-occurrence rows, counted as though every one
+# were filled, and of the LCS rows.  The time a state takes grows with m,
+# since each state scans its unused common symbols: on a 2-CPU x86-64 host
+# under Python 3.11 it is 15-16 us at n = 253, m = 40 (a refusal after
+# 7.5-8.2 s), and 55-105 us at n = 800, m = 306-311 (`gen --n 800 --k 400
+# --seed 1|2`, refused after 26-50 s; seed 3 solves in 7-10 s).
 EXACT_BUDGET = 500_000
 N_MAX_BRUTE = 12
 
@@ -161,27 +166,29 @@ def degree_one_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int,
 # Exact repetition-free solver
 
 
-def _next_tables(seq: Sequence[int], syms: Sequence[int]) -> dict[int, list[int]]:
-    """nxt[c][p] = smallest q >= p with seq[q] == c, else len(seq)."""
-    tables: dict[int, list[int]] = {c: [] for c in syms}
+def _positions(seq: Sequence[int], syms: Sequence[int]) -> list[list[int]]:
+    """pos[t] = the ascending positions of syms[t] in seq, then len(seq)."""
+    index = {c: t for t, c in enumerate(syms)}
+    pos: list[list[int]] = [[] for _ in syms]
     for p, c in enumerate(seq):
-        tab = tables.get(c)
-        if tab is not None:
-            tab += [p] * (p + 1 - len(tab))  # every position since the last c
-    n = len(seq)
-    for tab in tables.values():
-        tab += [n] * (n + 1 - len(tab))
-    return tables
+        t = index.get(c)
+        if t is not None:
+            pos[t].append(p)
+    for ps in pos:
+        ps.append(len(seq))
+    return pos
 
 
-def _suffix_masks(seq: Sequence[int], bit: dict[int, int]) -> list[int]:
-    """masks[p] = union of the bits of the symbols in seq[p:]."""
-    masks = [0] * (len(seq) + 1)
-    acc = 0
-    for p in range(len(seq) - 1, -1, -1):
-        acc |= bit.get(seq[p], 0)
-        masks[p] = acc
-    return masks
+def _suffix_masks(pos: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The last positions of the symbols of `pos` (each occurring at least
+    once) in ascending order, and masks[r] = the union of the bits 1 << t of
+    the symbols from the r-th last position on; so the symbols of seq[p:]
+    are masks[bisect_left(lasts, p)]."""
+    ends = sorted([(ps[-2], t) for t, ps in enumerate(pos)])
+    masks = [0] * (len(ends) + 1)
+    for r in range(len(ends) - 1, -1, -1):
+        masks[r] = masks[r + 1] | 1 << ends[r][1]
+    return [last for last, _ in ends], masks
 
 
 def _smallest_path(search: tuple, need: int) -> list[tuple[int, int]] | None:
@@ -201,13 +208,15 @@ def _smallest_path(search: tuple, need: int) -> list[tuple[int, int]] | None:
     failed query failed[0] - 1, the root's bound, lies between the optimum
     and the `need` that failed.
     """
-    nx, ny, syms, nxt_x, nxt_y, suf_x, suf_y, rows, failed, left = search
+    nx, ny, m, pos_x, pos_y, nxt_x, nxt_y, suf_x, suf_y, rows, failed, left = search
+    lasts_x, masks_x = suf_x
+    lasts_y, masks_y = suf_y
     stack: list[list] = []  # frames [key, used, need, untried front, best]
     path: list[tuple[int, int]] = []
     i = j = used = 0
     while need:
         key = (used * (nx + 1) + i) * (ny + 1) + j
-        avail = suf_x[i] & suf_y[j] & ~used
+        avail = masks_x[bisect_left(lasts_x, i)] & masks_y[bisect_left(lasts_y, j)] & ~used
         b = ny - j
         bound = min(
             avail.bit_count(),
@@ -221,12 +230,26 @@ def _smallest_path(search: tuple, need: int) -> list[tuple[int, int]] | None:
                     f"exact solver exceeded its work budget of {EXACT_BUDGET} "
                     "units of set-up and search states"
                 )
+            row_x = nxt_x[i]
+            if row_x is None:
+                row_x = nxt_x[i] = [None] * m
+            row_y = nxt_y[j]
+            if row_y is None:
+                row_y = nxt_y[j] = [None] * m
             cand = []
             while avail:
                 low = avail & -avail
                 avail ^= low
-                c = syms[low.bit_length() - 1]
-                cand.append((nxt_x[c][i], nxt_y[c][j], low))
+                t = low.bit_length() - 1
+                p = row_x[t]
+                if p is None:
+                    ps = pos_x[t]
+                    p = row_x[t] = ps[bisect_left(ps, i)]
+                q = row_y[t]
+                if q is None:
+                    qs = pos_y[t]
+                    q = row_y[t] = qs[bisect_left(qs, j)]
+                cand.append((p, q, low))
             cand.sort()
             front = []
             q_min = ny
@@ -262,26 +285,30 @@ def _canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]
     query that succeeds has `need` equal to the optimum and returns the
     canonical witness.  Set-up is charged against EXACT_BUDGET before it is
     allocated, one unit per 16 machine words, and every expanded search
-    state costs one more unit.
+    state costs one more unit.  The next-occurrence rows are filled lazily
+    but charged in full: row i of x (j of y) holds, for each symbol t, its
+    first position at or after i, filled when a state at i first needs it.
     """
     nx, ny = len(x), len(y)
     common = sorted(set(x).intersection(y))
     if not common:
         return []
     m = len(common)
-    # words of the next tables and suffix masks, then of the LCS rows
+    # words of the next rows as though all were filled, m(nx + ny + 2), and of
+    # the two lists that hold them; then of the LCS rows.  The positions and
+    # masks add at most nx + ny + 6m + 2 words, outside this count.
     setup = ((m + 1) * (nx + ny + 2) + (nx + 1) * (ny // 64 + 1)) // 16
     if setup > EXACT_BUDGET:
         raise CapacityError(
             f"exact solver exceeded its work budget of {EXACT_BUDGET}: set-up "
             f"for n = {nx}, {ny} and m = {m} common symbols costs {setup}"
         )
-    bit = {c: 1 << t for t, c in enumerate(common)}
     rows = _lcs_rows(x[::-1], y[::-1])
+    pos_x, pos_y = _positions(x, common), _positions(y, common)
     failed: dict[int, int] = {}
     search = (
-        nx, ny, common, _next_tables(x, common), _next_tables(y, common),
-        _suffix_masks(x, bit), _suffix_masks(y, bit), rows, failed, [EXACT_BUDGET - setup],
+        nx, ny, m, pos_x, pos_y, [None] * (nx + 1), [None] * (ny + 1),
+        _suffix_masks(pos_x), _suffix_masks(pos_y), rows, failed, [EXACT_BUDGET - setup],
     )
     need = min(ny - rows[nx].bit_count(), m)
     while (edges := _smallest_path(search, need)) is None:

@@ -267,6 +267,16 @@ def subset_dp_canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[
     return edges
 
 
+def _suffix_masks(seq: Sequence[int], bit: dict[int, int]) -> list[int]:
+    """masks[p] = union of the bits of the symbols in seq[p:]."""
+    masks = [0] * (len(seq) + 1)
+    acc = 0
+    for p in range(len(seq) - 1, -1, -1):
+        acc |= bit.get(seq[p], 0)
+        masks[p] = acc
+    return masks
+
+
 def _feasible(search: tuple, i: int, j: int, used: int, need: int) -> bool:
     """Whether `need` more symbols outside the bit set `used` match as a
     repetition-free common subsequence of x[i:] and y[j:].
@@ -326,7 +336,8 @@ def _feasible(search: tuple, i: int, j: int, used: int, need: int) -> bool:
 
 def loop_canonical_edges(x: Sequence[int], y: Sequence[int]) -> tuple[list[tuple[int, int]], int]:
     """The exact solver as it was before it certified optimums from a floor,
-    with its boolean search `_feasible` frozen here: the optimum from
+    with its boolean search `_feasible`, its next-occurrence tables and its
+    per-position suffix masks frozen here: the optimum from
     queries of growing `need` at the root, then a greedy recovery that
     queries the search again for every edge.  Returns the canonical edges
     and the units of EXACT_BUDGET they took (set-up plus expanded search
@@ -338,11 +349,11 @@ def loop_canonical_edges(x: Sequence[int], y: Sequence[int]) -> tuple[list[tuple
     m = len(syms)
     setup = ((m + 1) * (nx + ny + 2) + (nx + 1) * (ny // 64 + 1)) // 16
     bit = {c: 1 << t for t, c in enumerate(syms)}
-    nxt_y = solvers._next_tables(y, syms)
+    nxt_y = _next_tables(y, syms)
     left = [solvers.EXACT_BUDGET - setup]
     search = (
-        nx, ny, syms, solvers._next_tables(x, syms), nxt_y,
-        solvers._suffix_masks(x, bit), solvers._suffix_masks(y, bit),
+        nx, ny, syms, _next_tables(x, syms), nxt_y,
+        _suffix_masks(x, bit), _suffix_masks(y, bit),
         solvers._lcs_rows(x[::-1], y[::-1]), {}, left,
     )
     total = 0

@@ -688,17 +688,23 @@ class TestExitCodes:
             # recursion limit
             '{"n": 2,',
             "[" * 100_000 + "]" * 100_000,
+            # bytes, written as is: a valid document in UTF-16, which starts
+            # with the bytes FF FE
+            json.dumps({"n": 2, "k": 3, "x": [0, 1], "y": [1, 2]}).encode("utf-16"),
         ],
         ids=[
             "missing-key", "string-symbol", "float-symbol", "not-an-object", "false-certificate",
             "string-seed", "planted-l-not-len-z", "float-position", "string-position",
             "float-planted-symbol", "symbol-out-of-range", "repeated-planted-symbol",
-            "truncated-json", "deeply-nested-json",
+            "truncated-json", "deeply-nested-json", "utf-16",
         ],
     )
     def test_malformed_instance(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"
-        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code, out, err = run_cli(capsys, "solve", "--input", str(path), "--method", "exact")
         assert code == EXIT_USAGE and out == "" and err.count("malformed instance") == 1
 

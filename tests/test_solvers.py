@@ -1,6 +1,7 @@
 import gc
 import math
 import time
+from bisect import bisect_left
 from itertools import permutations
 
 import pytest
@@ -26,8 +27,9 @@ from rflcs.model import Instance, is_subsequence, validate_matching
 from rflcs.rng import RngStream
 from rflcs.solvers import (
     _canonical_edges,
-    _next_tables,
+    _positions,
     _segments,
+    _suffix_masks,
     degree_one_edges,
     lcs_length,
     lis_indices,
@@ -342,7 +344,7 @@ class TestExactSolver:
         def recording(search, need):
             edges = smallest_path(search, need)
             if edges is None:
-                failures.append((need, search[8][0]))  # search[8] is the memo
+                failures.append((need, search[10][0]))  # search[10] is the memo
             return edges
 
         with pytest.MonkeyPatch.context() as mp:
@@ -367,6 +369,48 @@ class TestExactSolver:
         edges = _canonical_edges(x, y)
         assert _canonical_edges([pi[c] for c in x], [pi[c] for c in y]) == edges
         assert _canonical_edges(x, [c if c in x else stand_in for c in y]) == edges
+
+    @pytest.mark.parametrize(
+        "shape, units",
+        [
+            ((3, 13, dict(xi=1.0), 12), [365] * 8),
+            ((2, 13, dict(rho=4.0), 12), [191, 191, 193, 191, 192, 193, 178, 191]),
+            ((3, 13, dict(xi=2.0), 12), [635] * 8),
+            ("block reversal", [286]),
+            ((2, 40, dict(rho=1.0), 1), [30819]),
+        ],
+        ids=[
+            "regime3-xi1-k13", "regime2-rho4-k13", "regime3-xi2-k13", "block-reversal",
+            "regime2-rho1-k40",
+        ],
+    )
+    def test_budget_units_pinned(self, monkeypatch, shape, units):
+        # units of EXACT_BUDGET (set-up plus expanded states) that each solve
+        # had spent after its last query, measured when the next-occurrence
+        # tables were built in full before the search; so any change in the
+        # states a search expands shows here.  The m = 13 shapes are the
+        # eight trials of each benchmark shape at seed 12, the k = 40 one is
+        # trial 0 of a seed-1 sweep (about 0.6 s)
+        spent = []
+        smallest_path = rflcs.solvers._smallest_path
+
+        def recording(search, need):
+            edges = smallest_path(search, need)
+            if edges is not None:
+                spent.append(rflcs.solvers.EXACT_BUDGET - search[-1][0])
+            return edges
+
+        monkeypatch.setattr(rflcs.solvers, "_smallest_path", recording)
+        if shape == "block reversal":
+            pairs = [(tuple(range(20)) * 5, tuple(range(19, -1, -1)) * 5)]
+        else:
+            regime, k, param, seed = shape
+            n = regime_target(regime, k, **param).n
+            streams = [RngStream(seed, 0).substream(t) for t in range(len(units))]
+            pairs = [(inst.x, inst.y) for inst in (gen_uniform_pair(n, k, s) for s in streams)]
+        for x, y in pairs:
+            _canonical_edges(x, y)
+        assert spent == units
 
     @pytest.mark.parametrize(
         "regime, k, param",
@@ -465,16 +509,23 @@ class TestExactSolver:
         st.lists(st.integers(0, 8), unique=True, max_size=9),
     )
     @settings(max_examples=300, deadline=None)
-    def test_next_tables_match_definition(self, seq, syms):
-        # nxt[c][p] = min{q >= p : seq[q] == c}, else len(seq); seq may be
-        # empty, and symbols 6..8 never occur in it
+    def test_lookups_match_definition(self, seq, syms):
+        # the next occurrence of syms[t] at or after p is min{q >= p : seq[q]
+        # == syms[t]}, else len(seq); seq may be empty, and symbols 6..8 never
+        # occur in it.  The suffix masks are built, as in a solve, over the
+        # symbols that occur, and give the bits of those left in seq[p:]
         n = len(seq)
-        tables = _next_tables(seq, syms)
-        assert list(tables) == syms
-        for c in syms:
-            assert tables[c] == [
-                min((q for q in range(p, n) if seq[q] == c), default=n) for p in range(n + 1)
-            ]
+        pos = _positions(seq, syms)
+        assert len(pos) == len(syms)
+        for ps, c in zip(pos, syms):
+            for p in range(n + 1):
+                nxt = min((q for q in range(p, n) if seq[q] == c), default=n)
+                assert ps[bisect_left(ps, p)] == nxt
+        present = [c for c in syms if c in seq]
+        lasts, masks = _suffix_masks([ps for ps, c in zip(pos, syms) if c in seq])
+        for p in range(n + 1):
+            left = sum(1 << t for t, c in enumerate(present) if c in seq[p:])
+            assert masks[bisect_left(lasts, p)] == left
 
 
 class TestBruteforce:
