@@ -3,15 +3,18 @@
 
 Runs ``rflcs.cli.main`` in-process over a fixed grid of argvs: every
 subcommand, every ``solve`` method and ``bounds`` op, bracket and exact
-sweeps in each regime at one and two workers, ``uniformity`` shapes, both
-urn models in ``urn`` and ``urn-exact``, ``check`` at a passing and a
-failing seed, and one usage and one capacity exit per command that has
-one.  Each entry records the argv, the exit code and the sha256 of stdout.
+sweeps in each regime at one and two workers, the benchmark's sweeps and urn
+samplers, ``uniformity`` shapes, both urn models in ``urn`` and
+``urn-exact``, ``check`` at a passing and a failing seed, and the usage and
+capacity exits of each command that has them.  Each entry records the argv, the exit code and the sha256 of stdout.
 A ``solve`` entry also records the ``gen`` argv of its instance, which is
 written to a temporary file and passed as ``--input``.
 
-The committed manifest is the reference, and a Tier-1 test replays it.
-A change that moves output bytes or exit codes reruns this script
+The committed manifest is the reference, and Tier-1 tests replay it to
+stdout and through ``--out``.  It is the one home of the stdout digests of
+in-process CLI runs: a test that would pin a command's bytes adds its argv
+here instead, with a comment on where the bytes were taken from.  A change
+that moves output bytes or exit codes reruns this script
 (``PYTHONPATH=src python3 scripts/golden.py``) and names every entry that
 moved.
 """
@@ -41,6 +44,8 @@ def _sweeps():
         ["--regime", "2", "--rho", "1", "--k-list", "16,30", "--trials", "2"],
         ["--regime", "3", "--xi", "1", "--k-list", "8,16", "--trials", "2"],
     ]
+    # the m = 13 shapes at one worker were taken from the class-based engine
+    # the solver functions replaced
     exact = [
         ["--regime", "1", "--n", "10", "--k-list", "25", "--trials", "4"],
         ["--regime", "2", "--rho", "4", "--k-list", "13", "--trials", "8"],
@@ -89,11 +94,31 @@ def grid():
         ["bounds", "--op", "p1", "--k", "4", "--n", "1" + "0" * 400, "--b", "1" + "0" * 399, "--t", "0"],
         # a regime-1 n that fits a float, but whose target 2n/sqrt(k) does not
         ["bounds", "--op", "regime", "--regime", "1", "--k", "2", "--n", "1" + "0" * 308],
+        # refused k, xi, x, rho and regime parameters, and a float flag that is
+        # not a number
+        ["bounds", "--op", "lambda", "--k", "0", "--s", "1"],
+        ["bounds", "--op", "coupon", "--k", "100", "--xi", "-1"],
+        ["bounds", "--op", "claim", "--x", "1.5", "--rho", "1"],
+        ["bounds", "--op", "claim", "--x", "0.5", "--rho", "-1"],
+        ["bounds", "--op", "regime", "--regime", "2", "--k", "16", "--rho", "0"],
+        ["bounds", "--op", "regime", "--regime", "3", "--k", "16", "--xi", "0"],
+        ["bounds", "--op", "bernstein", "--k", "10", "--s", "5", "--a", "abc"],
+        # Y is constant at k = s = 1, so its variance is zero and the bound 0
+        ["bounds", "--op", "bernstein", "--k", "1", "--s", "1", "--a", "5e-324"],
         # sweep
         *_sweeps(),
         ["sweep", "--regime", "2", "--rho", "1", "--k-list", "16", "--n", "20", "--trials", "1", "--seed", "1"],
         ["sweep", "--regime", "3", "--xi", "1", "--k-list", "1000000", "--trials", "1", "--seed", "1"],
         ["sweep", "--regime", "2", "--rho", "1", "--k-list", "4", "--trials", "0", "--seed", "1"],
+        ["sweep", "--regime", "2", "--rho", "1", "--k-list", "16,x", "--trials", "1", "--seed", "1"],
+        # the third m = 13 shape of the benchmark, from the same engine as the
+        # two in the exact sweeps above
+        ["sweep", "--regime", "3", "--xi", "2", "--k-list", "13", "--trials", "8", "--estimator", "exact", "--seed", "11", "--workers", "1"],
+        # the bracket sweeps of the benchmark, taken from the quadratic-table
+        # LCS the bit-parallel rows replaced
+        ["sweep", "--regime", "1", "--n", "800", "--k-list", "400", "--trials", "4", "--seed", "11", "--workers", "1"],
+        ["sweep", "--regime", "2", "--rho", "1", "--k-list", "16,50,100,200", "--trials", "2", "--seed", "11", "--workers", "1"],
+        ["sweep", "--regime", "3", "--xi", "1", "--k-list", "16,40,60", "--trials", "1", "--seed", "11", "--workers", "1"],
         # uniformity
         ["uniformity", "--n", "1", "--k", "5"],
         ["uniformity", "--n", "2", "--k", "3"],
@@ -105,6 +130,13 @@ def grid():
         ["uniformity", "--n", "0", "--k", "5"],
         ["uniformity", "--n", "1", "--k", "3162"],
         ["uniformity", "--n", "1", "--k", "3163"],
+        # (3, 7) and (4, 3) taken from the loop over all k^(2n) pairs; (3, 11),
+        # with two-digit symbols and x with up to 10 absent symbols, and (4, 5)
+        # from the tally that solved y once per class of symbols absent from x
+        ["uniformity", "--n", "3", "--k", "7"],
+        ["uniformity", "--n", "4", "--k", "3"],
+        ["uniformity", "--n", "3", "--k", "11"],
+        ["uniformity", "--n", "4", "--k", "5"],
         # urn
         ["urn", "--k", "5", "--s", "5", "--trials", "2000", "--seed", "9"],
         ["urn", "--k", "100", "--s", "922", "--trials", "5000", "--seed", "7"],
@@ -116,7 +148,14 @@ def grid():
         ["urn", "--k", "2097152", "--s", "-1", "--trials", "10", "--seed", "1"],
         ["urn", "--k", "1048577", "--s", "5", "--trials", "10", "--seed", "1"],
         ["urn", "--k", "1048577", "--s-vec", "1", "--trials", "10", "--seed", "1"],
-        # urn-exact
+        ["urn", "--k", "5", "--s-vec", "2", "--trials", "0", "--seed", "1"],
+        # the battery's two samplers, taken from the CSV joined whole before
+        # one write
+        ["urn", "--k", "100", "--s", "922", "--trials", "50000", "--seed", "7"],
+        ["urn", "--k", "50", "--s-vec", "10,10,10,10,10", "--trials", "50000", "--seed", "1844546741"],
+        # urn-exact; the k = 30 and k = 7 entries, and the k = 6 one below,
+        # were taken from the enumeration and inclusion-exclusion
+        # implementations the occupancy chain replaced
         ["urn-exact", "--k", "2", "--s", "2"],
         ["urn-exact", "--k", "30", "--s", "200"],
         ["urn-exact", "--k", "7", "--s-vec", "2,3,3,2"],
@@ -132,7 +171,9 @@ def grid():
         ["urn-exact", "--k", "5", "--s", "1000000000000000000000000000000"],
         ["urn-exact", "--k", "200000", "--s-vec", "100000"],
         ["urn-exact", "--k", "50000", "--s-vec", "5000,5000"],
-        # check
+        ["urn-exact", "--k", "6", "--s-vec", "2,2,3"],
+        # check; three of the six items run the classical urn sampler, and the
+        # seed-42 bytes were taken from the sampler that drew 64-bit keys
         ["check", "--seed", "42", "--trials", "20000"],
         ["check", "--trials", "50000", "--seed", "652129507"],
         ["check", "--trials", "20000"],
@@ -141,6 +182,8 @@ def grid():
         ["check", "--trials", "200", "--seed", "18"],
     ]
     solves = [
+        # k = 25 but only 16 symbols occur in both sequences; the witness bytes
+        # were taken from the class-based engine the solver functions replaced
         (["solve", "--method", "exact"], MIXED),
         (["solve", "--method", "lcs"], MIXED),
         (["solve", "--method", "heuristic"], MIXED),
@@ -154,6 +197,10 @@ def grid():
         # an empty witness
         (["solve", "--method", "lcs"], DISJOINT),
         (["solve", "--method", "heuristic"], DISJOINT),
+        # taken from the quadratic-table LCS the bit-parallel rows replaced;
+        # they pin the witness's tie-breaks, not just its length
+        (["solve", "--method", "lcs"], ["gen", "--n", "60", "--k", "8", "--seed", "5"]),
+        (["solve", "--method", "lcs"], ["gen", "--n", "800", "--k", "400", "--seed", "6"]),
     ]
     return [(argv, None) for argv in plain] + solves
 

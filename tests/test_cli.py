@@ -72,22 +72,6 @@ class TestGenSolve:
         assert code == EXIT_USAGE and out == ""
         assert "segment size must be positive" in err
 
-    @pytest.mark.parametrize(
-        "gen_argv, digest",
-        [
-            (("--n", "60", "--k", "8", "--seed", "5"), "0c89203365abc01c982e3ddb7f63f905bca67a07bef6e793560dd0f9f6385bef"),
-            (("--n", "800", "--k", "400", "--seed", "6"), "16ae80699c804c56127bf5d4499e6a45223ab25c589ae39bca821a948f96e621"),
-        ],
-    )
-    def test_lcs_bytes_pinned(self, capsys, tmp_path, gen_argv, digest):
-        # the digests were taken from the quadratic-table LCS the bit-parallel
-        # rows replaced; they pin the witness's tie-breaks, not just its length
-        path = tmp_path / "inst.json"
-        run_cli(capsys, "gen", *gen_argv, "--out", str(path))
-        code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--method", "lcs")
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
     def test_gen_determinism(self, capsys):
         _, a, _ = run_cli(capsys, "gen", "--n", "6", "--k", "2", "--seed", "3")
         _, b, _ = run_cli(capsys, "gen", "--n", "6", "--k", "2", "--seed", "3")
@@ -142,21 +126,6 @@ class TestUrnCommands:
         assert math.isclose(math.fsum(json.loads(out)), 1.0, abs_tol=1e-12)
 
     @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (("--k", "7", "--s-vec", "2,3,3,2"), "0f76cbc0508c89df114f69a901255d62121dbe11d923fb2ad28a5d065ee95893"),
-            (("--k", "30", "--s", "200"), "1d20eeb87505187d894152ed82622923cdc4c46d195813b432e94e3f11d6c0c2"),
-            (("--k", "6", "--s-vec", "2,2,3"), "9dabf20bb41dc0a9d32c4ff6456111bec407bf9ad61d064896b7be5fc9062ea2"),
-        ],
-    )
-    def test_urn_exact_bytes_pinned(self, capsys, argv, digest):
-        # the digests were taken from the enumeration and inclusion-exclusion
-        # implementations the occupancy chain replaced
-        code, out, _ = run_cli(capsys, "urn-exact", *argv)
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    @pytest.mark.parametrize(
         "argv",
         [
             ("--k", "1000000000000", "--s", "5", "--trials", "10"),
@@ -186,23 +155,6 @@ class TestUrnCommands:
         assert [int(row[3]) for row in rows] == [0, 1, 2, 3]
         # two balls leave one or two of three urns empty: P(Y >= 2) = 1/3
         assert float(rows[1][4]) == 1.0 and abs(float(rows[2][4]) - 1 / 3) < 0.002
-
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (("--k", "100", "--s", "922", "--trials", "50000", "--seed", "7"), "42052b689d32bd39498d53ac933b914d8d1f689e1ea413e5ca94eb403fe7319d"),
-            (("--k", "50", "--s-vec", "10,10,10,10,10", "--trials", "50000", "--seed", "1844546741"), "f52e82bc94bdc7ba4c94d98c016dffac9b042b30b9abe882fc02bc36e37805f0"),
-        ],
-    )
-    def test_urn_bytes_pinned(self, capsys, tmp_path, argv, digest):
-        # the digests were taken from the CSV joined whole before one write;
-        # --out must write the same bytes as stdout
-        code, out, _ = run_cli(capsys, "urn", *argv)
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-        path = tmp_path / "urn.csv"
-        assert run_cli(capsys, "urn", *argv, "--out", str(path))[0] == EXIT_OK
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_urn_survival_rows_in_bounded_memory(self):
         # 2^20 + 1 rows (32 MB of CSV) at the survival cap: the joined CSV
@@ -354,39 +306,6 @@ class TestSweepCommand:
         assert run_cli(capsys, *self.SWEEP) == (EXIT_OK, out, "")
         assert opened == [2]
 
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (("--regime", "3", "--xi", "1"), "5bc9fa77b3ea6a41e91269c7352359d3adcfc3d6274bb1a3c1160f6d6260ea78"),
-            (("--regime", "2", "--rho", "4"), "4ae4e7a33d27d6c61405447cd7f66aa80e812557ff31a989d660c277526f2568"),
-            (("--regime", "3", "--xi", "2"), "bf1661140e158c1e95ba90af6fe50d42147107f3cff6d16720774b6f87b34612"),
-        ],
-    )
-    def test_exact_sweep_bytes_pinned(self, capsys, argv, digest):
-        # m = 13 exact sweeps; the digests were taken from the class-based
-        # engine the solver functions replaced
-        code, out, _ = run_cli(
-            capsys, "sweep", *argv, "--k-list", "13", "--trials", "8",
-            "--estimator", "exact", "--seed", "11", "--workers", "1",
-        )
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (("--regime", "1", "--n", "800", "--k-list", "400", "--trials", "4"), "fef6b54fb7c131080658c081e84955654d1c24430486acc4aa7403bd2fc3fe37"),
-            (("--regime", "2", "--rho", "1", "--k-list", "16,50,100,200", "--trials", "2"), "b2bef8fddcdc110e80061041efaa5e9b26a9642bfd082098b6ad1f35abd769c8"),
-            (("--regime", "3", "--xi", "1", "--k-list", "16,40,60", "--trials", "1"), "7cb65c9853d09e18a21090da0f23e521135a9d28ceec621ba5c992b2023880f4"),
-        ],
-    )
-    def test_bracket_sweep_bytes_pinned(self, capsys, argv, digest):
-        # the bracket sweeps of the benchmark; the digests were taken from the
-        # quadratic-table LCS the bit-parallel rows replaced
-        code, out, _ = run_cli(capsys, "sweep", *argv, "--seed", "11", "--workers", "1")
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_exact_beyond_cap_is_capacity_error(self, capsys, workers):
         # regime 3 at k = 200 (n = 22,479, m = 200): the solver's set-up
@@ -415,24 +334,6 @@ class TestUniformityCommand:
         code, out, _ = run_cli(capsys, "uniformity", "--n", "2", "--k", "2")
         assert code == EXIT_OK
         assert json.loads(out)["uniform"] is True
-
-    @pytest.mark.parametrize(
-        "n, k, digest",
-        [
-            ("3", "7", "e4a3dc6db3e822d0bc9b99247d40d3e0af8ac670f3cf652d872d08592ea1fe47"),
-            ("4", "3", "0767c62aff7c0992bdfae68e65146a795a0b65f7c62596b650dceecf395431fa"),
-            # two-digit symbols, and x with up to 10 absent symbols
-            ("3", "11", "c101bea8a11391d96243f158136ae629bbd54c9403c2730e0f8af621fd6bb1bb"),
-            ("4", "5", "563ab5c4df9481a0fca8bd386ce3318ba1c4822c0bdd2e36ba306a807b608ade"),
-        ],
-    )
-    def test_bytes_pinned(self, capsys, n, k, digest):
-        # the (3, 7) and (4, 3) digests were taken from the loop over all
-        # k^(2n) pairs, the others from the tally that solved y once per
-        # class of symbols absent from x
-        code, out, _ = run_cli(capsys, "uniformity", "--n", n, "--k", k)
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("n, k", [("3", "7"), ("2", "12"), ("4", "3")])
     def test_bucket_order_independent_of_insertion(self, capsys, n, k):
@@ -475,15 +376,6 @@ class TestCheckCommand:
         assert code in (EXIT_OK, EXIT_CHECK_FAILED)
         if code == EXIT_OK:
             assert all(line.startswith("PASS") for line in lines)
-
-    def test_bytes_pinned(self, capsys):
-        # three of the six items run the classical urn sampler; the digest
-        # was taken from the sampler that drew 64-bit keys
-        code, out, _ = run_cli(capsys, "check", "--seed", "42", "--trials", "20000")
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "f414954cacacbd18300288abb27fdf655eda21cdc92dec5705d895ce80f90b36"
-        )
 
 
 class TestExitCodes:
@@ -571,10 +463,6 @@ class TestExitCodes:
         run_cli(capsys, "gen", "--n", "30", "--k", "25", "--seed", "27", "--out", str(path))
         code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--method", "exact")
         assert code == EXIT_OK and json.loads(out)["method"] == "exact"
-        # the witness bytes of the class-based engine the solver functions replaced
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "61de5d3bcda62df30926aeb46837e1f923bec87c327daefc368183789486510d"
-        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -684,6 +572,16 @@ class TestExitCodes:
                 "n": 3, "k": 4, "x": [3, 1, 3], "y": [3, 3, 0],
                 "planted": {"z": [3, 3], "positions_x": [0, 2], "positions_y": [0, 1]},
             },
+            # fewer x positions than planted symbols; and positions that match
+            # z's symbols, but in decreasing order
+            {
+                "n": 3, "k": 4, "x": [3, 1, 0], "y": [3, 0, 1],
+                "planted": {"z": [3, 1], "positions_x": [0], "positions_y": [0, 2]},
+            },
+            {
+                "n": 3, "k": 4, "x": [1, 3, 0], "y": [3, 0, 1],
+                "planted": {"z": [3, 1], "positions_x": [1, 0], "positions_y": [0, 2]},
+            },
             # text, written as is: truncated, and nested past json.loads's
             # recursion limit
             '{"n": 2,',
@@ -696,7 +594,7 @@ class TestExitCodes:
             "missing-key", "string-symbol", "float-symbol", "not-an-object", "false-certificate",
             "string-seed", "planted-l-not-len-z", "float-position", "string-position",
             "float-planted-symbol", "symbol-out-of-range", "repeated-planted-symbol",
-            "truncated-json", "deeply-nested-json", "utf-16",
+            "short-positions", "decreasing-positions", "truncated-json", "deeply-nested-json", "utf-16",
         ],
     )
     def test_malformed_instance(self, capsys, tmp_path, doc):

@@ -192,6 +192,10 @@ class TestSaturation:
         mean, _ = run_fixed_k_saturation(30, 10, 2, RngStream(52))
         assert 0.0 <= mean <= 10.0
 
+    def test_rejects_no_trials(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_fixed_k_saturation(3, 40, 0, RngStream(53))
+
 
 class TestUniformity:
     def test_trivial_n1(self):

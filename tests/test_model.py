@@ -56,6 +56,12 @@ class TestValidateMatching:
         inst = make_inst([0, 1], [1, 0], 2)
         assert not validate_matching(((0, 0),), inst)
 
+    @pytest.mark.parametrize("edge", [(2, 0), (0, 2), (-1, 1), (1, -1)])
+    def test_edge_outside_range_rejected(self, edge):
+        # x[-1] = 1 = y[1] and x[1] = 1 = y[-1]: negative indices would match
+        inst = make_inst([0, 1], [1, 1], 2)
+        assert not validate_matching((edge,), inst)
+
 
 class TestInstanceInvariants:
     def test_empty_sequences_legal(self):

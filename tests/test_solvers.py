@@ -333,25 +333,25 @@ class TestExactSolver:
     @settings(max_examples=300, deadline=None)
     @given(equal_length_pairs(12, 32))
     def test_failed_query_bounds_the_optimum(self, pair):
-        # a query above the optimum R leaves the root's memo failed[0] with
-        # R <= failed[0] - 1 < need, so the next query neither passes R by
-        # nor repeats its need
+        # a query above the optimum R fails and leaves the root's bound as the
+        # next need, with R <= next need < need; so the queries never pass R
+        # by nor repeat a need, and the last is R (none when no symbol is
+        # common)
         x, y = pair
         optimum = len(loop_canonical_edges(x, y)[0])
-        failures = []
+        needs = []
         smallest_path = rflcs.solvers._smallest_path
 
         def recording(search, need):
-            edges = smallest_path(search, need)
-            if edges is None:
-                failures.append((need, search[10][0]))  # search[10] is the memo
-            return edges
+            needs.append(need)
+            return smallest_path(search, need)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rflcs.solvers, "_smallest_path", recording)
             edges = _canonical_edges(x, y)
-        for need, root in failures:
-            assert optimum <= root - 1 < need
+        for need, next_need in zip(needs, needs[1:]):
+            assert optimum <= next_need < need
+        assert needs[-1:] == ([optimum] if optimum else [])
         assert len(edges) == optimum
 
     @settings(max_examples=300, deadline=None)
@@ -386,21 +386,12 @@ class TestExactSolver:
     )
     def test_budget_units_pinned(self, monkeypatch, shape, units):
         # units of EXACT_BUDGET (set-up plus expanded states) that each solve
-        # had spent after its last query, measured when the next-occurrence
-        # tables were built in full before the search; so any change in the
-        # states a search expands shows here.  The m = 13 shapes are the
-        # eight trials of each benchmark shape at seed 12, the k = 40 one is
-        # trial 0 of a seed-1 sweep (about 0.6 s)
-        spent = []
-        smallest_path = rflcs.solvers._smallest_path
-
-        def recording(search, need):
-            edges = smallest_path(search, need)
-            if edges is not None:
-                spent.append(rflcs.solvers.EXACT_BUDGET - search[-1][0])
-            return edges
-
-        monkeypatch.setattr(rflcs.solvers, "_smallest_path", recording)
+        # spends, measured when the next-occurrence tables were built in full
+        # before the search; so any change in the states a search expands
+        # shows here.  A solve succeeds exactly when its units fit the budget.
+        # The m = 13 shapes are the eight trials of each benchmark shape at
+        # seed 12, the k = 40 one is trial 0 of a seed-1 sweep (two solves,
+        # about 0.7 s)
         if shape == "block reversal":
             pairs = [(tuple(range(20)) * 5, tuple(range(19, -1, -1)) * 5)]
         else:
@@ -408,9 +399,12 @@ class TestExactSolver:
             n = regime_target(regime, k, **param).n
             streams = [RngStream(seed, 0).substream(t) for t in range(len(units))]
             pairs = [(inst.x, inst.y) for inst in (gen_uniform_pair(n, k, s) for s in streams)]
-        for x, y in pairs:
+        for (x, y), u in zip(pairs, units):
+            monkeypatch.setattr(rflcs.solvers, "EXACT_BUDGET", u)
             _canonical_edges(x, y)
-        assert spent == units
+            monkeypatch.setattr(rflcs.solvers, "EXACT_BUDGET", u - 1)
+            with pytest.raises(CapacityError):
+                _canonical_edges(x, y)
 
     @pytest.mark.parametrize(
         "regime, k, param",
@@ -552,8 +546,11 @@ class TestSegmentPlan:
         assert _segments(0, 4) == []
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            segment_merge_heuristic(gen_uniform_pair(10, 3, RngStream(33)), 0)
+        inst = gen_uniform_pair(10, 3, RngStream(33))
+        with pytest.raises(ValueError, match="segment size"):
+            segment_merge_heuristic(inst, 0)
+        with pytest.raises(ValueError, match="per_segment"):
+            segment_merge_heuristic(inst, 4, per_segment="dp")
 
     @pytest.mark.parametrize("k", [4, 12, 16, 30, 81, 400])
     def test_default_size_is_ceil_k_three_quarters(self, monkeypatch, k):
