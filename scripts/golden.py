@@ -4,19 +4,23 @@
 Runs ``rflcs.cli.main`` in-process over a fixed grid of argvs: every
 subcommand, every ``solve`` method and ``bounds`` op, bracket and exact
 sweeps in each regime at one and two workers, the benchmark's sweeps and urn
-samplers, ``uniformity`` shapes, both urn models in ``urn`` and
-``urn-exact``, ``check`` at a passing and a failing seed, and the usage and
-capacity exits of each command that has them.  Each entry records the argv, the exit code and the sha256 of stdout.
-A ``solve`` entry also records the ``gen`` argv of its instance, which is
-written to a temporary file and passed as ``--input``.
+samplers, the results sweeps that estimate E[R] in each regime, ``uniformity``
+shapes, both urn models in ``urn`` and ``urn-exact``, ``check`` at a passing
+and a failing seed, and the usage and capacity exits of each command that has
+them.  Each entry records the argv, the exit code and the stdout: its lines
+when it is at most TEXT_MAX bytes, else its sha256.  The manifest puts each
+stdout line on a line of its own, so a diff of the manifest shows the old and
+new values of every line that moved.  A ``solve`` entry also records the
+``gen`` argv of its instance, which is written to a temporary file and passed
+as ``--input``.
 
 The committed manifest is the reference, and Tier-1 tests replay it to
-stdout and through ``--out``.  It is the one home of the stdout digests of
+stdout and through ``--out``.  It is the one home of the stdout pins of
 in-process CLI runs: a test that would pin a command's bytes adds its argv
 here instead, with a comment on where the bytes were taken from.  A change
 that moves output bytes or exit codes reruns this script
-(``PYTHONPATH=src python3 scripts/golden.py``) and names every entry that
-moved.
+(``PYTHONPATH=src python3 scripts/golden.py``, about 3 s) and names every
+entry that moved.
 """
 
 import contextlib
@@ -29,6 +33,9 @@ import tempfile
 from rflcs import cli
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "golden.json"
+
+# the largest stdout, in bytes, that an entry stores as text
+TEXT_MAX = 4096
 
 # instances for `solve`, as `gen` argvs
 MIXED = ["gen", "--n", "30", "--k", "25", "--seed", "27"]
@@ -78,6 +85,9 @@ def grid():
         ["bounds", "--op", "regime", "--regime", "1", "--k", "400", "--n", "800", "--xi", "0.5"],
         ["bounds", "--op", "regime", "--regime", "2", "--k", "16", "--rho", "1", "--xi", "0.5"],
         ["bounds", "--op", "regime", "--regime", "3", "--k", "16", "--xi", "1"],
+        # n = 5 > k^(3/2) / 10, so regime 1 warns on stderr; here and in the
+        # sweep below
+        ["bounds", "--op", "regime", "--regime", "1", "--k", "4", "--n", "5"],
         ["bounds", "--op", "coupon", "--k", "100", "--xi", "inf"],
         ["bounds", "--op", "regime", "--regime", "2", "--k", "16", "--rho", "1", "--n", "20"],
         ["bounds", "--op", "regime", "--regime", "1", "--k", "4", "--n", "-5"],
@@ -119,6 +129,19 @@ def grid():
         ["sweep", "--regime", "1", "--n", "800", "--k-list", "400", "--trials", "4", "--seed", "11", "--workers", "1"],
         ["sweep", "--regime", "2", "--rho", "1", "--k-list", "16,50,100,200", "--trials", "2", "--seed", "11", "--workers", "1"],
         ["sweep", "--regime", "3", "--xi", "1", "--k-list", "16,40,60", "--trials", "1", "--seed", "11", "--workers", "1"],
+        ["sweep", "--regime", "1", "--n", "5", "--k-list", "4", "--trials", "2", "--seed", "1"],
+        # the results sweeps, the reproduction's headline E[R] estimates:
+        # bracket sweeps of 4 trials in the three regimes, exact sweeps of 8
+        # trials at k = 13, and one small exact sweep of 30 trials per regime
+        ["sweep", "--regime", "1", "--n", "800", "--k-list", "400", "--trials", "4", "--seed", "1"],
+        ["sweep", "--regime", "2", "--rho", "1", "--k-list", "30,50,200,1000", "--trials", "4", "--seed", "1"],
+        ["sweep", "--regime", "3", "--xi", "1", "--k-list", "60,150,300", "--trials", "4", "--seed", "1"],
+        ["sweep", "--regime", "3", "--xi", "1", "--k-list", "13", "--trials", "8", "--seed", "1", "--estimator", "exact"],
+        ["sweep", "--regime", "2", "--rho", "4", "--k-list", "13", "--trials", "8", "--seed", "1", "--estimator", "exact"],
+        ["sweep", "--regime", "3", "--xi", "2", "--k-list", "13", "--trials", "8", "--seed", "1", "--estimator", "exact"],
+        ["sweep", "--regime", "1", "--k-list", "16,20", "--n", "6", "--trials", "30", "--seed", "42", "--estimator", "exact"],
+        ["sweep", "--regime", "2", "--k-list", "8,12", "--rho", "1", "--trials", "30", "--seed", "42", "--estimator", "exact"],
+        ["sweep", "--regime", "3", "--k-list", "8,12", "--xi", "1", "--trials", "30", "--seed", "42", "--estimator", "exact"],
         # uniformity
         ["uniformity", "--n", "1", "--k", "5"],
         ["uniformity", "--n", "2", "--k", "3"],
@@ -213,7 +236,7 @@ def _main_quietly(argv: list[str]) -> tuple[int, str]:
 
 
 def run(argv: list[str], instance: list[str] | None) -> tuple[int, str]:
-    """Exit code and stdout sha256 of one manifest entry."""
+    """Exit code and stdout of one manifest entry."""
     with tempfile.TemporaryDirectory() as tmp:
         if instance is not None:
             path = pathlib.Path(tmp) / "instance.json"
@@ -221,18 +244,35 @@ def run(argv: list[str], instance: list[str] | None) -> tuple[int, str]:
             assert code == 0, instance
             path.write_text(doc)
             argv = [*argv, "--input", str(path)]
-        code, out = _main_quietly(argv)
-    return code, hashlib.sha256(out.encode()).hexdigest()
+        return _main_quietly(argv)
+
+
+def record(out: str) -> dict:
+    """How an entry stores stdout `out`: its lines, or its sha256 when it is
+    larger than TEXT_MAX bytes."""
+    data = out.encode()
+    if len(data) > TEXT_MAX:
+        return {"sha256": hashlib.sha256(data).hexdigest()}
+    return {"stdout": out.split("\n")}
+
+
+def _dump(entry: dict) -> str:
+    # one line per entry, and one more per stdout line, so a diff of the
+    # manifest shows each line that moved
+    if "stdout" not in entry:
+        return json.dumps(entry)
+    head = json.dumps({key: v for key, v in entry.items() if key != "stdout"})[:-1]
+    lines = ",\n".join(json.dumps(line) for line in entry["stdout"])
+    return f'{head}, "stdout": [\n{lines}]}}'
 
 
 def main() -> None:
     entries = []
     for argv, instance in grid():
-        code, digest = run(argv, instance)
-        entries.append({"argv": argv, "input": instance, "exit": code, "sha256": digest})
+        code, out = run(argv, instance)
+        entries.append({"argv": argv, "input": instance, "exit": code, **record(out)})
         print(code, *argv, *(["<", *instance] if instance else []))
-    # one entry per line, so a diff of the manifest names the entries that moved
-    OUT.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
+    OUT.write_text("[\n" + ",\n".join(_dump(e) for e in entries) + "\n]\n")
     print(f"wrote {len(entries)} entries to {OUT}")
 
 

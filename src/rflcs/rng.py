@@ -3,10 +3,13 @@
 A stream is identified by (master_seed, stream_index).  The pair is mixed
 down to a single 64-bit seed with the splitmix64 finalizer (constants from
 Steele, Lea & Flood, "Fast splittable pseudorandom number generators"),
-and that seed drives numpy's PCG64, whose output is stable across
-platforms and numpy versions for a fixed seed.  Identical
-(master_seed, stream_index) therefore always yields identical samples,
-independent of how work is scheduled across parallel workers.
+and that seed drives numpy's PCG64.  Identical (master_seed, stream_index)
+therefore always yields identical samples under one numpy, independent of
+how work is scheduled across parallel workers.  PCG64's raw words for a
+fixed seed are stable across platforms and numpy versions, but numpy's RNG
+policy (NEP 19) does not extend that to the ``Generator`` methods that turn
+them into samples (``integers``, ``random``, ``permutation``, ``choice``),
+so a numpy release may change the samples of a stream.
 """
 
 from __future__ import annotations
