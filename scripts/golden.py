@@ -224,6 +224,9 @@ def grid():
         # they pin the witness's tie-breaks, not just its length
         (["solve", "--method", "lcs"], ["gen", "--n", "60", "--k", "8", "--seed", "5"]),
         (["solve", "--method", "lcs"], ["gen", "--n", "800", "--k", "400", "--seed", "6"]),
+        # n = 20,000 with 3 common symbols: a long instance whose exact search
+        # reads few LCS rows; the bytes were taken when it built all of them
+        (["solve", "--method", "exact"], ["gen", "--n", "20000", "--k", "3", "--seed", "1"]),
     ]
     return [(argv, None) for argv in plain] + solves
 

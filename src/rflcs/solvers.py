@@ -10,12 +10,16 @@ root, so the query that proves the optimum returns the canonical
 (lexicographically smallest) maximum witness.  On the m = 13 exact-sweep
 shapes (regime 3 xi = 1 and 2, regime 2 rho = 4; eight trials at seed 42)
 every solve makes that one query and expands 13, 13 and 80 states on
-average.  Set-up is O(n + m): each common symbol's positions in x and y and
-the masks of the symbols left in each suffix.  A state's next occurrences
-are found by bisection on those positions the first time a candidate needs
-them, and kept in rows shared by the solve's queries.  The solver's only
-capacity gate is the work budget EXACT_BUDGET, which counts set-up words,
-with the rows as though every one were filled, and expanded search states.
+average.  Set-up lists each common symbol's positions in x and y, in O(n +
+m) words, and builds its match mask in reversed y and the masks of the
+symbols left in each suffix.  A child state inherits its candidates'
+next occurrences from its parent and finds by bisection only those that the
+chosen edge passed over.  The LCS bound reads bit-parallel rows of the
+reversed sequences, filled only as far as the search reads them: 14-35 of
+the 95-302 rows on those shapes at seed 12.  The solver's only capacity
+gate is the work budget EXACT_BUDGET, which counts expanded search states
+and set-up words, as though a next-occurrence row at every position and
+every LCS row were built.
 """
 
 from __future__ import annotations
@@ -31,12 +35,14 @@ from .model import Instance, SolveResult, is_subsequence
 # The exact solver's only capacity gate: a count, not a timer, so whether
 # an instance is refused never depends on the machine.  An expanded search
 # state costs one unit and about 90 bytes of memo, and set-up one unit per 16
-# machine words of the next-occurrence rows, counted as though every one
-# were filled, and of the LCS rows.  The time a state takes grows with m,
-# since each state scans its unused common symbols: on a 2-CPU x86-64 host
-# under Python 3.11 it is 15-16 us at n = 253, m = 40 (a refusal after
-# 7.5-8.2 s), and 55-105 us at n = 800, m = 306-311 (`gen --n 800 --k 400
-# --seed 1|2`, refused after 26-50 s; seed 3 solves in 7-10 s).
+# machine words of a next-occurrence row at every position and of every LCS
+# row, though the search builds no next row and fills only the LCS rows it
+# reads: the charge is kept so that the same instances are refused.  The
+# time a state takes grows with m, since each state walks its parent's
+# candidates: on a 2-CPU x86-64 host under Python 3.11 it is 11-17 us at n =
+# 253, m = 40 (a refusal after 5.7-8.3 s), and 26-46 us at n = 800, m =
+# 306-311 (`gen --n 800 --k 400 --seed 1|2`, refused after 12-22 s; seed 3
+# solves in 3.4-4.1 s).
 EXACT_BUDGET = 500_000
 N_MAX_BRUTE = 12
 
@@ -45,37 +51,53 @@ N_MAX_BRUTE = 12
 # Classical LCS
 
 
-def _lcs_rows(x: Sequence[int], y: Sequence[int], cap: int | None = None) -> list[int]:
-    """Bit-parallel LCS rows (Allison & Dix 1986, Hyyro 2004) of x against y.
+def _lcs_upto(rows: list[int], x: Sequence[int], masks: dict[int, int], t: int, b: int, c: int) -> int:
+    """min(D(t, b), c), D being the classical LCS table of x[:t] and y[:b].
 
-    Row i is an int V_i with bit j clear where D(i, j+1) = D(i, j) + 1, D
-    being the classical LCS table of x[:i] and y[:j], so D(i, j) = j -
-    popcount(V_i below bit j).  The rows of the longest prefix x[:i] with
-    D(i, len(y)) <= cap are kept, about i * len(y) / 8 bytes; without a cap
-    that is every row of x.  D(i, len(y)) grows by at most 1 a row, so it is
-    read only at the rows where it could first exceed cap.
+    `rows` holds the bit-parallel rows (Allison & Dix 1986, Hyyro 2004) built
+    so far, rows[0] all ones with one bit per symbol of y, and masks[s] has
+    bit j set where y[j] == s (a symbol not in masks matches nothing).  Row i
+    is an int V_i with bit j clear where D(i, j+1) = D(i, j) + 1, so D(i, b)
+    = b - popcount(V_i below bit b).  Rows are appended only as far as the
+    answer needs: D(t, b) does not fall as t grows, so once the last row
+    reaches c at b the answer is c.  D(i, b) grows by at most 1 a row, so it
+    is read only at the rows where it could first reach c.
+    """
+    below = (1 << b) - 1
+    i = len(rows) - 1
+    if t <= i:
+        return min(b - (rows[t] & below).bit_count(), c)
+    full = rows[0]
+    v = rows[i]
+    d = b - (v & below).bit_count()
+    while d < c and i < t:
+        stop = i + c - d
+        if stop > t:
+            stop = t
+        for ch in x[i:stop]:
+            u = v & masks.get(ch, 0)
+            v = ((v + u) | (v - u)) & full
+            rows.append(v)
+        i = stop
+        d = b - (v & below).bit_count()
+    return d if d < c else c
+
+
+def _lcs_rows(x: Sequence[int], y: Sequence[int], cap: int | None = None) -> list[int]:
+    """The bit-parallel LCS rows of x against y, built by `_lcs_upto`.
+
+    The rows of the longest prefix x[:i] with D(i, len(y)) <= cap are kept,
+    about i * len(y) / 8 bytes; without a cap that is every row of x.
     """
     ny = len(y)
-    full = (1 << ny) - 1
     masks: dict[int, int] = {}
     for j, c in enumerate(y):
         masks[c] = masks.get(c, 0) | 1 << j
+    rows = [(1 << ny) - 1]
     if cap is None:
         cap = len(x)  # never exceeded
-    v = full
-    rows = [v]
-    i, stop = 0, cap + 1
-    while i < len(x):
-        for c in x[i:stop]:
-            u = v & masks.get(c, 0)
-            v = ((v + u) | (v - u)) & full
-            rows.append(v)
-        i = len(rows) - 1
-        d = ny - v.bit_count()  # D(i, ny)
-        if d > cap:
-            rows.pop()
-            break
-        stop = i + cap + 1 - d
+    if _lcs_upto(rows, x, masks, len(x), ny, cap + 1) > cap:
+        rows.pop()
     return rows
 
 
@@ -197,32 +219,39 @@ def _smallest_path(search: tuple, need: int) -> list[tuple[int, int]] | None:
 
     Depth-first from the root (0, 0, nothing used) over states (i, j, used).
     A state's candidates are its unused symbols at their earliest positions
-    (p, q) in x[i:] and y[j:].  A candidate beaten in both coordinates by
-    another is dropped: it is never lexicographically smaller, and swapping
-    it for the one that beats it loses no edge.  The rest are tried in
-    increasing p, so the first path of `need` edges is the smallest.  A
-    state's bound is the least of its unused symbols, LCS(x[i:], y[j:]) and
-    its memo less one; it is expanded only when the bound reaches the edges
-    it still needs.  An exhausted state's bound becomes the largest of
-    1 + its tried children's bounds, and its memo that plus one, so after a
-    failed query failed[0] - 1, the root's bound, lies between the optimum
-    and the `need` that failed.
+    (p, q) in x[i:] and y[j:]: at the root each symbol's first positions,
+    sorted once per solve.  A child inherits them from its parent: only a
+    symbol passed over by the chosen edge is looked up again, and the list
+    is re-sorted only when some p moved.  A candidate beaten in both
+    coordinates by another is dropped: it is never lexicographically
+    smaller, and swapping it for the one that beats it loses no edge.  The
+    rest are tried in increasing p, so the first path of `need` edges is the
+    smallest.  A state's bound is the least of its unused symbols,
+    LCS(x[i:], y[j:]) and its memo less one; it is expanded only when the
+    bound reaches the edges it still needs.  An exhausted state's bound
+    becomes the largest of 1 + its tried children's bounds, and its memo that
+    plus one, so after a failed query failed[0] - 1, the root's bound, lies
+    between the optimum and the `need` that failed.
     """
-    nx, ny, m, pos_x, pos_y, nxt_x, nxt_y, suf_x, suf_y, rows, failed, left = search
+    nx, ny, pos_x, pos_y, suf_x, suf_y, root, xr, masks, rows, failed, left = search
     lasts_x, masks_x = suf_x
     lasts_y, masks_y = suf_y
-    stack: list[list] = []  # frames [key, used, need, untried front, best]
+    stack: list[list] = []  # frames [key, used, need, untried front, best, candidates]
     path: list[tuple[int, int]] = []
     i = j = used = 0
     while need:
         key = (used * (nx + 1) + i) * (ny + 1) + j
         avail = masks_x[bisect_left(lasts_x, i)] & masks_y[bisect_left(lasts_y, j)] & ~used
         b = ny - j
-        bound = min(
-            avail.bit_count(),
-            b - (rows[nx - i] & ((1 << b) - 1)).bit_count(),
-            failed.get(key, need + 1) - 1,
-        )
+        if nx - i < len(rows):
+            bound = min(
+                avail.bit_count(),
+                b - (rows[nx - i] & ((1 << b) - 1)).bit_count(),
+                failed.get(key, need + 1) - 1,
+            )
+        else:  # past the filled rows: fill them only as far as the bound needs
+            c = min(avail.bit_count(), failed.get(key, need + 1) - 1)
+            bound = _lcs_upto(rows, xr, masks, nx - i, b, c)
         if bound >= need:
             left[0] -= 1
             if left[0] < 0:
@@ -230,27 +259,23 @@ def _smallest_path(search: tuple, need: int) -> list[tuple[int, int]] | None:
                     f"exact solver exceeded its work budget of {EXACT_BUDGET} "
                     "units of set-up and search states"
                 )
-            row_x = nxt_x[i]
-            if row_x is None:
-                row_x = nxt_x[i] = [None] * m
-            row_y = nxt_y[j]
-            if row_y is None:
-                row_y = nxt_y[j] = [None] * m
-            cand = []
-            while avail:
-                low = avail & -avail
-                avail ^= low
-                t = low.bit_length() - 1
-                p = row_x[t]
-                if p is None:
-                    ps = pos_x[t]
-                    p = row_x[t] = ps[bisect_left(ps, i)]
-                q = row_y[t]
-                if q is None:
-                    qs = pos_y[t]
-                    q = row_y[t] = qs[bisect_left(qs, j)]
-                cand.append((p, q, low))
-            cand.sort()
+            if stack:
+                cand = []
+                moved = False
+                for p, q, low in stack[-1][5]:
+                    if avail & low:
+                        if p < i:
+                            ps = pos_x[low.bit_length() - 1]
+                            p = ps[bisect_left(ps, i)]
+                            moved = True
+                        if q < j:
+                            qs = pos_y[low.bit_length() - 1]
+                            q = qs[bisect_left(qs, j)]
+                        cand.append((p, q, low))
+                if moved:
+                    cand.sort()
+            else:
+                cand = root
             front = []
             q_min = ny
             for p, q, low in cand:
@@ -258,18 +283,18 @@ def _smallest_path(search: tuple, need: int) -> list[tuple[int, int]] | None:
                     q_min = q
                     front.append((p, q, low))
             front.reverse()
-            stack.append([key, used, need, front, 0])
+            stack.append([key, used, need, front, 0, cand])
         else:  # cut, so never the root
             stack[-1][4] = max(stack[-1][4], 1 + bound)
             path.pop()
         while not stack[-1][3]:
-            key, _, _, _, best = stack.pop()
+            key, _, _, _, best, _ = stack.pop()
             failed[key] = best + 1
             if not stack:
                 return None
             stack[-1][4] = max(stack[-1][4], 1 + best)
             path.pop()
-        _, used, need, front, _ = stack[-1]
+        _, used, need, front, _, _ = stack[-1]
         p, q, low = front.pop()
         path.append((p, q))
         i, j, used, need = p + 1, q + 1, used | low, need - 1
@@ -283,34 +308,46 @@ def _canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]
     length, m the number of common symbols), each time to the root's bound
     that the failed query left, which is at least the optimum; so the first
     query that succeeds has `need` equal to the optimum and returns the
-    canonical witness.  Set-up is charged against EXACT_BUDGET before it is
-    allocated, one unit per 16 machine words, and every expanded search
-    state costs one more unit.  The next-occurrence rows are filled lazily
-    but charged in full: row i of x (j of y) holds, for each symbol t, its
-    first position at or after i, filled when a state at i first needs it.
+    canonical witness.  The LCS bounds come from the rows of reversed x
+    against reversed y, filled by `_lcs_upto` only as far as the queries
+    read them: a state needs LCS(x[i:], y[j:]) only up to its other bounds.
+    Set-up is charged against EXACT_BUDGET before the search starts, one
+    unit per 16 machine words of the tables counted below, and every
+    expanded search state costs one more unit.
     """
     nx, ny = len(x), len(y)
     common = sorted(set(x).intersection(y))
     if not common:
         return []
     m = len(common)
-    # words of the next rows as though all were filled, m(nx + ny + 2), and of
-    # the two lists that hold them; then of the LCS rows.  The positions and
-    # masks add at most nx + ny + 6m + 2 words, outside this count.
+    # words of m + 1 next-occurrence rows at every position of x and y, and of
+    # all nx + 1 LCS rows.  The first are never built (candidates come from
+    # the position lists and from the parent state) and the LCS rows are
+    # filled only as far as the search reads them, mostly a few; the charge
+    # is kept, so that the same instances are refused.  The positions and
+    # suffix masks take at most nx + ny + 6m + 2 words, the match masks
+    # m(ny / 64 + 1) and each filled row ny / 64 + 1, outside this count.
     setup = ((m + 1) * (nx + ny + 2) + (nx + 1) * (ny // 64 + 1)) // 16
     if setup > EXACT_BUDGET:
         raise CapacityError(
             f"exact solver exceeded its work budget of {EXACT_BUDGET}: set-up "
             f"for n = {nx}, {ny} and m = {m} common symbols costs {setup}"
         )
-    rows = _lcs_rows(x[::-1], y[::-1])
     pos_x, pos_y = _positions(x, common), _positions(y, common)
+    masks: dict[int, int] = {}  # of reversed y; no symbol but a common one matches
+    for c, qs in zip(common, pos_y):
+        v = 0
+        for q in qs[:-1]:
+            v |= 1 << ny - 1 - q
+        masks[c] = v
+    xr, rows = x[::-1], [(1 << ny) - 1]
     failed: dict[int, int] = {}
+    root = sorted([(px[0], py[0], 1 << t) for t, (px, py) in enumerate(zip(pos_x, pos_y))])
     search = (
-        nx, ny, m, pos_x, pos_y, [None] * (nx + 1), [None] * (ny + 1),
-        _suffix_masks(pos_x), _suffix_masks(pos_y), rows, failed, [EXACT_BUDGET - setup],
+        nx, ny, pos_x, pos_y, _suffix_masks(pos_x), _suffix_masks(pos_y), root,
+        xr, masks, rows, failed, [EXACT_BUDGET - setup],
     )
-    need = min(ny - rows[nx].bit_count(), m)
+    need = _lcs_upto(rows, xr, masks, nx, ny, m)
     while (edges := _smallest_path(search, need)) is None:
         need = failed[0] - 1  # the root's bound; key 0 is the root
     return edges

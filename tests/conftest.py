@@ -2,10 +2,11 @@
 implementation paths they check, the subset DP the exact solver replaced,
 kept as an oracle for its canonical witness, the exact solver as it was
 when it found the optimum by ascending queries and then recovered the
-witness edge by edge, kept as an oracle for its budget, the all-pairs loop the uniformity tally replaced, the classical urn
-sampler on 64-bit keys, the urn chain's cost pre-walk, a child-process
-runner that reports peak memory, and a serial stand-in for the sweep's
-process pool."""
+witness edge by edge, kept as an oracle for its budget, every bit-parallel
+LCS row as that solver built them, the all-pairs loop the uniformity tally
+replaced, the classical urn sampler on 64-bit keys, the urn chain's cost
+pre-walk, a child-process runner that reports peak memory, and a serial
+stand-in for the sweep's process pool."""
 
 import json
 import math
@@ -133,6 +134,22 @@ def quadratic_lcs_edges(x, y) -> tuple[tuple[int, int], ...]:
         else:
             j -= 1
     return tuple(reversed(edges))
+
+
+def full_lcs_rows(x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """Every bit-parallel LCS row of x against y, as the exact search built
+    them before it filled them on demand: row i has bit j clear where
+    D(i, j+1) = D(i, j) + 1, D the LCS table of x[:i] and y[:j]."""
+    full = (1 << len(y)) - 1
+    masks: dict[int, int] = {}
+    for j, c in enumerate(y):
+        masks[c] = masks.get(c, 0) | 1 << j
+    rows = [full]
+    for c in x:
+        v = rows[-1]
+        u = v & masks.get(c, 0)
+        rows.append(((v + u) | (v - u)) & full)
+    return rows
 
 
 def _pareto_min(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -336,8 +353,8 @@ def _feasible(search: tuple, i: int, j: int, used: int, need: int) -> bool:
 
 def loop_canonical_edges(x: Sequence[int], y: Sequence[int]) -> tuple[list[tuple[int, int]], int]:
     """The exact solver as it was before it certified optimums from a floor,
-    with its boolean search `_feasible`, its next-occurrence tables and its
-    per-position suffix masks frozen here: the optimum from
+    with its boolean search `_feasible`, its next-occurrence tables, its
+    per-position suffix masks and its full LCS rows frozen here: the optimum from
     queries of growing `need` at the root, then a greedy recovery that
     queries the search again for every edge.  Returns the canonical edges
     and the units of EXACT_BUDGET they took (set-up plus expanded search
@@ -354,7 +371,7 @@ def loop_canonical_edges(x: Sequence[int], y: Sequence[int]) -> tuple[list[tuple
     search = (
         nx, ny, syms, _next_tables(x, syms), nxt_y,
         _suffix_masks(x, bit), _suffix_masks(y, bit),
-        solvers._lcs_rows(x[::-1], y[::-1]), {}, left,
+        full_lcs_rows(x[::-1], y[::-1]), {}, left,
     )
     total = 0
     while _feasible(search, 0, 0, 0, total + 1):

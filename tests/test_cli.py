@@ -410,6 +410,20 @@ class TestExitCodes:
         assert "work budget" in err and "Traceback" not in err
         assert peak_mb < cap_mb
 
+    def test_exact_solve_fills_few_lcs_rows(self, capsys, tmp_path):
+        # n = 20,000 with 3 common symbols: all 20,001 LCS rows of the search
+        # take 50 MB and peaked at 84 MB; filled as far as the search reads
+        # them, a few rows, the solve peaks near 33 MB
+        cap_mb = 50
+        path = tmp_path / "long.json"
+        run_cli(capsys, "gen", "--n", "20000", "--k", "3", "--seed", "1", "--out", str(path))
+        code, out, err, peak_mb = run_child(
+            "-m", "rflcs.cli", "solve", "--input", str(path), "--method", "exact",
+        )
+        assert code == EXIT_OK, err
+        assert json.loads(out)["length"] == 3
+        assert peak_mb < cap_mb
+
     def test_bracket_sweep_regime3_in_bounded_memory(self):
         # regime 3 at k = 500 (n = 104,223): L is far above k, so the upper's
         # LCS pass stops once it reaches k.  All n + 1 rows took 1.4 GB.

@@ -5,7 +5,7 @@ from bisect import bisect_left
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import rflcs.solvers
 
@@ -13,6 +13,7 @@ from conftest import (
     enumerate_canonical,
     exhaustive_lcs,
     exhaustive_rflcs,
+    full_lcs_rows,
     loop_canonical_edges,
     quadratic_lcs_edges,
     run_child,
@@ -27,6 +28,7 @@ from rflcs.model import Instance, is_subsequence, validate_matching
 from rflcs.rng import RngStream
 from rflcs.solvers import (
     _canonical_edges,
+    _lcs_upto,
     _positions,
     _segments,
     _suffix_masks,
@@ -169,6 +171,47 @@ class TestLcs:
         assert L > 60 and res.length == 60
         assert validate_matching(res.witness, inst, require_repetition_free=False)
         assert len(rflcs.solvers._lcs_rows(inst.x, inst.y, 60)) < inst.n // 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.integers(0, k - 1), max_size=14),
+                st.lists(st.integers(0, k - 1), max_size=14),
+            )
+        ).flatmap(
+            lambda pair: st.tuples(
+                st.just(pair),
+                st.lists(
+                    st.tuples(
+                        st.integers(0, len(pair[0])),
+                        st.integers(0, len(pair[1])),
+                        st.integers(0, 16),
+                    ),
+                    max_size=12,
+                ),
+            )
+        )
+    )
+    @example((([], []), [(0, 0, 0), (0, 0, 3)]))
+    @example((([0, 1, 0], []), [(3, 0, 2), (0, 0, 0)]))
+    @example((([0, 1, 0], [1, 0]), [(3, 2, 0), (3, 0, 1), (1, 2, 2), (3, 2, 5)]))
+    def test_rows_on_demand(self, args):
+        # queries (t, b, c) in any order on one growing list of rows read
+        # min(D(t, b), c), with D from every row; a query past the filled
+        # rows fills them up to row t or to the first row that reaches c at
+        # b, whichever comes first, and no further
+        (x, y), queries = args
+        full = full_lcs_rows(x, y)
+        masks = {c: sum(1 << j for j, s in enumerate(y) if s == c) for c in set(y)}
+        rows = [(1 << len(y)) - 1]
+        for t, b, c in queries:
+            last = len(rows) - 1
+            d = [b - (row & ((1 << b) - 1)).bit_count() for row in full]
+            assert _lcs_upto(rows, x, masks, t, b, c) == min(d[t], c)
+            assert rows == full[: len(rows)]
+            reach = next((r for r in range(last, t) if d[r] >= c), t)
+            assert len(rows) - 1 == max(last, reach)
 
     def test_rejects_negative_cap(self):
         with pytest.raises(ValueError, match="cap"):
@@ -405,6 +448,36 @@ class TestExactSolver:
             monkeypatch.setattr(rflcs.solvers, "EXACT_BUDGET", u - 1)
             with pytest.raises(CapacityError):
                 _canonical_edges(x, y)
+
+    @pytest.mark.parametrize(
+        "regime, k, param, filled",
+        [
+            (3, 13, dict(xi=1.0), [14, 15, 15, 14, 14, 14, 14, 15]),
+            (2, 13, dict(rho=4.0), [18, 22, 34, 21, 21, 35, 18, 19]),
+            (3, 13, dict(xi=2.0), [14] * 8),
+        ],
+        ids=["regime3-xi1-k13", "regime2-rho4-k13", "regime3-xi2-k13"],
+    )
+    def test_lcs_rows_filled_pinned(self, monkeypatch, regime, k, param, filled):
+        # LCS rows (row 0 included) that each solve of the eight trials of a
+        # benchmark shape at seed 12 fills, of n + 1 = 182, 95 and 302; a
+        # change that fills more of them, or all, shows here
+        fill = rflcs.solvers._lcs_upto
+        seen = []
+
+        def recording(rows, *args):
+            seen.append(rows)
+            return fill(rows, *args)
+
+        monkeypatch.setattr(rflcs.solvers, "_lcs_upto", recording)
+        n = regime_target(regime, k, **param).n
+        counts = []
+        for t in range(8):
+            inst = gen_uniform_pair(n, k, RngStream(12, 0).substream(t))
+            seen.clear()
+            _canonical_edges(inst.x, inst.y)
+            counts.append(len(seen[0]))
+        assert counts == filled
 
     @pytest.mark.parametrize(
         "regime, k, param",
