@@ -10,9 +10,11 @@ and a failing seed, and the usage and capacity exits of each command that has
 them.  Each entry records the argv, the exit code and the stdout: its lines
 when it is at most TEXT_MAX bytes, else its sha256.  The manifest puts each
 stdout line on a line of its own, so a diff of the manifest shows the old and
-new values of every line that moved.  A ``solve`` entry also records the
-``gen`` argv of its instance, which is written to a temporary file and passed
-as ``--input``.
+new values of every line that moved.  A ``solve`` entry also records its
+instance, which is written to a temporary file and passed as ``--input``: a
+``gen`` argv, or ``{"gen": argv, "k": k, "shift": s}`` for an instance past
+``gen``'s reach, that of the argv over the alphabet [0, k) with every symbol
+moved up by s.
 
 The committed manifest is the reference, and Tier-1 tests replay it to
 stdout and through ``--out``.  It is the one home of the stdout pins of
@@ -43,6 +45,9 @@ SMALL = ["gen", "--n", "12", "--k", "4", "--seed", "3"]
 PLANTED = ["gen", "--n", "40", "--k", "8", "--seed", "5", "--planted", "6"]
 TOO_LONG_FOR_BRUTE = ["gen", "--n", "13", "--k", "4", "--seed", "3"]
 DISJOINT = ["gen", "--n", "3", "--k", "1000", "--seed", "1"]  # no common symbol
+# k = 2^70, n = 1,100, and every symbol at least 2^65: numpy sorts them as
+# Python ints, and len(y) >= 1,024 builds the LCS match masks in numpy
+HUGE_SYMBOLS = {"gen": ["gen", "--n", "1100", "--k", "1000", "--seed", "8"], "k": 2**70, "shift": 2**65}
 
 
 def _sweeps():
@@ -227,6 +232,14 @@ def grid():
         # n = 20,000 with 3 common symbols: a long instance whose exact search
         # reads few LCS rows; the bytes were taken when it built all of them
         (["solve", "--method", "exact"], ["gen", "--n", "20000", "--k", "3", "--seed", "1"]),
+        # k = 10^400, whose default segment size ceil(k^(3/4)) = 10^300 does
+        # not fit a float; the bytes equal those of --segment-size 10^300
+        # before the size was computed in integers
+        (["solve", "--method", "heuristic"], {"gen": MIXED, "k": 10**400, "shift": 0}),
+        # the bytes were taken from the per-segment LIS path and the bit-by-bit
+        # match masks the numpy ones replaced
+        (["solve", "--method", "heuristic", "--per-segment", "lis"], HUGE_SYMBOLS),
+        (["solve", "--method", "lcs"], HUGE_SYMBOLS),
     ]
     return [(argv, None) for argv in plain] + solves
 
@@ -238,14 +251,26 @@ def _main_quietly(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def run(argv: list[str], instance: list[str] | None) -> tuple[int, str]:
+def _instance_json(instance: list[str] | dict) -> str:
+    """The instance document of a manifest entry's input."""
+    spec = instance if isinstance(instance, dict) else {"gen": instance}
+    code, doc = _main_quietly(spec["gen"])
+    assert code == 0, spec["gen"]
+    if "k" not in spec:
+        return doc
+    inst = json.loads(doc)
+    inst["k"] = spec["k"]
+    for side in ("x", "y"):
+        inst[side] = [c + spec["shift"] for c in inst[side]]
+    return json.dumps(inst)
+
+
+def run(argv: list[str], instance: list[str] | dict | None) -> tuple[int, str]:
     """Exit code and stdout of one manifest entry."""
     with tempfile.TemporaryDirectory() as tmp:
         if instance is not None:
             path = pathlib.Path(tmp) / "instance.json"
-            code, doc = _main_quietly(instance)
-            assert code == 0, instance
-            path.write_text(doc)
+            path.write_text(_instance_json(instance))
             argv = [*argv, "--input", str(path)]
         return _main_quietly(argv)
 
@@ -274,7 +299,7 @@ def main() -> None:
     for argv, instance in grid():
         code, out = run(argv, instance)
         entries.append({"argv": argv, "input": instance, "exit": code, **record(out)})
-        print(code, *argv, *(["<", *instance] if instance else []))
+        print(code, *argv, *(["<", json.dumps(instance)] if instance else []))
     OUT.write_text("[\n" + ",\n".join(_dump(e) for e in entries) + "\n]\n")
     print(f"wrote {len(entries)} entries to {OUT}")
 

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
+from itertools import chain
 from typing import Sequence
+
+import numpy as np
 
 from .errors import CapacityError
 from .model import Instance, SolveResult, is_subsequence
@@ -45,6 +47,17 @@ from .model import Instance, SolveResult, is_subsequence
 # solves in 3.4-4.1 s).
 EXACT_BUDGET = 500_000
 N_MAX_BRUTE = 12
+# `_match_masks` builds the masks of y in numpy where y has at least
+# _MASKS_NUMPY_MIN symbols and at least _MASKS_NUMPY_PER_SYMBOL of them per
+# distinct symbol, and by a loop of Python int ORs elsewhere, where the loop
+# was faster: 0.12 against 0.23 ms at n = 800, k = 400, and 1.6 against 13 ms
+# at n = 8,192 with distinct symbols (2-CPU x86-64 host, Python 3.11).  The
+# masks are the same either way.  Each numpy block of symbols holds at most
+# _MASK_BLOCK_BYTES of masks, so the scratch stays a small part of the
+# masks' own m * n / 8 bytes.
+_MASKS_NUMPY_MIN = 1024
+_MASKS_NUMPY_PER_SYMBOL = 8
+_MASK_BLOCK_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -83,20 +96,69 @@ def _lcs_upto(rows: list[int], x: Sequence[int], masks: dict[int, int], t: int, 
     return d if d < c else c
 
 
+def _match_masks(y: Sequence[int]) -> dict[int, int]:
+    """masks[s] has bit j set where y[j] == s, for every symbol s of y.
+
+    A loop ORs each bit into its symbol's int, O(len(y)^2 / 64) machine
+    words in all; `_packed_masks` takes O(len(y) + m * len(y) / 64) words
+    for m symbols, and is used for long y with few symbols (see
+    _MASKS_NUMPY_MIN).
+    """
+    if len(y) >= _MASKS_NUMPY_MIN:
+        symbols = set(y)
+        if len(y) >= _MASKS_NUMPY_PER_SYMBOL * len(symbols):
+            # int64, or Python ints when a symbol does not fit: left to infer
+            # the dtype, numpy makes floats of symbols on both sides of 2^63
+            wide = min(symbols) < -(1 << 63) or max(symbols) >= 1 << 63
+            return _packed_masks(np.fromiter(y, object if wide else np.int64, len(y)))
+    masks: dict[int, int] = {}
+    for j, c in enumerate(y):
+        masks[c] = masks.get(c, 0) | 1 << j
+    return masks
+
+
+def _packed_masks(y: np.ndarray) -> dict[int, int]:
+    """The match masks of y, built in numpy: a stable sort groups the
+    positions by symbol, and each block of symbols scatters its bits into a
+    zeroed uint8 buffer of at most _MASK_BLOCK_BYTES (ORing the bits of each
+    byte by `reduceat`), from which each mask is read by one int.from_bytes."""
+    ny = len(y)
+    pos = np.argsort(y, kind="stable")  # by symbol, then by position
+    ordered = y[pos]
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    run = np.cumsum(new) - 1  # the rank of each position's symbol
+    starts = np.flatnonzero(new)
+    symbols = ordered[starts].tolist()
+    starts = [*starts.tolist(), ny]
+    bit = np.left_shift(1, pos & 7).astype(np.uint8)
+    width = (ny + 7) // 8
+    per_block = max(1, _MASK_BLOCK_BYTES // width)
+    masks: dict[int, int] = {}
+    for r0 in range(0, len(symbols), per_block):
+        r1 = min(r0 + per_block, len(symbols))
+        lo, hi = starts[r0], starts[r1]
+        byte = (run[lo:hi] - r0) * width + (pos[lo:hi] >> 3)  # nondecreasing
+        first = np.flatnonzero(np.concatenate(([True], byte[1:] != byte[:-1])))
+        buf = np.zeros((r1 - r0) * width, np.uint8)
+        buf[byte[first]] = np.bitwise_or.reduceat(bit[lo:hi], first)
+        view = memoryview(buf)
+        for c, b in zip(symbols[r0:r1], range(0, len(buf), width)):
+            masks[c] = int.from_bytes(view[b:b + width], "little")
+    return masks
+
+
 def _lcs_rows(x: Sequence[int], y: Sequence[int], cap: int | None = None) -> list[int]:
-    """The bit-parallel LCS rows of x against y, built by `_lcs_upto`.
+    """The bit-parallel LCS rows of x against y, built by `_lcs_upto` from
+    the match masks of `_match_masks`.
 
     The rows of the longest prefix x[:i] with D(i, len(y)) <= cap are kept,
     about i * len(y) / 8 bytes; without a cap that is every row of x.
     """
     ny = len(y)
-    masks: dict[int, int] = {}
-    for j, c in enumerate(y):
-        masks[c] = masks.get(c, 0) | 1 << j
     rows = [(1 << ny) - 1]
     if cap is None:
         cap = len(x)  # never exceeded
-    if _lcs_upto(rows, x, masks, len(x), ny, cap + 1) > cap:
+    if _lcs_upto(rows, x, _match_masks(y), len(x), ny, cap + 1) > cap:
         rows.pop()
     return rows
 
@@ -113,6 +175,8 @@ def lcs_length(x: Sequence[int], y: Sequence[int], cap: int | None = None) -> So
     = d, else left, and d is unchanged either way.  After a left step
     D(i-1, j') <= D(i-1, j) = d - 1 for every j' < j, so the path stays in
     row i until the previous occurrence of x[i-1] in y, found by a scan.
+    The mask of the bits below j and j - d are kept across up-steps, which
+    change neither j nor d.
     """
     if cap is not None and cap < 0:
         raise ValueError("cap must be nonnegative")
@@ -120,6 +184,7 @@ def lcs_length(x: Sequence[int], y: Sequence[int], cap: int | None = None) -> So
     edges = []
     i, j = len(rows) - 1, len(y)
     d = j - rows[i].bit_count()  # D(i, j); no match is left once it is 0
+    below, ones = (1 << j) - 1, j - d
     while d:
         c = x[i - 1]
         if c == y[j - 1]:
@@ -127,12 +192,14 @@ def lcs_length(x: Sequence[int], y: Sequence[int], cap: int | None = None) -> So
             i -= 1
             j -= 1
             d -= 1
-        elif j - (rows[i - 1] & ((1 << j) - 1)).bit_count() == d:
+            below >>= 1  # j - d is unchanged
+        elif (rows[i - 1] & below).bit_count() == ones:  # D(i-1, j) == d
             i -= 1
         else:
             j -= 1
             while y[j - 1] != c:
                 j -= 1
+            below, ones = (1 << j) - 1, j - d
     edges.reverse()
     return SolveResult(witness=tuple(edges))
 
@@ -164,24 +231,6 @@ def lis_indices(perm: Sequence[int]) -> list[int]:
         i = back[i]
     out.reverse()
     return out
-
-
-# ---------------------------------------------------------------------------
-# Degree-1 subgraph reduction
-
-
-def degree_one_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Edges (i, j, symbol) of the word graph after deleting every edge
-    incident to a vertex of degree > 1; sorted by i.
-
-    A vertex has degree > 1 exactly when its symbol occurs more than once
-    on the opposite side, and an x-side edge survives only if its symbol
-    occurs exactly once in each sequence.
-    """
-    count_x = Counter(x)
-    count_y = Counter(y)
-    once_y = {c: j for j, c in enumerate(y) if count_y[c] == 1}
-    return [(i, once_y[c], c) for i, c in enumerate(x) if count_x[c] == 1 and c in once_y]
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +459,49 @@ def _segments(n: int, n_tilde: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def _ceil_three_quarters(k: int) -> int:
+    """ceil(k^(3/4)), exactly: the least t with t^4 >= k^3."""
+    t = math.isqrt(math.isqrt(k**3))  # floor(k^(3/4))
+    return t if t**4 == k**3 else t + 1
+
+
+def _lis_edges(inst: Instance, bounds: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The edges (i, j) of a longest increasing subsequence of the degree-one
+    edges of every segment in `bounds`, in increasing i.
+
+    A degree-one edge of a segment joins the one x[i] and the one y[j] of
+    some symbol in that segment.  Keying each position by its segment and a
+    dense id of its symbol, it is a key that occurs exactly twice among the
+    2n positions, once in x and once in y: one sort of the keys finds all
+    of them.  One LIS over their j in increasing i then equals the
+    concatenation of an LIS per segment, tie-breaks included.  Every j of a
+    later segment exceeds every j of an earlier one, so patience sorting
+    puts a segment's j only in piles past those of earlier segments, whose
+    tops it never replaces: its choices inside the segment are those of the
+    segment alone, and the back pointer of its first pile is the end of the
+    earlier segments' subsequence.
+    """
+    n = inst.n
+    seg = np.repeat(np.arange(len(bounds)), [hi - lo for lo, hi in bounds])
+    # symbols lie in [0, k): past 2^63 numpy compares them as Python ints
+    syms = np.fromiter(chain(inst.x, inst.y), np.int64 if inst.k <= 1 << 63 else object, 2 * n)
+    uniq, ids = np.unique(syms, return_inverse=True)
+    keys = np.concatenate((seg, seg)) * len(uniq) + ids
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1], [True]))
+    r = np.flatnonzero(new[:-2] & ~new[1:-1] & new[2:])  # runs of exactly two
+    i = np.minimum(order[r], order[r + 1])
+    j = np.maximum(order[r], order[r + 1]) - n
+    one_each = (i < n) & (j >= 0)
+    jx = np.full(n, -1)
+    jx[i[one_each]] = j[one_each]
+    ii = np.flatnonzero(jx >= 0)
+    jj = jx[ii].tolist()
+    ii = ii.tolist()
+    return [(ii[t], jj[t]) for t in lis_indices(jj)]
+
+
 def segment_merge_heuristic(
     inst: Instance,
     n_tilde: int | None = None,
@@ -419,27 +511,27 @@ def segment_merge_heuristic(
     the leftmost edge of every repeated symbol.
 
     Segments hold `n_tilde` symbols, by default ceil(k^(3/4)) as in the
-    paper's lower-bound construction.  The result is a feasible
-    repetition-free noncrossing matching, so its length is a lower bound on
-    the exact optimum.
+    paper's lower-bound construction.  Each is solved exactly, or, with
+    per_segment="lis", by a longest increasing subsequence of its degree-one
+    edges, found for all segments at once by `_lis_edges`.  The result is a
+    feasible repetition-free noncrossing matching, so its length is a lower
+    bound on the exact optimum.
     """
     if n_tilde is None:
-        n_tilde = math.ceil(inst.k**0.75)
+        n_tilde = _ceil_three_quarters(inst.k)
     if n_tilde < 1:
         raise ValueError("segment size must be positive")
     if per_segment not in ("exact", "lis"):
         raise ValueError("per_segment must be 'exact' or 'lis'")
-    edges: list[tuple[int, int]] = []
-    for lo, hi in _segments(inst.n, n_tilde):
-        sx = inst.x[lo:hi]
-        sy = inst.y[lo:hi]
-        if per_segment == "exact":
-            seg_edges = _canonical_edges(sx, sy)
-            edges.extend((lo + i, lo + j) for i, j in seg_edges)
-        else:
-            deg1 = degree_one_edges(sx, sy)
-            keep = lis_indices([j for _, j, _ in deg1])
-            edges.extend((lo + deg1[t][0], lo + deg1[t][1]) for t in keep)
+    bounds = _segments(inst.n, n_tilde)
+    if per_segment == "lis":
+        edges = _lis_edges(inst, bounds)
+    else:
+        edges = [
+            (lo + i, lo + j)
+            for lo, hi in bounds
+            for i, j in _canonical_edges(inst.x[lo:hi], inst.y[lo:hi])
+        ]
     seen: set[int] = set()
     kept: list[tuple[int, int]] = []
     for i, j in edges:  # already sorted by block then i

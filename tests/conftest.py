@@ -3,7 +3,9 @@ implementation paths they check, the subset DP the exact solver replaced,
 kept as an oracle for its canonical witness, the exact solver as it was
 when it found the optimum by ascending queries and then recovered the
 witness edge by edge, kept as an oracle for its budget, every bit-parallel
-LCS row as that solver built them, the all-pairs loop the uniformity tally
+LCS row as that solver built them with the backtrack that read them, the
+segment heuristic's LIS path as it was when it solved one segment at a
+time, the all-pairs loop the uniformity tally
 replaced, the classical urn sampler on 64-bit keys, the urn chain's cost
 pre-walk, a child-process runner that reports peak memory, and a serial
 stand-in for the sweep's process pool."""
@@ -15,6 +17,7 @@ import pathlib
 import subprocess
 import sys
 from bisect import bisect_right
+from collections import Counter
 from itertools import combinations, product
 from typing import Sequence
 
@@ -27,7 +30,7 @@ import rflcs.experiments
 from rflcs import solvers, urns
 from rflcs.errors import CapacityError
 from rflcs.model import Instance, is_subsequence
-from rflcs.solvers import _canonical_edges
+from rflcs.solvers import _canonical_edges, lis_indices
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -150,6 +153,75 @@ def full_lcs_rows(x: Sequence[int], y: Sequence[int]) -> list[int]:
         u = v & masks.get(c, 0)
         rows.append(((v + u) | (v - u)) & full)
     return rows
+
+
+def row_backtrack_lcs_edges(x: Sequence[int], y: Sequence[int], cap: int | None = None) -> tuple[tuple[int, int], ...]:
+    """lcs_length's witness as it was found before the match masks were
+    built in numpy: a backtrack on `full_lcs_rows`, cut to the rows of the
+    longest prefix x[:i] whose LCS with y is at most cap.  A match steps
+    diagonally, otherwise up when D(i-1, j) = D(i, j), else left to the
+    previous occurrence of x[i-1] in y."""
+    rows = full_lcs_rows(x, y)
+    ny = len(y)
+    if cap is not None:
+        while ny - rows[-1].bit_count() > cap:
+            rows.pop()
+    edges = []
+    i, j = len(rows) - 1, ny
+    d = j - rows[i].bit_count()
+    while d:
+        c = x[i - 1]
+        if c == y[j - 1]:
+            edges.append((i - 1, j - 1))
+            i -= 1
+            j -= 1
+            d -= 1
+        elif j - (rows[i - 1] & ((1 << j) - 1)).bit_count() == d:
+            i -= 1
+        else:
+            j -= 1
+            while y[j - 1] != c:
+                j -= 1
+    return tuple(reversed(edges))
+
+
+def degree_one_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Edges (i, j, symbol) of the word graph after deleting every edge
+    incident to a vertex of degree > 1; sorted by i.
+
+    A vertex has degree > 1 exactly when its symbol occurs more than once
+    on the opposite side, and an x-side edge survives only if its symbol
+    occurs exactly once in each sequence.
+    """
+    count_x = Counter(x)
+    count_y = Counter(y)
+    once_y = {c: j for j, c in enumerate(y) if count_y[c] == 1}
+    return [(i, once_y[c], c) for i, c in enumerate(x) if count_x[c] == 1 and c in once_y]
+
+
+def per_segment_lis_witness(inst: Instance, n_tilde: int) -> tuple[tuple[int, int], ...]:
+    """segment_merge_heuristic(inst, n_tilde, per_segment="lis") as it was
+    when it took one segment at a time: floor(n / n_tilde) aligned blocks
+    with the leftover folded into the last, an LIS of each block's
+    degree-one edges, then the leftmost edge of each symbol."""
+    b = inst.n // n_tilde
+    bounds = [(t * n_tilde, (t + 1) * n_tilde) for t in range(b)]
+    if bounds:
+        bounds[-1] = (bounds[-1][0], inst.n)
+    elif inst.n:
+        bounds = [(0, inst.n)]
+    edges = []
+    for lo, hi in bounds:
+        deg1 = degree_one_edges(inst.x[lo:hi], inst.y[lo:hi])
+        keep = lis_indices([j for _, j, _ in deg1])
+        edges.extend((lo + deg1[t][0], lo + deg1[t][1]) for t in keep)
+    seen = set()
+    kept = []
+    for i, j in edges:
+        if inst.x[i] not in seen:
+            seen.add(inst.x[i])
+            kept.append((i, j))
+    return tuple(kept)
 
 
 def _pareto_min(points: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -436,6 +436,21 @@ class TestExitCodes:
         assert out.splitlines()[1] == "3,500,104223,1,500,0,500,500,500,1,0.004"
         assert peak_mb < cap_mb
 
+    def test_bracket_sweep_regime3_k1000_in_bounded_memory(self):
+        # regime 3 at k = 1000 (n = 327,664): peaks near 160 MB, of which
+        # the match masks of y take 41 MB (175 MB when they were ORed bit by
+        # bit).  Scattering them into a 1000 x n bool matrix before packing
+        # peaked at 427 MB.  A bound on peak RSS, not on address space: the
+        # interpreter maps about 140 MB with numpy imported, before any work
+        cap_mb = 200
+        code, out, err, peak_mb = run_child(
+            "-m", "rflcs.cli", "sweep", "--regime", "3", "--xi", "1",
+            "--k-list", "1000", "--trials", "1", "--seed", "1",
+        )
+        assert code == EXIT_OK, err
+        assert out.splitlines()[1] == "3,1000,327664,1,1000,0,1000,1000,1000,1,0.002"
+        assert peak_mb < cap_mb
+
     def test_out_of_memory_is_capacity_error(self, tmp_path):
         # regime 2 at k = 3000 (n = 82,158): L < k, so the upper's LCS pass
         # keeps every row, 844 MB of them.  Under a 600 MB address-space cap,

@@ -1,21 +1,26 @@
 import gc
 import math
+import random
 import time
 from bisect import bisect_left
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import rflcs.solvers
 
 from conftest import (
+    degree_one_edges,
     enumerate_canonical,
     exhaustive_lcs,
     exhaustive_rflcs,
     full_lcs_rows,
     loop_canonical_edges,
+    per_segment_lis_witness,
     quadratic_lcs_edges,
+    row_backtrack_lcs_edges,
     run_child,
     subset_dp_canonical_edges,
     subset_dp_frontiers,
@@ -28,11 +33,11 @@ from rflcs.model import Instance, is_subsequence, validate_matching
 from rflcs.rng import RngStream
 from rflcs.solvers import (
     _canonical_edges,
+    _ceil_three_quarters,
     _lcs_upto,
     _positions,
     _segments,
     _suffix_masks,
-    degree_one_edges,
     lcs_length,
     lis_indices,
     rflcs_bruteforce,
@@ -216,6 +221,55 @@ class TestLcs:
     def test_rejects_negative_cap(self):
         with pytest.raises(ValueError, match="cap"):
             lcs_length([0], [0], cap=-1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 1600),
+        st.sampled_from([0, 1, 1023, 1024, 1025, 1600]),
+        st.one_of(st.integers(1, 150), st.integers(1, 2000)),
+        st.sampled_from([0, 2**63 - 3, 2**64, 2**70]),
+        st.one_of(st.none(), st.integers(0, 80)),
+        st.randoms(use_true_random=False),
+    )
+    @example(1030, 1024, 5, 0, None, random.Random(1))
+    @example(1030, 1024, 5, 0, 7, random.Random(2))
+    @example(1500, 1500, 60, 2**63 - 30, None, random.Random(3))
+    @example(1500, 1500, 60, 2**63 - 30, 40, random.Random(4))
+    @example(1500, 1500, 900, 0, None, random.Random(5))
+    def test_witness_matches_row_backtrack(self, nx, ny, k, offset, cap, rnd):
+        # from len(y) = 1024 on, with at least 8 positions per symbol, the
+        # match masks come from numpy blocks; the witness, capped or not, is
+        # still the backtrack on every row, also with symbols on both sides
+        # of 2^63 or past 2^64
+        x = [offset + rnd.randrange(k) for _ in range(nx)]
+        y = [offset + rnd.randrange(k) for _ in range(ny)]
+        assert lcs_length(x, y, cap).witness == row_backtrack_lcs_edges(x, y, cap)
+
+    @pytest.mark.parametrize("block", [1, 1000, rflcs.solvers._MASK_BLOCK_BYTES])
+    @pytest.mark.parametrize(
+        "ny, k, offset",
+        [(1023, 4, 0), (1024, 4, 0), (1024, 128, 0), (1024, 129, 0), (3000, 60, 2**63 - 30),
+         (3000, 60, 2**70), (20000, 7, 0)],
+    )
+    def test_match_masks(self, monkeypatch, block, ny, k, offset):
+        # the loop's masks from every builder: numpy from len(y) = 1024 on
+        # with at least 8 positions per symbol, in blocks of 1 to all symbols
+        monkeypatch.setattr(rflcs.solvers, "_MASK_BLOCK_BYTES", block)
+        packed = []
+        build = rflcs.solvers._packed_masks
+
+        def recording(ys):
+            packed.append(ys.dtype)
+            return build(ys)
+
+        monkeypatch.setattr(rflcs.solvers, "_packed_masks", recording)
+        rnd = random.Random(ny * k)
+        y = [offset + rnd.randrange(k) for _ in range(ny)]
+        want: dict[int, int] = {}
+        for j, c in enumerate(y):
+            want[c] = want.get(c, 0) | 1 << j
+        assert rflcs.solvers._match_masks(y) == want
+        assert packed == ([] if ny < 1024 or ny < 8 * len(want) else [object if offset else np.int64])
 
 
 class TestLis:
@@ -625,6 +679,24 @@ class TestSegmentPlan:
         with pytest.raises(ValueError, match="per_segment"):
             segment_merge_heuristic(inst, 4, per_segment="dp")
 
+    def test_ceil_three_quarters_is_exact(self):
+        # the least t with t^4 >= k^3; as the float formula wherever that is
+        # exact, so no segment plan moves
+        for k in range(1, 10**6 + 1):
+            assert _ceil_three_quarters(k) == math.ceil(k**0.75)
+        moved = []
+        for k in [k for t in range(1, 10**4 + 1) for k in (t**4 - 1, t**4, t**4 + 1) if k]:
+            got = _ceil_three_quarters(k)
+            assert got**4 >= k**3 > (got - 1) ** 4
+            if got != math.ceil(k**0.75):
+                moved.append((k, got))
+        # only past 2^53, where k^0.75 rounds t^4 + 1 down to t^3: a plan
+        # moves only for n >= t^3 > 9 * 10^11, and no instance is that long
+        assert all(k == round(k ** 0.25) ** 4 + 1 > 2**53 for k, _ in moved)
+        assert all(got == round(k ** 0.25) ** 3 + 1 for k, got in moved)
+        assert _ceil_three_quarters(10**400) == 10**300
+        assert _ceil_three_quarters(10**400 + 1) == 10**300 + 1
+
     @pytest.mark.parametrize("k", [4, 12, 16, 30, 81, 400])
     def test_default_size_is_ceil_k_three_quarters(self, monkeypatch, k):
         # k = 16 and 81 have an integer k^(3/4), where a rounding slip shows
@@ -662,6 +734,40 @@ class TestHeuristic:
         inst = gen_uniform_pair(22479, 200, RngStream(3))
         with pytest.raises(CapacityError):
             segment_merge_heuristic(inst, inst.n, per_segment="exact")
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(st.integers(1, 40), st.sampled_from([2**63, 2**63 + 7, 2**70])).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.integers(0, 60).flatmap(
+                    lambda n: st.tuples(
+                        st.lists(st.integers(0, min(k, 40) - 1), min_size=n, max_size=n),
+                        st.lists(st.integers(0, min(k, 40) - 1), min_size=n, max_size=n),
+                    )
+                ),
+                st.booleans(),
+                st.one_of(st.none(), st.integers(1, 70)),
+            )
+        )
+    )
+    @example((1, ([0, 0, 0], [0, 0, 0]), False, None))
+    @example((5, ([], []), False, 3))
+    @example((30, ([0, 1, 2], [2, 1, 0]), False, 12))
+    @example((30, ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0]), False, 1))
+    @example((10, ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [1, 0, 3, 2, 5, 4, 7, 6, 9, 8]), False, 3))
+    @example((2**70, ([0, 1, 2, 3], [3, 1, 2, 0]), True, None))
+    def test_lis_path_equals_per_segment_path(self, args):
+        # n = 0, n < n_tilde, n_tilde = 1, a folded last block, k = 1, and
+        # symbols on both sides of 2^63 (high=True moves each odd symbol c to
+        # k - 1 - c)
+        k, (x, y), high, n_tilde = args
+        if high:
+            x, y = ([k - 1 - c if c % 2 else c for c in seq] for seq in (x, y))
+        inst = Instance(n=len(x), k=k, x=tuple(x), y=tuple(y))
+        size = n_tilde or _ceil_three_quarters(k)
+        got = segment_merge_heuristic(inst, n_tilde, per_segment="lis").witness
+        assert got == per_segment_lis_witness(inst, size)
 
     def test_single_segment_exact_equals_solver(self):
         inst = gen_uniform_pair(30, 5, RngStream(32))
