@@ -78,6 +78,9 @@ def grid():
         PLANTED,
         ["gen", "--n", "5", "--k", "0", "--seed", "1"],
         ["gen", "--n", "10000000000", "--k", "2", "--seed", "1"],
+        # numpy's int64 draws take k up to 2^63; one more is refused
+        ["gen", "--n", "3", "--k", str(2**63), "--seed", "1"],
+        ["gen", "--n", "3", "--k", str(2**63 + 1), "--seed", "1"],
         # bounds: every op, then the regimes and the usage exits
         ["bounds", "--op", "lambda", "--k", "10", "--s", "10"],
         ["bounds", "--op", "bernstein", "--k", "100", "--s", "200", "--a", "5"],

@@ -15,6 +15,7 @@ nominal k.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .errors import CapacityError
 from .generators import gen_uniform_pair
 from .rng import RngStream
 from .solvers import _canonical_edges, lcs_length, rflcs_exact, segment_merge_heuristic
-from .urns import _usable_cpus, classical_urn_empty_counts
+from .urns import classical_urn_empty_counts
 
 # Caps of uniformity_test_exhaustive: the k^(2n) pairs it tallies, and the
 # solves, which follow the patterns, not the pairs (153 for 117,649 pairs at
@@ -42,6 +43,15 @@ UNIFORMITY_SOLVES_MAX = 1 << 17
 # exactly for k up to this and by LIS above it, which fixes which rows
 # report which floor.
 EXACT_SEGMENTS_K_MAX = 20
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or the machine's count where the
+    platform cannot tell."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

@@ -17,17 +17,22 @@ PLANTED_K_MAX = 10**7
 # n = 2^22 (x86-64, Python 3.11, numpy 2.4).  Larger n is refused before
 # any draw.
 N_MAX = 1 << 20
+# Both generators draw symbols as numpy int64, whose bound k may be at most
+# 2^63.  Larger k is refused before any draw.
+K_MAX = 1 << 63
 
 
 def _check_size(n: int, k: int) -> None:
     """Refuse a size before any draw: ValueError for n < 0 or k < 1, and
-    CapacityError past N_MAX."""
+    CapacityError past N_MAX or K_MAX."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 1:
         raise ValueError("k must be positive")
     if n > N_MAX:
         raise CapacityError(f"generation limited to n <= {N_MAX}")
+    if k > K_MAX:
+        raise CapacityError(f"generation limited to k <= {K_MAX}")
 
 
 def gen_uniform_pair(n: int, k: int, rng: RngStream) -> Instance:

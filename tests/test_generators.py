@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from rflcs.errors import CapacityError
-from rflcs.generators import N_MAX, PLANTED_K_MAX, gen_planted_pair, gen_uniform_pair
+from rflcs.generators import K_MAX, N_MAX, PLANTED_K_MAX, gen_planted_pair, gen_uniform_pair
 from rflcs.rng import RngStream
 from rflcs.solvers import rflcs_exact
 
@@ -55,6 +55,21 @@ class TestUniformPair:
             gen_uniform_pair(N_MAX + 1, 2, NoDraws())
         with pytest.raises(CapacityError):
             gen_planted_pair(N_MAX + 1, 2, 1, NoDraws())
+
+    def test_k_cap_refused_before_any_draw(self):
+        # numpy's int64 draws take k up to 2^63; past it the refusal names
+        # the limit, where numpy would raise a ValueError
+        class NoDraws:
+            seed = 0
+
+            def generator(self):
+                raise AssertionError("drew before the k cap was checked")
+
+        assert K_MAX == 2**63
+        inst = gen_uniform_pair(3, K_MAX, RngStream(1))
+        assert all(0 <= c < K_MAX for c in inst.x + inst.y)
+        with pytest.raises(CapacityError, match=f"k <= {K_MAX}"):
+            gen_uniform_pair(3, K_MAX + 1, NoDraws())
 
     def test_symbol_frequency_binomial(self):
         n = 100_000

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import sys
 import threading
 import time
@@ -294,7 +295,7 @@ class TestSampling:
         hit = np.zeros(u.shape, dtype=bool)
         want = hit.copy()
         np.put_along_axis(want, np.argpartition(u, si - 1, axis=1)[:, :si], True, axis=1)
-        urns._mark_smallest(hit, u, si, np.empty((4, 5)), np.empty((4, 5), dtype=bool))
+        urns._mark_smallest(hit, u, si)
         assert (hit == want).all()
         assert hit.sum(axis=1).tolist() == [si] * 3
         # a slice without ties at its thresholds, even with ties below them,
@@ -305,28 +306,14 @@ class TestSampling:
         monkeypatch.setattr(np, "argpartition", no_argpartition)
         hit = np.zeros((2, 4), dtype=bool)
         u = np.array([[0.1, 0.1, 0.5, 0.7], [0.9, 0.3, 0.2, 0.6]])
-        urns._mark_smallest(hit, u, 3, np.empty((2, 4)), np.empty((2, 4), dtype=bool))
+        urns._mark_smallest(hit, u, 3)
         assert hit.tolist() == [[True, True, True, False], [False, True, True, True]]
 
-    def test_one_cpu_reduces_inline(self, monkeypatch):
-        # on one usable CPU no thread starts, and the samples are the same
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a sampler started a thread on one CPU")
-
-        monkeypatch.setattr(urns, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(urns, "ThreadPoolExecutor", no_thread)
-        monkeypatch.setattr(urns, "_SAMPLER_CELLS", 50)
-        got = classical_urn_empty_counts(100, 7, 301, RngStream(55))
-        assert (got == int64_classical_urn_empty_counts(100, 7, 301, RngStream(55))).all()
-        spec = GroupedUrnSpec(12, (0, 3, 5))
-        got = grouped_urn_empty_counts(spec, 301, RngStream(56))
-        assert (got == argpartition_grouped_urn_empty_counts(spec, 301, RngStream(56))).all()
-
     def test_helper_thread_joined(self, monkeypatch):
-        # with two CPUs the reductions run on one helper thread, which is
-        # gone when the sampler returns; a short switch interval lets the
-        # threads interleave often, and a buffer reused too early would
-        # change the samples
+        # on one usable CPU as on two, each sampler call reduces on one
+        # helper thread, which is gone when the sampler returns; a short
+        # switch interval lets the threads interleave often, and a reduction
+        # that read or wrote out of turn would change the samples
         pools = []
 
         class Recorded(urns.ThreadPoolExecutor):
@@ -334,34 +321,39 @@ class TestSampling:
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(urns, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(urns, "ThreadPoolExecutor", Recorded)
         monkeypatch.setattr(urns, "_SAMPLER_CELLS", 50)
+        spec = GroupedUrnSpec(12, (0, 3, 5))
+        classical_want = int64_classical_urn_empty_counts(100, 7, 301, RngStream(55))
+        grouped_want = argpartition_grouped_urn_empty_counts(spec, 301, RngStream(56))
         before = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            classical = classical_urn_empty_counts(100, 7, 301, RngStream(55))
-            assert threading.active_count() == before
-            spec = GroupedUrnSpec(12, (0, 3, 5))
-            grouped = grouped_urn_empty_counts(spec, 301, RngStream(56))
-            assert threading.active_count() == before
+            for cpus in ({0}, {0, 1}):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+                pools.clear()
+                classical = classical_urn_empty_counts(100, 7, 301, RngStream(55))
+                assert threading.active_count() == before
+                grouped = grouped_urn_empty_counts(spec, 301, RngStream(56))
+                assert threading.active_count() == before
+                assert (classical == classical_want).all(), cpus
+                assert (grouped == grouped_want).all(), cpus
+                assert pools == [1, 1], cpus
         finally:
             sys.setswitchinterval(interval)
-        assert (classical == int64_classical_urn_empty_counts(100, 7, 301, RngStream(55))).all()
-        assert (grouped == argpartition_grouped_urn_empty_counts(spec, 301, RngStream(56))).all()
-        assert pools == [1, 1]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("trials", [1, 301])
     @pytest.mark.parametrize("reduction", ["_count_empty", "_mark_smallest", "_count_unhit"])
     def test_reduction_error_reaches_caller(self, monkeypatch, cpus, trials, reduction):
         # one chunk raises at the end of the loop, many at the next submit;
-        # either way the error reaches the caller and no thread survives
+        # either way, on one usable CPU as on two, the error reaches the
+        # caller and no thread survives
         def fail(*args):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(urns, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(urns, reduction, fail)
         monkeypatch.setattr(urns, "_SAMPLER_CELLS", 50)
         before = threading.active_count()
