@@ -243,6 +243,12 @@ def grid():
         # match masks the numpy ones replaced
         (["solve", "--method", "heuristic", "--per-segment", "lis"], HUGE_SYMBOLS),
         (["solve", "--method", "lcs"], HUGE_SYMBOLS),
+        # exact solves whose symbols do not all fit a byte, so the search
+        # relabels the common ones: m = 321 in two chunks of codes (R = 280),
+        # and MIXED past 2^65 in one; the bytes were taken from the solver
+        # that listed each symbol's positions
+        (["solve", "--method", "exact"], ["gen", "--n", "600", "--k", "400", "--seed", "2", "--planted", "280"]),
+        (["solve", "--method", "exact"], {"gen": MIXED, "k": 2**70, "shift": 2**65}),
     ]
     return [(argv, None) for argv in plain] + solves
 

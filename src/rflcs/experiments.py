@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -116,7 +115,12 @@ def run_regime_sweep(
     # never gets more workers than there are trials to share or CPUs to run
     # them on.
     workers = min(workers, trials, _usable_cpus())
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    pool_context = nullcontext()
+    if workers > 1:  # imported here, so that start-up loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool_context = ProcessPoolExecutor(max_workers=workers)
+    with pool_context as pool:
         # multiprocessing.Pool.map's default chunks: about four per worker
         chunksize = math.ceil(trials / (4 * workers))
         run = map if pool is None else partial(pool.map, chunksize=chunksize)

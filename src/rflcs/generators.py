@@ -1,7 +1,9 @@
 """Seeded instance generators: uniform random pairs and planted pairs.
 
 Both generators are pure functions of (parameters, stream): the stream's
-derived seed is recorded on the instance for provenance.
+derived seed is recorded on the instance for provenance.  Each draws x and
+y by one call of 2n symbols; bounded draws in a row continue one stream, so
+x is the first n of them and y the next n, as from two calls of n.
 """
 
 from __future__ import annotations
@@ -38,10 +40,8 @@ def _check_size(n: int, k: int) -> None:
 def gen_uniform_pair(n: int, k: int, rng: RngStream) -> Instance:
     """Two sequences of n symbols, each uniform and independent over [0, k)."""
     _check_size(n, k)
-    g = rng.generator()
-    x = tuple(g.integers(0, k, size=n).tolist())
-    y = tuple(g.integers(0, k, size=n).tolist())
-    return Instance(n=n, k=k, x=x, y=y, seed=rng.seed)
+    xy = rng.generator().integers(0, k, size=2 * n).tolist()
+    return Instance(n=n, k=k, x=tuple(xy[:n]), y=tuple(xy[n:]), seed=rng.seed)
 
 
 def gen_planted_pair(n: int, k: int, l: int, rng: RngStream) -> Instance:
@@ -59,8 +59,8 @@ def gen_planted_pair(n: int, k: int, l: int, rng: RngStream) -> Instance:
     if k > PLANTED_K_MAX:
         raise CapacityError(f"planted generation limited to k <= {PLANTED_K_MAX}")
     g = rng.generator()
-    x = g.integers(0, k, size=n).tolist()
-    y = g.integers(0, k, size=n).tolist()
+    xy = g.integers(0, k, size=2 * n).tolist()
+    x, y = xy[:n], xy[n:]
     z = tuple(g.permutation(k)[:l].tolist())
     pos_x = tuple(sorted(g.choice(n, size=l, replace=False).tolist())) if l else ()
     pos_y = tuple(sorted(g.choice(n, size=l, replace=False).tolist())) if l else ()

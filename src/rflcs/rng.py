@@ -15,6 +15,7 @@ so a numpy release may change the samples of a stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,9 +40,10 @@ class RngStream:
     master_seed: int
     stream_index: int = 0
 
-    @property
+    @cached_property
     def seed(self) -> int:
-        """64-bit seed derived from (master_seed, stream_index)."""
+        """64-bit seed derived from (master_seed, stream_index), computed on
+        the first read."""
         return mix64(mix64(self.master_seed & _MASK64) ^ (self.stream_index & _MASK64))
 
     def generator(self) -> np.random.Generator:

@@ -10,13 +10,15 @@ root, so the query that proves the optimum returns the canonical
 (lexicographically smallest) maximum witness.  On the m = 13 exact-sweep
 shapes (regime 3 xi = 1 and 2, regime 2 rho = 4; eight trials at seed 42)
 every solve makes that one query and expands 13, 13 and 80 states on
-average.  Set-up lists each common symbol's positions in x and y, in O(n +
-m) words, and builds its match mask in reversed y and the masks of the
-symbols left in each suffix.  A child state inherits its candidates'
-next occurrences from its parent and finds by bisection only those that the
-chosen edge passed over.  The LCS bound reads bit-parallel rows of the
-reversed sequences, filled only as far as the search reads them: 14-35 of
-the 95-302 rows on those shapes at seed 12.  The solver's only capacity
+average.  Set-up codes x and y as bytes, once per 255 common symbols
+(once in all where every symbol lies in [0, 256)), so that C-level passes
+find each symbol's first, last and next positions (`bytes.find` and
+`bytes.rfind`) and its match mask in reversed y (`bytes.translate`, then
+`int(..., 2)`); no Python loop runs over the positions.  A child state
+inherits its candidates' next occurrences from its parent and finds only
+those that the chosen edge passed over.  The LCS bound reads bit-parallel
+rows of the reversed sequences, filled only as far as the search reads
+them: 14-35 of the 95-302 rows on those shapes at seed 12.  The solver's only capacity
 gate is the work budget EXACT_BUDGET, which counts expanded search states
 and set-up words, as though a next-occurrence row at every position and
 every LCS row were built.
@@ -38,8 +40,9 @@ from .model import Instance, SolveResult, is_subsequence
 # an instance is refused never depends on the machine.  An expanded search
 # state costs one unit and about 90 bytes of memo, and set-up one unit per 16
 # machine words of a next-occurrence row at every position and of every LCS
-# row, though the search builds no next row and fills only the LCS rows it
-# reads: the charge is kept so that the same instances are refused.  The
+# row, though the search builds no next row (it searches byte-coded copies
+# of x and y) and fills only the LCS rows it reads: the charge is unchanged,
+# so that the same instances are refused.  The
 # time a state takes grows with m, since each state walks its parent's
 # candidates: on a 2-CPU x86-64 host under Python 3.11 it is 11-17 us at n =
 # 253, m = 40 (a refusal after 5.7-8.3 s), and 26-46 us at n = 800, m =
@@ -237,29 +240,73 @@ def lis_indices(perm: Sequence[int]) -> list[int]:
 # Exact repetition-free solver
 
 
-def _positions(seq: Sequence[int], syms: Sequence[int]) -> list[list[int]]:
-    """pos[t] = the ascending positions of syms[t] in seq, then len(seq)."""
-    index = {c: t for t, c in enumerate(syms)}
-    pos: list[list[int]] = [[] for _ in syms]
-    for p, c in enumerate(seq):
-        t = index.get(c)
-        if t is not None:
-            pos[t].append(p)
-    for ps in pos:
-        ps.append(len(seq))
-    return pos
+def _byte_codes(
+    x: Sequence[int], y: Sequence[int], common: list[int]
+) -> list[tuple[bytes, bytes, Sequence[int]]]:
+    """Byte-coded copies of x and y, in chunks (bx, by, codes): codes[r] is
+    the byte that marks the r-th symbol of the chunk in bx and by, and the
+    chunks take the symbols of `common` in order.
+
+    Where every symbol of x and y lies in [0, 256), one chunk holds them all
+    with bytes(x) and bytes(y) as the copies.  Otherwise each chunk relabels
+    up to 255 common symbols as 0, 1, ..., and every other symbol as 255.
+    """
+    try:
+        return [(bytes(x), bytes(y), common)]
+    except ValueError:  # a symbol outside [0, 256)
+        pass
+    code = dict.fromkeys(chain(x, y), 255)
+    chunks = []
+    for lo in range(0, len(common), 255):
+        part = common[lo:lo + 255]
+        code.update(zip(part, range(255)))
+        chunks.append((bytes(map(code.get, x)), bytes(map(code.get, y)), range(len(part))))
+        code.update(dict.fromkeys(part, 255))
+    return chunks
 
 
-def _suffix_masks(pos: list[list[int]]) -> tuple[list[int], list[int]]:
-    """The last positions of the symbols of `pos` (each occurring at least
-    once) in ascending order, and masks[r] = the union of the bits 1 << t of
-    the symbols from the r-th last position on; so the symbols of seq[p:]
+def _suffix_masks(ends: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """From the (last position, bit) of every symbol of a sequence: the
+    last positions in ascending order, and masks[r] = the union of the bits
+    of the symbols from the r-th last position on; so the symbols of seq[p:]
     are masks[bisect_left(lasts, p)]."""
-    ends = sorted([(ps[-2], t) for t, ps in enumerate(pos)])
-    masks = [0] * (len(ends) + 1)
-    for r in range(len(ends) - 1, -1, -1):
-        masks[r] = masks[r + 1] | 1 << ends[r][1]
+    ends = sorted(ends)
+    masks = [0]
+    for _, bit in reversed(ends):
+        masks.append(masks[-1] | bit)
+    masks.reverse()
     return [last for last, _ in ends], masks
+
+
+def _search_tables(x: Sequence[int], y: Sequence[int], common: list[int]) -> tuple:
+    """The exact search's tables for the symbols `common` of both x and y
+    (sorted), from the byte-coded copies of `_byte_codes`.
+
+    The symbol of code c in chunk r owns the bit 1 << t, t = 256 r + c, of
+    every symbol set, so that finds_x[t >> 8](t & 255, i) is its first
+    position at or after i in x, or -1 where x[i:] lacks it, and finds_y
+    likewise in y.  Returns finds_x, finds_y, root (the (p, q, bit) of every
+    symbol's first positions, sorted), the suffix masks of x and of y
+    (`_suffix_masks`), and masks[c], the bits of the positions of symbol c
+    in reversed y.  Any one-to-one choice of bits gives the same search,
+    since candidates are ordered by their positions, which differ.
+    """
+    finds_x, finds_y, root, ends_x, ends_y, masks = [], [], [], [], [], {}
+    table = bytearray(b"0" * 256)
+    symbols = iter(common)
+    for r, (bx, by, codes) in enumerate(_byte_codes(x, y, common)):
+        finds_x.append(bx.find)
+        finds_y.append(by.find)
+        for c in codes:
+            bit = 1 << (r << 8 | c)
+            root.append((bx.find(c), by.find(c), bit))
+            ends_x.append((bx.rfind(c), bit))
+            ends_y.append((by.rfind(c), bit))
+            table[c] = 49  # b"1": y[0] is read as the highest bit
+            masks[next(symbols)] = int(by.translate(table), 2)
+            table[c] = 48
+    root.sort()
+    return finds_x, finds_y, root, _suffix_masks(ends_x), _suffix_masks(ends_y), masks
 
 
 def _smallest_path(search: tuple, need: int) -> list[tuple[int, int]] | None:
@@ -270,8 +317,9 @@ def _smallest_path(search: tuple, need: int) -> list[tuple[int, int]] | None:
     A state's candidates are its unused symbols at their earliest positions
     (p, q) in x[i:] and y[j:]: at the root each symbol's first positions,
     sorted once per solve.  A child inherits them from its parent: only a
-    symbol passed over by the chosen edge is looked up again, and the list
-    is re-sorted only when some p moved.  A candidate beaten in both
+    symbol passed over by the chosen edge is looked up again, by one `find`
+    on the byte-coded side (see `_search_tables`), and the list is re-sorted
+    only when some p moved.  A candidate beaten in both
     coordinates by another is dropped: it is never lexicographically
     smaller, and swapping it for the one that beats it loses no edge.  The
     rest are tried in increasing p, so the first path of `need` edges is the
@@ -282,7 +330,7 @@ def _smallest_path(search: tuple, need: int) -> list[tuple[int, int]] | None:
     plus one, so after a failed query failed[0] - 1, the root's bound, lies
     between the optimum and the `need` that failed.
     """
-    nx, ny, pos_x, pos_y, suf_x, suf_y, root, xr, masks, rows, failed, left = search
+    nx, ny, finds_x, finds_y, suf_x, suf_y, root, xr, masks, rows, failed, left = search
     lasts_x, masks_x = suf_x
     lasts_y, masks_y = suf_y
     stack: list[list] = []  # frames [key, used, need, untried front, best, candidates]
@@ -314,12 +362,12 @@ def _smallest_path(search: tuple, need: int) -> list[tuple[int, int]] | None:
                 for p, q, low in stack[-1][5]:
                     if avail & low:
                         if p < i:
-                            ps = pos_x[low.bit_length() - 1]
-                            p = ps[bisect_left(ps, i)]
+                            t = low.bit_length() - 1
+                            p = finds_x[t >> 8](t & 255, i)
                             moved = True
                         if q < j:
-                            qs = pos_y[low.bit_length() - 1]
-                            q = qs[bisect_left(qs, j)]
+                            t = low.bit_length() - 1
+                            q = finds_y[t >> 8](t & 255, j)
                         cand.append((p, q, low))
                 if moved:
                     cand.sort()
@@ -371,30 +419,24 @@ def _canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]
     m = len(common)
     # words of m + 1 next-occurrence rows at every position of x and y, and of
     # all nx + 1 LCS rows.  The first are never built (candidates come from
-    # the position lists and from the parent state) and the LCS rows are
+    # the byte-coded copies and from the parent state) and the LCS rows are
     # filled only as far as the search reads them, mostly a few; the charge
-    # is kept, so that the same instances are refused.  The positions and
-    # suffix masks take at most nx + ny + 6m + 2 words, the match masks
-    # m(ny / 64 + 1) and each filled row ny / 64 + 1, outside this count.
+    # is kept, so that the same instances are refused.  The copies take
+    # (nx + ny) / 8 words per chunk of 255 common symbols, the root and the
+    # suffix masks about 6m + 2, the match masks m(ny / 64 + 1) and each
+    # filled row ny / 64 + 1, outside this count.
     setup = ((m + 1) * (nx + ny + 2) + (nx + 1) * (ny // 64 + 1)) // 16
     if setup > EXACT_BUDGET:
         raise CapacityError(
             f"exact solver exceeded its work budget of {EXACT_BUDGET}: set-up "
             f"for n = {nx}, {ny} and m = {m} common symbols costs {setup}"
         )
-    pos_x, pos_y = _positions(x, common), _positions(y, common)
-    masks: dict[int, int] = {}  # of reversed y; no symbol but a common one matches
-    for c, qs in zip(common, pos_y):
-        v = 0
-        for q in qs[:-1]:
-            v |= 1 << ny - 1 - q
-        masks[c] = v
+    finds_x, finds_y, root, suf_x, suf_y, masks = _search_tables(x, y, common)
     xr, rows = x[::-1], [(1 << ny) - 1]
     failed: dict[int, int] = {}
-    root = sorted([(px[0], py[0], 1 << t) for t, (px, py) in enumerate(zip(pos_x, pos_y))])
     search = (
-        nx, ny, pos_x, pos_y, _suffix_masks(pos_x), _suffix_masks(pos_y), root,
-        xr, masks, rows, failed, [EXACT_BUDGET - setup],
+        nx, ny, finds_x, finds_y, suf_x, suf_y, root, xr, masks, rows, failed,
+        [EXACT_BUDGET - setup],
     )
     need = _lcs_upto(rows, xr, masks, nx, ny, m)
     while (edges := _smallest_path(search, need)) is None:

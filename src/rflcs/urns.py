@@ -22,7 +22,6 @@ trials, balls and cells before it draws.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
@@ -117,6 +116,8 @@ def _pipeline():
     Every call has returned, and the thread has been joined, when the block
     exits, also when a call raises; its error reaches the caller.
     """
+    from concurrent.futures import ThreadPoolExecutor  # not loaded at start-up
+
     last = None
     with ThreadPoolExecutor(max_workers=1) as pool:
 

@@ -10,6 +10,7 @@ replaced, the classical urn sampler on 64-bit keys, the urn chain's cost
 pre-walk, a child-process runner that reports peak memory, and a serial
 stand-in for the sweep's process pool."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -90,7 +91,7 @@ def serial_pool(monkeypatch, chunksizes: list[int] | None = None) -> list[int]:
                 chunksizes.append(chunksize)
             return map(fn, jobs)
 
-    monkeypatch.setattr(rflcs.experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return opened
 
 

@@ -649,6 +649,16 @@ class TestOutput:
         code, out, _ = run_cli(capsys, *TestSweepCommand.SWEEP)
         assert code == EXIT_OK and out.startswith(CSV_HEADER)
 
+    def test_import_loads_no_executor(self):
+        # the sweep's process pool and the urn samplers' helper thread are
+        # imported where they start, so start-up loads neither module
+        code, out, err, _ = run_child(
+            "-c",
+            "import sys, rflcs.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))",
+        )
+        assert (code, out) == (0, "[]\n"), err
+
     def test_out_file_on_golden_grid(self, tmp_path):
         # --out gets exactly the recorded stdout bytes, and a usage or
         # capacity exit creates no file

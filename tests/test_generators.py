@@ -28,7 +28,43 @@ class TestRngStream:
         assert RngStream(1, 0).seed != RngStream(0, 0).seed
 
 
+# bounds below and at numpy's switch from 32-bit to 64-bit draws, and past it
+DRAW_BOUNDS = [1, 2, 3, 13, 400, 2**31, 2**32, 2**32 + 1, 2**40, 2**63]
+
+
+def two_call_planted(n, k, l, stream):
+    """gen_planted_pair as it was when it drew x and y by one call each:
+    returns x, y, z and the planted positions."""
+    g = stream.generator()
+    x = g.integers(0, k, size=n).tolist()
+    y = g.integers(0, k, size=n).tolist()
+    z = tuple(g.permutation(k)[:l].tolist())
+    pos_x = tuple(sorted(g.choice(n, size=l, replace=False).tolist())) if l else ()
+    pos_y = tuple(sorted(g.choice(n, size=l, replace=False).tolist())) if l else ()
+    for i, c in enumerate(z):
+        x[pos_x[i]] = c
+        y[pos_y[i]] = c
+    return tuple(x), tuple(y), z, pos_x, pos_y
+
+
 class TestUniformPair:
+    @pytest.mark.parametrize("k", DRAW_BOUNDS)
+    @pytest.mark.parametrize("n", [0, 1, 6, 7, 100, 101])
+    def test_one_draw_equals_two(self, n, k):
+        # one draw of 2n symbols gives the x and y of two draws of n, and
+        # leaves the stream where they leave it, for odd n as for even
+        for seed in range(5):
+            stream = RngStream(seed, n)
+            g = stream.generator()
+            x = tuple(g.integers(0, k, size=n).tolist())
+            y = tuple(g.integers(0, k, size=n).tolist())
+            after = g.integers(0, k, size=3).tolist()
+            inst = gen_uniform_pair(n, k, stream)
+            assert (inst.x, inst.y) == (x, y)
+            g = stream.generator()
+            g.integers(0, k, size=2 * n)
+            assert g.integers(0, k, size=3).tolist() == after
+
     def test_empty(self):
         inst = gen_uniform_pair(0, 3, RngStream(1))
         assert inst.x == () and inst.y == ()
@@ -87,6 +123,19 @@ class TestUniformPair:
 
 
 class TestPlantedPair:
+    @pytest.mark.parametrize("k", [k for k in DRAW_BOUNDS if k <= PLANTED_K_MAX])
+    @pytest.mark.parametrize("n", [1, 6, 7, 100, 101])
+    def test_one_draw_equals_two(self, n, k):
+        # the pair, the planted sequence and its positions are those of the
+        # generator that drew x and y by one call each
+        for seed in range(5):
+            stream = RngStream(seed, n)
+            l = min(n, k) // 2
+            inst = gen_planted_pair(n, k, l, stream)
+            cert = inst.planted
+            got = (inst.x, inst.y, cert.z, cert.positions_x, cert.positions_y)
+            assert got == two_call_planted(n, k, l, stream)
+
     def test_l_zero_matches_uniform_distribution(self):
         # same parameters, many streams: planted l=0 and uniform should be
         # indistinguishable symbol-wise (both are plain uniform draws)

@@ -35,9 +35,8 @@ from rflcs.solvers import (
     _canonical_edges,
     _ceil_three_quarters,
     _lcs_upto,
-    _positions,
     _segments,
-    _suffix_masks,
+    _search_tables,
     lcs_length,
     lis_indices,
     rflcs_bruteforce,
@@ -54,6 +53,28 @@ def equal_length_pairs(k_max, n_max):
             st.lists(st.integers(0, kn[0] - 1), min_size=kn[1], max_size=kn[1]),
         )
     )
+
+
+# Offsets that put symbols below 0, in [0, 256), across 255 | 256 and across
+# 2^63: the exact solver's set-up uses bytes(x) and bytes(y) in the first
+# range and relabels the common symbols into byte chunks elsewhere.
+SYMBOL_OFFSETS = (0, -6, 250, 1000, (1 << 63) - 4, 1 << 70)
+
+
+def offset_pairs(k_max, n_max):
+    """equal_length_pairs with every symbol moved by one of SYMBOL_OFFSETS."""
+    def shift(args):
+        offset, (x, y) = args
+        return [c + offset for c in x], [c + offset for c in y]
+
+    return st.tuples(st.sampled_from(SYMBOL_OFFSETS), equal_length_pairs(k_max, n_max)).map(shift)
+
+
+def many_common(m, offset):
+    """A pair with m common symbols from offset on, in opposite orders, and
+    one symbol of each side that the other lacks."""
+    syms = [offset + 7 * t for t in range(m)]
+    return [*syms, offset - 1, *syms[::2]], [offset - 2, *syms[::-1], *syms[1::2]]
 
 
 def small_instances(count, n_max=8, ks=(2, 3, 4), seed=77):
@@ -625,28 +646,59 @@ class TestExactSolver:
         inst = Instance(n=len(x), k=k, x=tuple(x), y=tuple(y))
         assert rflcs_exact(inst).length == exhaustive_rflcs(x, y)
 
-    @given(
-        st.lists(st.integers(0, 5), max_size=40),
-        st.lists(st.integers(0, 8), unique=True, max_size=9),
-    )
+    @given(offset_pairs(12, 40))
+    @example((list(range(256)), list(range(255, -1, -1))))  # bytes(x): 255 is a symbol
+    @example(many_common(254, 0))  # bytes(x), two symbols on one side only
+    @example(many_common(255, 0))  # one chunk of 255 codes
+    @example(many_common(256, 0))  # two chunks
+    @example(many_common(510, (1 << 63) - 300))  # two full chunks, across 2^63
     @settings(max_examples=300, deadline=None)
-    def test_lookups_match_definition(self, seq, syms):
-        # the next occurrence of syms[t] at or after p is min{q >= p : seq[q]
-        # == syms[t]}, else len(seq); seq may be empty, and symbols 6..8 never
-        # occur in it.  The suffix masks are built, as in a solve, over the
-        # symbols that occur, and give the bits of those left in seq[p:]
-        n = len(seq)
-        pos = _positions(seq, syms)
-        assert len(pos) == len(syms)
-        for ps, c in zip(pos, syms):
-            for p in range(n + 1):
-                nxt = min((q for q in range(p, n) if seq[q] == c), default=n)
-                assert ps[bisect_left(ps, p)] == nxt
-        present = [c for c in syms if c in seq]
-        lasts, masks = _suffix_masks([ps for ps, c in zip(pos, syms) if c in seq])
-        for p in range(n + 1):
-            left = sum(1 << t for t, c in enumerate(present) if c in seq[p:])
-            assert masks[bisect_left(lasts, p)] == left
+    def test_search_tables_match_definition(self, pair):
+        # every common symbol owns one bit and sits once in the root, at its
+        # first positions.  Its lookup at p is its first position at or after
+        # p, else -1 (the search looks up only symbols left in both
+        # suffixes).  The suffix masks give the bits of the symbols left in
+        # seq[p:], and masks[c] the positions of c in reversed y.
+        x, y = pair
+        common = sorted(set(x) & set(y))
+        finds_x, finds_y, root, suf_x, suf_y, masks = _search_tables(x, y, common)
+        assert root == sorted(root)
+        bit = {x[p]: b for p, _, b in root}
+        assert sorted(bit) == common
+        assert len(set(bit.values())) == len(common)
+        assert all(b.bit_count() == 1 for b in bit.values())
+        for p, q, b in root:
+            assert (p, q) == (x.index(x[p]), y.index(x[p]))
+        for seq, finds, (lasts, suffix) in ((x, finds_x, suf_x), (y, finds_y, suf_y)):
+            n = len(seq)
+            for c, b in bit.items():
+                t = b.bit_length() - 1
+                nxt = -1
+                for p in range(n, -1, -1):
+                    if p < n and seq[p] == c:
+                        nxt = p
+                    assert finds[t >> 8](t & 255, p) == nxt
+            left = 0
+            for p in range(n, -1, -1):
+                if p < n:
+                    left |= bit.get(seq[p], 0)
+                assert suffix[bisect_left(lasts, p)] == left
+        expected = dict.fromkeys(common, 0)
+        for q, c in enumerate(y):
+            if c in expected:
+                expected[c] |= 1 << len(y) - 1 - q
+        assert masks == expected
+
+    @given(offset_pairs(12, 24))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_frozen_oracle_on_any_symbols(self, pair):
+        # the witness of the frozen oracle, within the units of EXACT_BUDGET
+        # it took, whatever range the symbols lie in
+        x, y = pair
+        edges, units = loop_canonical_edges(x, y)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rflcs.solvers, "EXACT_BUDGET", units)
+            assert _canonical_edges(x, y) == edges
 
 
 class TestBruteforce:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import math
 import os
@@ -316,12 +317,12 @@ class TestSampling:
         # that read or wrote out of turn would change the samples
         pools = []
 
-        class Recorded(urns.ThreadPoolExecutor):
+        class Recorded(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(urns, "ThreadPoolExecutor", Recorded)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
         monkeypatch.setattr(urns, "_SAMPLER_CELLS", 50)
         spec = GroupedUrnSpec(12, (0, 3, 5))
         classical_want = int64_classical_urn_empty_counts(100, 7, 301, RngStream(55))
