@@ -18,10 +18,10 @@ find each symbol's first, last and next positions (`bytes.find` and
 inherits its candidates' next occurrences from its parent and finds only
 those that the chosen edge passed over.  The LCS bound reads bit-parallel
 rows of the reversed sequences, filled only as far as the search reads
-them: 14-35 of the 95-302 rows on those shapes at seed 12.  The solver's only capacity
-gate is the work budget EXACT_BUDGET, which counts expanded search states
-and set-up words, as though a next-occurrence row at every position and
-every LCS row were built.
+them: 14-35 of the 95-302 rows on those shapes at seed 12.  The solver's
+only capacity gate is the work budget EXACT_BUDGET, which counts expanded
+search states and set-up words, as though a next-occurrence row at every
+position and every LCS row were built.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,12 +42,11 @@ from .model import Instance, SolveResult, is_subsequence
 # machine words of a next-occurrence row at every position and of every LCS
 # row, though the search builds no next row (it searches byte-coded copies
 # of x and y) and fills only the LCS rows it reads: the charge is unchanged,
-# so that the same instances are refused.  The
-# time a state takes grows with m, since each state walks its parent's
-# candidates: on a 2-CPU x86-64 host under Python 3.11 it is 11-17 us at n =
-# 253, m = 40 (a refusal after 5.7-8.3 s), and 26-46 us at n = 800, m =
-# 306-311 (`gen --n 800 --k 400 --seed 1|2`, refused after 12-22 s; seed 3
-# solves in 3.4-4.1 s).
+# so that the same instances are refused.  The time a state takes grows
+# with m, since each state walks its parent's candidates: on a 2-CPU x86-64
+# host under Python 3.11 it is 11-17 us at n = 253, m = 40 (a refusal after
+# 5.7-8.3 s), and 26-46 us at n = 800, m = 306-311 (`gen --n 800 --k 400
+# --seed 1|2`, refused after 12-22 s; seed 3 solves in 3.4-4.1 s).
 EXACT_BUDGET = 500_000
 N_MAX_BRUTE = 12
 # `_match_masks` builds the masks of y in numpy where y has at least
@@ -283,13 +282,14 @@ def _search_tables(x: Sequence[int], y: Sequence[int], common: list[int]) -> tup
     (sorted), from the byte-coded copies of `_byte_codes`.
 
     The symbol of code c in chunk r owns the bit 1 << t, t = 256 r + c, of
-    every symbol set, so that finds_x[t >> 8](t & 255, i) is its first
-    position at or after i in x, or -1 where x[i:] lacks it, and finds_y
-    likewise in y.  Returns finds_x, finds_y, root (the (p, q, bit) of every
-    symbol's first positions, sorted), the suffix masks of x and of y
-    (`_suffix_masks`), and masks[c], the bits of the positions of symbol c
-    in reversed y.  Any one-to-one choice of bits gives the same search,
-    since candidates are ordered by their positions, which differ.
+    every symbol set, so that find_x(t, i) is its first position at or
+    after i in x, or -1 where x[i:] lacks it, and find_y(t, j) likewise in
+    y.  With one chunk, t is the code and find_x is bytes.find itself.
+    Returns find_x, find_y, root (the (p, q, bit) of every symbol's first
+    positions, sorted), the suffix masks of x and of y (`_suffix_masks`),
+    and masks[c], the bits of the positions of symbol c in reversed y.  Any
+    one-to-one choice of bits gives the same search, since candidates are
+    ordered by their positions, which differ.
     """
     finds_x, finds_y, root, ends_x, ends_y, masks = [], [], [], [], [], {}
     table = bytearray(b"0" * 256)
@@ -306,7 +306,19 @@ def _search_tables(x: Sequence[int], y: Sequence[int], common: list[int]) -> tup
             masks[next(symbols)] = int(by.translate(table), 2)
             table[c] = 48
     root.sort()
-    return finds_x, finds_y, root, _suffix_masks(ends_x), _suffix_masks(ends_y), masks
+    return (
+        _chunked_find(finds_x), _chunked_find(finds_y), root,
+        _suffix_masks(ends_x), _suffix_masks(ends_y), masks,
+    )
+
+
+def _chunked_find(finds: list) -> Callable[[int, int], int]:
+    """find(t, i) = finds[t >> 8](t & 255, i), finds holding the bound
+    `find` of each chunk: that `find` itself where there is one chunk, so
+    that most searches call bytes.find with no Python frame between."""
+    if len(finds) == 1:
+        return finds[0]
+    return lambda t, i: finds[t >> 8](t & 255, i)
 
 
 def _smallest_path(search: tuple, need: int) -> list[tuple[int, int]] | None:
@@ -330,7 +342,7 @@ def _smallest_path(search: tuple, need: int) -> list[tuple[int, int]] | None:
     plus one, so after a failed query failed[0] - 1, the root's bound, lies
     between the optimum and the `need` that failed.
     """
-    nx, ny, finds_x, finds_y, suf_x, suf_y, root, xr, masks, rows, failed, left = search
+    nx, ny, find_x, find_y, suf_x, suf_y, root, xr, masks, rows, failed, left = search
     lasts_x, masks_x = suf_x
     lasts_y, masks_y = suf_y
     stack: list[list] = []  # frames [key, used, need, untried front, best, candidates]
@@ -359,26 +371,27 @@ def _smallest_path(search: tuple, need: int) -> list[tuple[int, int]] | None:
             if stack:
                 cand = []
                 moved = False
-                for p, q, low in stack[-1][5]:
+                for e in stack[-1][5]:
+                    p, q, low = e
                     if avail & low:
-                        if p < i:
-                            t = low.bit_length() - 1
-                            p = finds_x[t >> 8](t & 255, i)
-                            moved = True
-                        if q < j:
-                            t = low.bit_length() - 1
-                            q = finds_y[t >> 8](t & 255, j)
-                        cand.append((p, q, low))
+                        if p < i or q < j:  # passed over: look it up again
+                            if p < i:
+                                p = find_x(low.bit_length() - 1, i)
+                                moved = True
+                            if q < j:
+                                q = find_y(low.bit_length() - 1, j)
+                            e = p, q, low
+                        cand.append(e)
                 if moved:
                     cand.sort()
             else:
                 cand = root
             front = []
             q_min = ny
-            for p, q, low in cand:
-                if q < q_min:
-                    q_min = q
-                    front.append((p, q, low))
+            for e in cand:
+                if e[1] < q_min:
+                    q_min = e[1]
+                    front.append(e)
             front.reverse()
             stack.append([key, used, need, front, 0, cand])
         else:  # cut, so never the root
@@ -431,11 +444,11 @@ def _canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]
             f"exact solver exceeded its work budget of {EXACT_BUDGET}: set-up "
             f"for n = {nx}, {ny} and m = {m} common symbols costs {setup}"
         )
-    finds_x, finds_y, root, suf_x, suf_y, masks = _search_tables(x, y, common)
+    find_x, find_y, root, suf_x, suf_y, masks = _search_tables(x, y, common)
     xr, rows = x[::-1], [(1 << ny) - 1]
     failed: dict[int, int] = {}
     search = (
-        nx, ny, finds_x, finds_y, suf_x, suf_y, root, xr, masks, rows, failed,
+        nx, ny, find_x, find_y, suf_x, suf_y, root, xr, masks, rows, failed,
         [EXACT_BUDGET - setup],
     )
     need = _lcs_upto(rows, xr, masks, nx, ny, m)

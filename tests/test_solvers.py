@@ -661,7 +661,7 @@ class TestExactSolver:
         # seq[p:], and masks[c] the positions of c in reversed y.
         x, y = pair
         common = sorted(set(x) & set(y))
-        finds_x, finds_y, root, suf_x, suf_y, masks = _search_tables(x, y, common)
+        find_x, find_y, root, suf_x, suf_y, masks = _search_tables(x, y, common)
         assert root == sorted(root)
         bit = {x[p]: b for p, _, b in root}
         assert sorted(bit) == common
@@ -669,7 +669,7 @@ class TestExactSolver:
         assert all(b.bit_count() == 1 for b in bit.values())
         for p, q, b in root:
             assert (p, q) == (x.index(x[p]), y.index(x[p]))
-        for seq, finds, (lasts, suffix) in ((x, finds_x, suf_x), (y, finds_y, suf_y)):
+        for seq, find, (lasts, suffix) in ((x, find_x, suf_x), (y, find_y, suf_y)):
             n = len(seq)
             for c, b in bit.items():
                 t = b.bit_length() - 1
@@ -677,7 +677,7 @@ class TestExactSolver:
                 for p in range(n, -1, -1):
                     if p < n and seq[p] == c:
                         nxt = p
-                    assert finds[t >> 8](t & 255, p) == nxt
+                    assert find(t, p) == nxt
             left = 0
             for p in range(n, -1, -1):
                 if p < n:
