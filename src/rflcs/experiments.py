@@ -33,9 +33,9 @@ from .urns import classical_urn_empty_counts
 
 # Caps of uniformity_test_exhaustive: the k^(2n) pairs it tallies, and the
 # solves, which follow the patterns, not the pairs (153 for 117,649 pairs at
-# n = 3, k = 7; 2^21 for 4.2M at n = 11, k = 2).  At about 15 us a solve
+# n = 3, k = 7; 2^21 for 4.2M at n = 11, k = 2).  At about 11 us a solve
 # (the whole call over its solves, on a 2-CPU x86-64 host), the largest
-# shape admitted, (9, 2) with 2^17 solves, takes about 2 s.
+# shape admitted, (9, 2) with 2^17 solves, takes about 1.4 s.
 UNIFORMITY_PAIRS_MAX = 10_000_000
 UNIFORMITY_SOLVES_MAX = 1 << 17
 # A CSV-byte policy, not a capacity gate: bracket sweeps solve segments

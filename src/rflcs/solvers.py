@@ -45,8 +45,8 @@ from .model import Instance, SolveResult, is_subsequence
 # so that the same instances are refused.  The time a state takes grows
 # with m, since each state walks its parent's candidates: on a 2-CPU x86-64
 # host under Python 3.11 it is 11-17 us at n = 253, m = 40 (a refusal after
-# 5.7-8.3 s), and 26-46 us at n = 800, m = 306-311 (`gen --n 800 --k 400
-# --seed 1|2`, refused after 12-22 s; seed 3 solves in 3.4-4.1 s).
+# 5.7-8.3 s), and 19-36 us at n = 800, m = 306-311 (`gen --n 800 --k 400
+# --seed 1|2`, refused after 9-17 s; seed 3 solves in 2.6 s).
 EXACT_BUDGET = 500_000
 N_MAX_BRUTE = 12
 # `_match_masks` builds the masks of y in numpy where y has at least

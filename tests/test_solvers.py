@@ -71,8 +71,8 @@ def offset_pairs(k_max, n_max):
 
 
 def many_common(m, offset):
-    """A pair with m common symbols from offset on, in opposite orders, and
-    one symbol of each side that the other lacks."""
+    """A pair with m common symbols, seven apart from offset on, in opposite
+    orders, and below offset one symbol of each side that the other lacks."""
     syms = [offset + 7 * t for t in range(m)]
     return [*syms, offset - 1, *syms[::2]], [offset - 2, *syms[::-1], *syms[1::2]]
 
@@ -648,8 +648,8 @@ class TestExactSolver:
 
     @given(offset_pairs(12, 40))
     @example((list(range(256)), list(range(255, -1, -1))))  # bytes(x): 255 is a symbol
-    @example(many_common(254, 0))  # bytes(x), two symbols on one side only
-    @example(many_common(255, 0))  # one chunk of 255 codes
+    @example(many_common(254, 0))  # relabelled: one chunk, a code to spare
+    @example(many_common(255, 0))  # one full chunk
     @example(many_common(256, 0))  # two chunks
     @example(many_common(510, (1 << 63) - 300))  # two full chunks, across 2^63
     @settings(max_examples=300, deadline=None)
