@@ -43,7 +43,7 @@ from .experiments import (
 from .generators import gen_planted_pair, gen_uniform_pair
 from .model import Instance
 from .rng import RngStream
-from .solvers import lcs_length, rflcs_bruteforce, rflcs_exact, segment_merge_heuristic
+from .solvers import lcs_witness, rflcs_bruteforce, rflcs_exact, segment_merge_heuristic
 from .urns import (
     GroupedUrnSpec,
     classical_urn_empty_counts,
@@ -100,7 +100,7 @@ def cmd_solve(args) -> tuple[int, Iterable[str]]:
     with open(args.input, "rb") as fh:
         inst = Instance.from_json(fh.read())
     if args.method == "lcs":
-        res = lcs_length(inst.x, inst.y)
+        res = lcs_witness(inst.x, inst.y)
     elif args.method == "exact":
         res = rflcs_exact(inst)
     elif args.method == "brute":

@@ -77,7 +77,10 @@ def _mean_stderr(values: Sequence[int]) -> tuple[float, float]:
 
 def _sweep_trial(stream: RngStream, n: int, k: int, estimator: str) -> tuple[int, int]:
     """One trial on the instance drawn from `stream`; returns (lower, upper)
-    estimates of its R, equal when estimator is "exact"."""
+    estimates of its R, equal when estimator is "exact".  The bracket's upper
+    is min(L, k), L the LCS length, from one call of the length-only
+    `lcs_length`, which keeps one bit-parallel row and stops once it reaches
+    k; no witness is built."""
     inst = gen_uniform_pair(n, k, stream)
     if estimator == "exact":
         val = rflcs_exact(inst).length

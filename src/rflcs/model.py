@@ -134,6 +134,14 @@ class SolveResult:
         return len(self.witness)
 
 
+@dataclass(frozen=True)
+class LcsLength:
+    """A length-only answer, min(L, cap) for `solvers.lcs_length`: it reads
+    the same `.length` as a SolveResult, and keeps no witness."""
+
+    length: int
+
+
 def is_subsequence(z: Sequence[int], x: Sequence[int]) -> bool:
     """Greedy left-to-right embedding test."""
     it = iter(x)

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CapacityError
-from .model import Instance, SolveResult, is_subsequence
+from .model import Instance, LcsLength, SolveResult, is_subsequence
 
 # The exact solver's only capacity gate: a count, not a timer, so whether
 # an instance is refused never depends on the machine.  An expanded search
@@ -76,7 +76,8 @@ def _lcs_upto(rows: list[int], x: Sequence[int], masks: dict[int, int], t: int, 
     = b - popcount(V_i below bit b).  Rows are appended only as far as the
     answer needs: D(t, b) does not fall as t grows, so once the last row
     reaches c at b the answer is c.  D(i, b) grows by at most 1 a row, so it
-    is read only at the rows where it could first reach c.
+    is read only at the rows where it could first reach c.  `lcs_length`
+    runs the same update but keeps only the current row.
     """
     below = (1 << b) - 1
     i = len(rows) - 1
@@ -165,8 +166,37 @@ def _lcs_rows(x: Sequence[int], y: Sequence[int], cap: int | None = None) -> lis
     return rows
 
 
-def lcs_length(x: Sequence[int], y: Sequence[int], cap: int | None = None) -> SolveResult:
-    """LCS with a witness, by backtracking on the rows of `_lcs_rows`.
+def lcs_length(x: Sequence[int], y: Sequence[int], cap: int | None = None) -> LcsLength:
+    """min(L, cap), L the LCS length of x and y, with no witness.
+
+    The update of `_lcs_upto` on the same match masks, but only the current
+    row is kept, so memory is the masks and one len(y)-bit int: no n^2/8
+    bytes of rows where L < cap.  As there, D = len(y) - popcount(V) is read
+    only at the rows where it could first reach the cap, and the pass stops
+    once it does; without a cap D is read once, after the last row.
+    """
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be nonnegative")
+    nx, ny = len(x), len(y)
+    c = nx if cap is None else cap  # D never exceeds nx
+    masks = _match_masks(y)
+    full = v = (1 << ny) - 1
+    i = d = 0
+    while d < c and i < nx:
+        stop = i + c - d  # D grows by at most 1 a row, so d <= c below
+        if stop > nx:
+            stop = nx
+        for ch in x[i:stop]:
+            u = v & masks.get(ch, 0)
+            v = ((v + u) | (v - u)) & full
+        i = stop
+        d = ny - v.bit_count()
+    return LcsLength(d)
+
+
+def lcs_witness(x: Sequence[int], y: Sequence[int], cap: int | None = None) -> SolveResult:
+    """LCS with a witness, by backtracking on the rows of `_lcs_rows`, which
+    keeps about len(x) * len(y) / 8 bytes of them where L <= cap.
 
     With a cap, the witness is that of the longest prefix of x whose LCS
     with y is at most cap: the same witness when L <= cap, and a common

@@ -157,7 +157,7 @@ def full_lcs_rows(x: Sequence[int], y: Sequence[int]) -> list[int]:
 
 
 def row_backtrack_lcs_edges(x: Sequence[int], y: Sequence[int], cap: int | None = None) -> tuple[tuple[int, int], ...]:
-    """lcs_length's witness as it was found before the match masks were
+    """lcs_witness's witness as it was found before the match masks were
     built in numpy: a backtrack on `full_lcs_rows`, cut to the rows of the
     longest prefix x[:i] whose LCS with y is at most cap.  A match steps
     diagonally, otherwise up when D(i-1, j) = D(i, j), else left to the

@@ -437,10 +437,11 @@ class TestExitCodes:
         assert peak_mb < cap_mb
 
     def test_bracket_sweep_regime3_k1000_in_bounded_memory(self):
-        # regime 3 at k = 1000 (n = 327,664): peaks near 160 MB, of which
-        # the match masks of y take 41 MB (175 MB when they were ORed bit by
-        # bit).  Scattering them into a 1000 x n bool matrix before packing
-        # peaked at 427 MB.  A bound on peak RSS, not on address space: the
+        # regime 3 at k = 1000 (n = 327,664): peaks near 113 MB, of which
+        # the match masks of y take 41 MB (160 MB while the capped pass kept
+        # its 1,368 rows, 175 MB when the masks were ORed bit by bit).
+        # Scattering them into a 1000 x n bool matrix before packing peaked
+        # at 427 MB.  A bound on peak RSS, not on address space: the
         # interpreter maps about 140 MB with numpy imported, before any work
         cap_mb = 200
         code, out, err, peak_mb = run_child(
@@ -451,12 +452,28 @@ class TestExitCodes:
         assert out.splitlines()[1] == "3,1000,327664,1,1000,0,1000,1000,1000,1,0.002"
         assert peak_mb < cap_mb
 
-    def test_out_of_memory_is_capacity_error(self, tmp_path):
-        # regime 2 at k = 3000 (n = 82,158): L < k, so the upper's LCS pass
-        # keeps every row, 844 MB of them.  Under a 600 MB address-space cap,
-        # set after the imports, the MemoryError used to end in a traceback
-        # and exit 1.
-        path = tmp_path / "out.csv"
+    def test_bracket_sweep_regime2_in_bounded_memory(self):
+        # regime 2 rho = 1 at k = 3000 (n = 82,159): L < k, so the upper's
+        # LCS pass runs to the last row.  It keeps one row, and peaks near
+        # 77 MB, of which the match masks of y take 31 MB; keeping all n + 1
+        # rows for a witness peaked at 935 MB
+        cap_mb = 150
+        code, out, err, peak_mb = run_child(
+            "-m", "rflcs.cli", "sweep", "--regime", "2", "--rho", "1",
+            "--k-list", "3000", "--trials", "1", "--seed", "1",
+        )
+        assert code == EXIT_OK, err
+        assert out.splitlines()[1] == "2,3000,82159,1,1505,0,1505,2923,1896.361676,0,1"
+        assert peak_mb < cap_mb
+
+    def test_out_of_memory_is_capacity_error(self, capsys, tmp_path):
+        # the LCS witness of n = 80,000 symbols over k = 3000 keeps all
+        # 80,001 bit-parallel rows, about 800 MB of them.  Under a 600 MB
+        # address-space cap, set after the imports, the MemoryError used to
+        # end in a traceback and exit 1.
+        inst = tmp_path / "inst.json"
+        run_cli(capsys, "gen", "--n", "80000", "--k", "3000", "--seed", "1", "--out", str(inst))
+        path = tmp_path / "out.json"
         script = (
             "import resource, sys\n"
             "from rflcs import cli\n"
@@ -465,8 +482,8 @@ class TestExitCodes:
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
         code, out, err, _ = run_child(
-            "-c", script, "sweep", "--regime", "2", "--rho", "1", "--k-list", "3000",
-            "--trials", "1", "--seed", "1", "--workers", "1", "--out", str(path),
+            "-c", script, "solve", "--input", str(inst), "--method", "lcs",
+            "--out", str(path),
         )
         assert code == EXIT_CAPACITY and out == "" and not path.exists()
         assert err == "capacity error: out of memory\n"

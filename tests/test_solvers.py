@@ -38,6 +38,7 @@ from rflcs.solvers import (
     _segments,
     _search_tables,
     lcs_length,
+    lcs_witness,
     lis_indices,
     rflcs_bruteforce,
     rflcs_exact,
@@ -90,12 +91,12 @@ class TestLcs:
         assert lcs_length([0, 1, 2], [0, 1, 2]).length == 3
 
     def test_disjoint(self):
-        res = lcs_length([0, 0], [1, 1])
+        res = lcs_witness([0, 0], [1, 1])
         assert res.length == 0 and res.witness == ()
 
     def test_witness_is_valid_common_subsequence(self):
         inst = gen_uniform_pair(40, 3, RngStream(20))
-        res = lcs_length(inst.x, inst.y)
+        res = lcs_witness(inst.x, inst.y)
         assert validate_matching(res.witness, inst, require_repetition_free=False)
         assert len(res.witness) == res.length
 
@@ -116,13 +117,13 @@ class TestLcs:
     def test_witness_matches_quadratic_table(self, pair):
         # the same edges, tie-breaks included, not just the same length
         x, y = pair
-        assert lcs_length(x, y).witness == quadratic_lcs_edges(x, y)
+        assert lcs_witness(x, y).witness == quadratic_lcs_edges(x, y)
 
     @pytest.mark.parametrize("n, k", [(267, 16), (500, 100), (800, 400)])
     def test_witness_matches_quadratic_table_at_sweep_sizes(self, n, k):
         # regime 3 k=16, regime 2 k=100 and regime 1 n=800 shapes
         inst = gen_uniform_pair(n, k, RngStream(n))
-        assert lcs_length(inst.x, inst.y).witness == quadratic_lcs_edges(inst.x, inst.y)
+        assert lcs_witness(inst.x, inst.y).witness == quadratic_lcs_edges(inst.x, inst.y)
 
     def test_memory_bound_regime3_k200(self):
         # regime 3 at k = 200 (n = 22,479): the kept rows take about
@@ -132,9 +133,9 @@ class TestLcs:
             "from rflcs.generators import gen_uniform_pair\n"
             "from rflcs.model import validate_matching\n"
             "from rflcs.rng import RngStream\n"
-            "from rflcs.solvers import lcs_length\n"
+            "from rflcs.solvers import lcs_witness\n"
             "inst = gen_uniform_pair(22479, 200, RngStream(1))\n"
-            "res = lcs_length(inst.x, inst.y)\n"
+            "res = lcs_witness(inst.x, inst.y)\n"
             "ok = validate_matching(res.witness, inst, require_repetition_free=False)\n"
             "print(res.length, ok)\n"
         )
@@ -146,7 +147,7 @@ class TestLcs:
 
     @staticmethod
     def check_capped(x, y, cap, L):
-        res = lcs_length(x, y, cap=cap)
+        res = lcs_witness(x, y, cap=cap)
         edges = res.witness
         assert res.length == len(edges) == min(L, cap)
         assert all(a < c and b < d for (a, b), (c, d) in zip(edges, edges[1:]))
@@ -193,7 +194,7 @@ class TestLcs:
         # regime 3 at k = 60 (n = 2,855): L = 636 against the cap k
         inst = gen_uniform_pair(2855, 60, RngStream(1))
         L = lcs_length(inst.x, inst.y).length
-        res = lcs_length(inst.x, inst.y, cap=60)
+        res = lcs_witness(inst.x, inst.y, cap=60)
         assert L > 60 and res.length == 60
         assert validate_matching(res.witness, inst, require_repetition_free=False)
         assert len(rflcs.solvers._lcs_rows(inst.x, inst.y, 60)) < inst.n // 4
@@ -242,6 +243,68 @@ class TestLcs:
     def test_rejects_negative_cap(self):
         with pytest.raises(ValueError, match="cap"):
             lcs_length([0], [0], cap=-1)
+        with pytest.raises(ValueError, match="cap"):
+            lcs_witness([0], [0], cap=-1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.integers(0, k - 1), max_size=40),
+                st.lists(st.integers(0, k - 1), max_size=40),
+            )
+        ),
+        st.sampled_from([0, -7, -(2**64), 2**63 - 2, 2**70]),
+        st.one_of(st.none(), st.integers(0, 45)),
+    )
+    @example(([], [0, 1]), 0, None)
+    @example(([0, 1], []), 0, 3)
+    @example(([0, 1, 0], [1, 0]), -7, 0)
+    @example(([0, 1, 0], [1, 0]), 2**70, 5)
+    def test_length_is_one_row_of_the_row_store(self, pair, offset, cap):
+        # min(L, cap) from one row: the witness's length, capped, and the
+        # answer of _lcs_upto's row store, read from the same rows of x (no
+        # row past the one where D first reaches the cap); with cap 0, caps
+        # past L, empty sides and symbols below 0 or past 2^63
+        x, y = ([offset + s for s in seq] for seq in pair)
+
+        class Read(list):  # x, recording the rows it is read up to
+            rows = 0
+
+            def __getitem__(self, key):
+                self.rows = max(self.rows, key.stop)
+                return list.__getitem__(self, key)
+
+        xs = Read(x)
+        length = lcs_length(xs, y, cap).length
+        L = len(lcs_witness(x, y).witness)
+        assert length == (L if cap is None else min(L, cap))
+        rows = [(1 << len(y)) - 1]
+        c = len(x) if cap is None else cap
+        assert _lcs_upto(rows, x, rflcs.solvers._match_masks(y), len(x), len(y), c) == length
+        assert xs.rows == len(rows) - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 1600),
+        st.sampled_from([1024, 1025, 1600]),
+        st.integers(1, 128),
+        st.sampled_from([0, -(2**64), 2**63 - 30, 2**70]),
+        st.one_of(st.none(), st.integers(0, 1700)),
+        st.randoms(use_true_random=False),
+    )
+    @example(1500, 1024, 128, 2**63 - 64, None, random.Random(1))
+    @example(1500, 1600, 40, 0, 300, random.Random(2))
+    def test_length_with_packed_masks(self, nx, ny, k, offset, cap, rnd):
+        # y of at least 1,024 symbols and at least 8 per distinct symbol, so
+        # the masks come from `_packed_masks`; against the backtrack on rows
+        # built from masks ORed bit by bit
+        x = [offset + rnd.randrange(k) for _ in range(nx)]
+        y = [offset + rnd.randrange(k) for _ in range(ny)]
+        assert ny >= rflcs.solvers._MASKS_NUMPY_MIN
+        assert ny >= rflcs.solvers._MASKS_NUMPY_PER_SYMBOL * len(set(y))
+        L = len(row_backtrack_lcs_edges(x, y))
+        assert lcs_length(x, y, cap).length == (L if cap is None else min(L, cap))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -264,7 +327,7 @@ class TestLcs:
         # of 2^63 or past 2^64
         x = [offset + rnd.randrange(k) for _ in range(nx)]
         y = [offset + rnd.randrange(k) for _ in range(ny)]
-        assert lcs_length(x, y, cap).witness == row_backtrack_lcs_edges(x, y, cap)
+        assert lcs_witness(x, y, cap).witness == row_backtrack_lcs_edges(x, y, cap)
 
     @pytest.mark.parametrize("block", [1, 1000, rflcs.solvers._MASK_BLOCK_BYTES])
     @pytest.mark.parametrize(
