@@ -4,8 +4,10 @@ tail-bound verification battery.
 Determinism contract: every result is a pure function of its arguments,
 the master seed among them.  Each trial owns the stream (master_seed ->
 k index -> trial ordinal), and results are merged in trial order, so the
-worker count never changes output bytes.  Results are values; the CLI
-formats them.
+worker count never changes output bytes.  A sweep makes each trial's
+stream as the trial starts and keeps 16 bytes of results a trial, so its
+memory does not grow with the trial count beyond that.  Results are
+values; the CLI formats them.
 
 Exact estimates have no size check of their own: the solver's work budget
 raises CapacityError from the first trial that exceeds it, whatever the
@@ -16,11 +18,12 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
-from typing import Optional, Sequence
+from itertools import chain, islice, product
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,15 +36,21 @@ from .urns import classical_urn_empty_counts
 
 # Caps of uniformity_test_exhaustive: the k^(2n) pairs it tallies, and the
 # solves, which follow the patterns, not the pairs (153 for 117,649 pairs at
-# n = 3, k = 7; 2^21 for 4.2M at n = 11, k = 2).  At about 11 us a solve
+# n = 3, k = 7; 2^21 for 4.2M at n = 11, k = 2).  At about 8-11 us a solve
 # (the whole call over its solves, on a 2-CPU x86-64 host), the largest
-# shape admitted, (9, 2) with 2^17 solves, takes about 1.4 s.
+# shape admitted, (9, 2) with 2^17 solves, takes about 1.1-1.5 s.
 UNIFORMITY_PAIRS_MAX = 10_000_000
 UNIFORMITY_SOLVES_MAX = 1 << 17
 # A CSV-byte policy, not a capacity gate: bracket sweeps solve segments
 # exactly for k up to this and by LIS above it, which fixes which rows
 # report which floor.
 EXACT_SEGMENTS_K_MAX = 20
+# A sweep's pool takes its trials in chunks of at most _SWEEP_CHUNK_MAX and
+# keeps at most _CHUNKS_PER_WORKER chunks a worker submitted and not yet
+# read, so the trials it holds do not grow with --trials.  Chunking never
+# changes output bytes: results are read in trial order.
+_SWEEP_CHUNK_MAX = 1024
+_CHUNKS_PER_WORKER = 2
 
 
 def _usable_cpus() -> int:
@@ -73,6 +82,30 @@ def _mean_stderr(values: Sequence[int]) -> tuple[float, float]:
     vals = np.array(values, dtype=float)
     stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return float(vals.mean()), stderr
+
+
+def _map_chunk(fn: Callable, chunk: list) -> list:
+    """fn over one chunk of a pool's items, in a worker."""
+    return [fn(item) for item in chunk]
+
+
+def _pool_map(pool, fn: Callable, items: Iterable, chunksize: int, window: int) -> Iterator:
+    """fn over items, in order, run by `pool` in chunks of `chunksize`, with
+    at most `window` chunks submitted and not yet read; items are drawn only
+    as chunks are submitted.  The chunks still pending are cancelled when an
+    error (or the caller) stops the iteration, as in Executor.map."""
+    items = iter(items)
+    pending: deque = deque()
+    try:
+        while chunk := list(islice(items, chunksize)):
+            if len(pending) == window:
+                yield from pending.popleft().result()
+            pending.append(pool.submit(_map_chunk, fn, chunk))
+        while pending:
+            yield from pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def _sweep_trial(stream: RngStream, n: int, k: int, estimator: str) -> tuple[int, int]:
@@ -124,13 +157,19 @@ def run_regime_sweep(
 
         pool_context = ProcessPoolExecutor(max_workers=workers)
     with pool_context as pool:
-        # multiprocessing.Pool.map's default chunks: about four per worker
-        chunksize = math.ceil(trials / (4 * workers))
-        run = map if pool is None else partial(pool.map, chunksize=chunksize)
+        # multiprocessing.Pool.map's default chunks, about four per worker,
+        # up to _SWEEP_CHUNK_MAX trials
+        chunksize = min(math.ceil(trials / (4 * workers)), _SWEEP_CHUNK_MAX)
+        run = map if pool is None else partial(
+            _pool_map, pool, chunksize=chunksize, window=_CHUNKS_PER_WORKER * workers
+        )
         for k_idx, (k, rt) in enumerate(zip(k_list, targets)):
             trial = partial(_sweep_trial, n=rt.n, k=k, estimator=estimator)
-            streams = [RngStream(seed, k_idx).substream(t) for t in range(trials)]
-            lowers, uppers = zip(*run(trial, streams))
+            # streams are made as trials start, and each trial's (lower,
+            # upper) lands in one int64 array: 16 bytes a trial
+            streams = map(RngStream(seed, k_idx).substream, range(trials))
+            bracket = np.fromiter(chain.from_iterable(run(trial, streams)), np.int64, 2 * trials)
+            lowers, uppers = bracket[0::2], bracket[1::2]
             # exact: lower == upper; bracket: mean_R reports the floor
             mean, stderr = _mean_stderr(lowers)
             rows.append(

@@ -7,10 +7,14 @@ symbols and the LCS of their two suffixes (branch and bound in the sense of
 Land & Doig 1960).  `_canonical_edges` queries it from the ceiling
 min(L, m) down, each time to the bound that a failed query left at the
 root, so the query that proves the optimum returns the canonical
-(lexicographically smallest) maximum witness.  On the m = 13 exact-sweep
-shapes (regime 3 xi = 1 and 2, regime 2 rho = 4; eight trials at seed 42)
-every solve makes that one query and expands 13, 13 and 80 states on
-average.  Set-up codes x and y as bytes, once per 255 common symbols
+(lexicographically smallest) maximum witness.  Before any query,
+`_first_descent` follows the first path that a query for all m symbols
+would take, on the tables it needs (no LCS row and no match mask); where
+that path matches all m symbols, it is the witness, and no query runs.  On
+the m = 13 exact-sweep shapes (regime 3 xi = 1 and 2, regime 2 rho = 4;
+eight trials at each of the seeds 0-99) R = m on every trial, and the
+descent certifies 800, 800 and 647 of the 800; each other solve makes one
+query.  Set-up codes x and y as bytes, once per 255 common symbols
 (once in all where every symbol lies in [0, 256)), so that C-level passes
 find each symbol's first, last and next positions (`bytes.find` and
 `bytes.rfind`) and its match mask in reversed y (`bytes.translate`, then
@@ -18,7 +22,8 @@ find each symbol's first, last and next positions (`bytes.find` and
 inherits its candidates' next occurrences from its parent and finds only
 those that the chosen edge passed over.  The LCS bound reads bit-parallel
 rows of the reversed sequences, filled only as far as the search reads
-them: 14-35 of the 95-302 rows on those shapes at seed 12.  The solver's
+them: 21-35 of the 95 rows in the three solves of the eight trials at
+seed 12 that the descent leaves to the search.  The solver's
 only capacity gate is the work budget EXACT_BUDGET, which counts expanded
 search states and set-up words, as though a next-occurrence row at every
 position and every LCS row were built.
@@ -42,11 +47,14 @@ from .model import Instance, LcsLength, SolveResult, is_subsequence
 # machine words of a next-occurrence row at every position and of every LCS
 # row, though the search builds no next row (it searches byte-coded copies
 # of x and y) and fills only the LCS rows it reads: the charge is unchanged,
-# so that the same instances are refused.  The time a state takes grows
-# with m, since each state walks its parent's candidates: on a 2-CPU x86-64
-# host under Python 3.11 it is 11-17 us at n = 253, m = 40 (a refusal after
-# 5.7-8.3 s), and 19-36 us at n = 800, m = 306-311 (`gen --n 800 --k 400
-# --seed 1|2`, refused after 9-17 s; seed 3 solves in 2.6 s).
+# so that the same instances are refused.  A solve that the first descent
+# certifies is charged set-up plus m units, as the search's first query is
+# for the same path, so it is refused where the search refuses it.  The time
+# a state takes grows with m, since each state walks its parent's
+# candidates: on a 2-CPU x86-64 host under Python 3.11 it is 11-17 us at
+# n = 253, m = 40 (a refusal after 5.7-8.3 s), and 19-36 us at n = 800,
+# m = 306-311 (`gen --n 800 --k 400 --seed 1|2`, refused after 9-17 s; seed
+# 3 solves in 2.6 s).
 EXACT_BUDGET = 500_000
 N_MAX_BRUTE = 12
 # `_match_masks` builds the masks of y in numpy where y has at least
@@ -317,14 +325,14 @@ def _search_tables(x: Sequence[int], y: Sequence[int], common: list[int]) -> tup
     y.  With one chunk, t is the code and find_x is bytes.find itself.
     Returns find_x, find_y, root (the (p, q, bit) of every symbol's first
     positions, sorted), the suffix masks of x and of y (`_suffix_masks`),
-    and masks[c], the bits of the positions of symbol c in reversed y.  Any
-    one-to-one choice of bits gives the same search, since candidates are
-    ordered by their positions, which differ.
+    and the chunks, from which `_reversed_masks` builds the LCS bound's
+    match masks only for a solve that needs them.  Any one-to-one choice of
+    bits gives the same search, since candidates are ordered by their
+    positions, which differ.
     """
-    finds_x, finds_y, root, ends_x, ends_y, masks = [], [], [], [], [], {}
-    table = bytearray(b"0" * 256)
-    symbols = iter(common)
-    for r, (bx, by, codes) in enumerate(_byte_codes(x, y, common)):
+    finds_x, finds_y, root, ends_x, ends_y = [], [], [], [], []
+    chunks = _byte_codes(x, y, common)
+    for r, (bx, by, codes) in enumerate(chunks):
         finds_x.append(bx.find)
         finds_y.append(by.find)
         for c in codes:
@@ -332,14 +340,28 @@ def _search_tables(x: Sequence[int], y: Sequence[int], common: list[int]) -> tup
             root.append((bx.find(c), by.find(c), bit))
             ends_x.append((bx.rfind(c), bit))
             ends_y.append((by.rfind(c), bit))
-            table[c] = 49  # b"1": y[0] is read as the highest bit
-            masks[next(symbols)] = int(by.translate(table), 2)
-            table[c] = 48
     root.sort()
     return (
         _chunked_find(finds_x), _chunked_find(finds_y), root,
-        _suffix_masks(ends_x), _suffix_masks(ends_y), masks,
+        _suffix_masks(ends_x), _suffix_masks(ends_y), chunks,
     )
+
+
+def _reversed_masks(
+    chunks: list[tuple[bytes, bytes, Sequence[int]]], common: list[int]
+) -> dict[int, int]:
+    """masks[c], the bits of the positions of symbol c in reversed y, for
+    every symbol of `common`, from the chunks of `_byte_codes`: one
+    `bytes.translate` and one int(..., 2) per symbol."""
+    masks = {}
+    table = bytearray(b"0" * 256)
+    symbols = iter(common)
+    for _, by, codes in chunks:
+        for c in codes:
+            table[c] = 49  # b"1": y[0] is read as the highest bit
+            masks[next(symbols)] = int(by.translate(table), 2)
+            table[c] = 48
+    return masks
 
 
 def _chunked_find(finds: list) -> Callable[[int, int], int]:
@@ -441,6 +463,50 @@ def _smallest_path(search: tuple, need: int) -> list[tuple[int, int]] | None:
     return path
 
 
+def _first_descent(tables: tuple) -> list[tuple[int, int]] | None:
+    """The first path of `_smallest_path`'s query for all m common symbols,
+    taken without backtracking: its m ascending edges, or None where it
+    gets stuck.
+
+    From the root of `_search_tables`, each state takes the earliest of its
+    candidates after which every other unused symbol still lies in x[p+1:]
+    and y[q+1:], the search's own bound on unused symbols with need = m,
+    read from the same suffix masks.  A child inherits its parent's
+    candidates and finds again only those that the chosen edge passed
+    over, as in `_smallest_path`.
+    """
+    find_x, find_y, root, (lasts_x, masks_x), (lasts_y, masks_y), _ = tables
+    unused = masks_x[0]  # every common symbol
+    cand = root
+    path: list[tuple[int, int]] = []
+    while unused:
+        for p, q, low in cand:
+            i, j, rest = p + 1, q + 1, unused ^ low
+            if masks_x[bisect_left(lasts_x, i)] & masks_y[bisect_left(lasts_y, j)] & rest == rest:
+                break
+        else:
+            return None
+        path.append((p, q))
+        unused = rest
+        kept = []
+        moved = False
+        for e in cand:
+            p, q, low = e
+            if rest & low:
+                if p < i or q < j:  # passed over: look it up again
+                    if p < i:
+                        p = find_x(low.bit_length() - 1, i)
+                        moved = True
+                    if q < j:
+                        q = find_y(low.bit_length() - 1, j)
+                    e = p, q, low
+                kept.append(e)
+        if moved:
+            kept.sort()
+        cand = kept
+    return path
+
+
 def _canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]]:
     """Lexicographically smallest maximum repetition-free matching.
 
@@ -454,6 +520,17 @@ def _canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]
     Set-up is charged against EXACT_BUDGET before the search starts, one
     unit per 16 machine words of the tables counted below, and every
     expanded search state costs one more unit.
+
+    Before the masks and rows of the LCS bound are built, `_first_descent`
+    tries to match all m symbols.  A path of m edges proves L >= m, so the
+    first query would have need = m.  Along that path every state can still
+    be completed, so it passes all of the search's bounds (its unused
+    symbols, its LCS, and an empty memo), while every earlier candidate
+    fails the bound on unused symbols; so the query's first descent is this
+    path, with no backtracking.  The edges are the same canonical witness,
+    and they cost setup + m units, one per state expanded before the last
+    edge: the descent runs only where the budget has that many left, and
+    elsewhere the search refuses the instance as before.
     """
     nx, ny = len(x), len(y)
     common = sorted(set(x).intersection(y))
@@ -463,18 +540,23 @@ def _canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]
     # words of m + 1 next-occurrence rows at every position of x and y, and of
     # all nx + 1 LCS rows.  The first are never built (candidates come from
     # the byte-coded copies and from the parent state) and the LCS rows are
-    # filled only as far as the search reads them, mostly a few; the charge
-    # is kept, so that the same instances are refused.  The copies take
-    # (nx + ny) / 8 words per chunk of 255 common symbols, the root and the
-    # suffix masks about 6m + 2, the match masks m(ny / 64 + 1) and each
-    # filled row ny / 64 + 1, outside this count.
+    # filled only as far as the search reads them, mostly a few, and none
+    # where the first descent matches every symbol; the charge is kept, so
+    # that the same instances are refused.  The copies take (nx + ny) / 8
+    # words per chunk of 255 common symbols, the root and the suffix masks
+    # about 6m + 2, the match masks m(ny / 64 + 1) and each filled row
+    # ny / 64 + 1, outside this count.
     setup = ((m + 1) * (nx + ny + 2) + (nx + 1) * (ny // 64 + 1)) // 16
     if setup > EXACT_BUDGET:
         raise CapacityError(
             f"exact solver exceeded its work budget of {EXACT_BUDGET}: set-up "
             f"for n = {nx}, {ny} and m = {m} common symbols costs {setup}"
         )
-    find_x, find_y, root, suf_x, suf_y, masks = _search_tables(x, y, common)
+    tables = _search_tables(x, y, common)
+    if m <= EXACT_BUDGET - setup and (edges := _first_descent(tables)) is not None:
+        return edges
+    find_x, find_y, root, suf_x, suf_y, chunks = tables
+    masks = _reversed_masks(chunks, common)
     xr, rows = x[::-1], [(1 << ny) - 1]
     failed: dict[int, int] = {}
     search = (

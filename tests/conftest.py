@@ -70,15 +70,30 @@ def run_child(*args: str) -> tuple[int, str, str, float]:
     return code, proc.stdout, err, maxrss_kib / 1024
 
 
-def serial_pool(monkeypatch, chunksizes: list[int] | None = None) -> list[int]:
-    """Replace the sweep's process pool by one that maps serially, so no
-    process is started; returns the max_workers of every pool opened, and
-    appends the chunksize of every map to `chunksizes` when it is given."""
+def serial_pool(monkeypatch, chunks: list[tuple[int, int]] | None = None) -> list[int]:
+    """Replace the sweep's process pool by one that runs each submitted call
+    at once, so no process is started; returns the max_workers of every pool
+    opened, and appends to `chunks`, when it is given, the length of every
+    submitted chunk and the chunks submitted and not yet read with it."""
     opened = []
+
+    class Done:
+        """A future whose call has run; reading it counts one chunk read."""
+
+        def __init__(self, pool, value):
+            self.pool, self.value = pool, value
+
+        def result(self):
+            self.pool.unread -= 1
+            return self.value
+
+        def cancel(self):
+            return False
 
     class SerialPool:
         def __init__(self, max_workers):
             opened.append(max_workers)
+            self.unread = 0
 
         def __enter__(self):
             return self
@@ -86,10 +101,11 @@ def serial_pool(monkeypatch, chunksizes: list[int] | None = None) -> list[int]:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs, chunksize=1):
-            if chunksizes is not None:
-                chunksizes.append(chunksize)
-            return map(fn, jobs)
+        def submit(self, fn, *args):
+            self.unread += 1
+            if chunks is not None:
+                chunks.append((len(args[-1]), self.unread))
+            return Done(self, fn(*args))
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return opened
@@ -424,6 +440,12 @@ def _feasible(search: tuple, i: int, j: int, used: int, need: int) -> bool:
         i, j, used, need = p + 1, q + 1, used | low, need - 1
 
 
+def setup_units(nx: int, ny: int, m: int) -> int:
+    """The units of EXACT_BUDGET that the exact solver charges for set-up on
+    sequences of nx and ny symbols with m in common, frozen here."""
+    return ((m + 1) * (nx + ny + 2) + (nx + 1) * (ny // 64 + 1)) // 16
+
+
 def loop_canonical_edges(x: Sequence[int], y: Sequence[int]) -> tuple[list[tuple[int, int]], int]:
     """The exact solver as it was before it certified optimums from a floor,
     with its boolean search `_feasible`, its next-occurrence tables, its
@@ -437,7 +459,7 @@ def loop_canonical_edges(x: Sequence[int], y: Sequence[int]) -> tuple[list[tuple
     if not syms:
         return [], 0
     m = len(syms)
-    setup = ((m + 1) * (nx + ny + 2) + (nx + 1) * (ny // 64 + 1)) // 16
+    setup = setup_units(nx, ny, m)
     bit = {c: 1 << t for t, c in enumerate(syms)}
     nxt_y = _next_tables(y, syms)
     left = [solvers.EXACT_BUDGET - setup]

@@ -1,5 +1,7 @@
+import concurrent.futures
 import math
 import os
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -110,14 +112,47 @@ class TestSweep:
         assert opened == [3, 2]
 
     def test_pool_chunks_follow_pool_map_default(self, monkeypatch):
-        # ceil(trials / (4 workers)) trials a chunk, as multiprocessing.Pool.map
-        chunksizes = []
-        opened = serial_pool(monkeypatch, chunksizes)
+        # ceil(trials / (4 workers)) trials a chunk, as multiprocessing.Pool.map,
+        # up to _SWEEP_CHUNK_MAX, and at most 2 chunks a worker submitted and
+        # not yet read
+        chunks = []
+        opened = serial_pool(monkeypatch, chunks)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         for trials in (8, 200):
             cfg = self.config(k_list=(4,), trials=trials)
             assert run_regime_sweep(**cfg, workers=2) == run_regime_sweep(**cfg)
-        assert opened == [2, 2] and chunksizes == [1, 25]
+        assert opened == [2, 2]
+        assert [size for size, _ in chunks] == [1] * 8 + [25] * 8
+        assert [unread for _, unread in chunks] == [1, 2, 3, 4, 4, 4, 4, 4] * 2
+        chunks.clear()
+        monkeypatch.setattr(rflcs.experiments, "_SWEEP_CHUNK_MAX", 7)
+        cfg = self.config(k_list=(4,), trials=200)
+        assert run_regime_sweep(**cfg, workers=2) == run_regime_sweep(**cfg)
+        assert [size for size, _ in chunks] == [7] * 28 + [4]
+        assert max(unread for _, unread in chunks) == 4
+
+    def test_pool_map_reads_in_order(self, monkeypatch):
+        # results come back in item order, whatever the chunk and the window
+        serial_pool(monkeypatch)
+        pool = concurrent.futures.ProcessPoolExecutor(2)
+        for items, chunksize, window in [(100, 7, 4), (100, 1, 1), (5, 10, 4), (0, 3, 2)]:
+            squares = rflcs.experiments._pool_map(pool, lambda v: v * v, range(items), chunksize, window)
+            assert list(squares) == [v * v for v in range(items)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_does_not_grow_with_trials(self, workers):
+        # 5 x 10^4 trials at n = 3 (regime 3 xi = 1, k = 2) peaked at about
+        # 21 MB of traced memory when a sweep made every trial's stream before
+        # the first trial and kept every (lower, upper) tuple; made as trials
+        # start, in at most 2 chunks a worker of up to _SWEEP_CHUNK_MAX, they
+        # peak at 2-4 MB, the results taking 16 bytes a trial
+        tracemalloc.start()
+        try:
+            run_regime_sweep(3, (2,), 50_000, 1, xi=1.0, estimator="exact", workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6_000_000
 
     def test_every_k_checked_before_any_trial(self, monkeypatch):
         # regime_target refuses k = 1, so k = 16's trials never run

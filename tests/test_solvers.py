@@ -22,6 +22,7 @@ from conftest import (
     quadratic_lcs_edges,
     row_backtrack_lcs_edges,
     run_child,
+    setup_units,
     subset_dp_canonical_edges,
     subset_dp_frontiers,
 )
@@ -34,7 +35,9 @@ from rflcs.rng import RngStream
 from rflcs.solvers import (
     _canonical_edges,
     _ceil_three_quarters,
+    _first_descent,
     _lcs_upto,
+    _reversed_masks,
     _segments,
     _search_tables,
     lcs_length,
@@ -516,8 +519,9 @@ class TestExactSolver:
     def test_failed_query_bounds_the_optimum(self, pair):
         # a query above the optimum R fails and leaves the root's bound as the
         # next need, with R <= next need < need; so the queries never pass R
-        # by nor repeat a need, and the last is R (none when no symbol is
-        # common)
+        # by nor repeat a need, and the last is R.  A solve with no query
+        # was certified by the first descent, or has no common symbol: either
+        # way R = m
         x, y = pair
         optimum = len(loop_canonical_edges(x, y)[0])
         needs = []
@@ -532,7 +536,10 @@ class TestExactSolver:
             edges = _canonical_edges(x, y)
         for need, next_need in zip(needs, needs[1:]):
             assert optimum <= next_need < need
-        assert needs[-1:] == ([optimum] if optimum else [])
+        if needs:
+            assert needs[-1] == optimum
+        else:
+            assert optimum == len(set(x) & set(y))
         assert len(edges) == optimum
 
     @settings(max_examples=300, deadline=None)
@@ -588,18 +595,20 @@ class TestExactSolver:
                 _canonical_edges(x, y)
 
     @pytest.mark.parametrize(
-        "regime, k, param, filled",
+        "regime, k, param, filled, searched",
         [
-            (3, 13, dict(xi=1.0), [14, 15, 15, 14, 14, 14, 14, 15]),
-            (2, 13, dict(rho=4.0), [18, 22, 34, 21, 21, 35, 18, 19]),
-            (3, 13, dict(xi=2.0), [14] * 8),
+            (3, 13, dict(xi=1.0), [0] * 8, [14, 15, 15, 14, 14, 14, 14, 15]),
+            (2, 13, dict(rho=4.0), [0, 0, 34, 0, 21, 35, 0, 0], [18, 22, 34, 21, 21, 35, 18, 19]),
+            (3, 13, dict(xi=2.0), [0] * 8, [14] * 8),
         ],
         ids=["regime3-xi1-k13", "regime2-rho4-k13", "regime3-xi2-k13"],
     )
-    def test_lcs_rows_filled_pinned(self, monkeypatch, regime, k, param, filled):
+    def test_lcs_rows_filled_pinned(self, monkeypatch, regime, k, param, filled, searched):
         # LCS rows (row 0 included) that each solve of the eight trials of a
         # benchmark shape at seed 12 fills, of n + 1 = 182, 95 and 302; a
-        # change that fills more of them, or all, shows here
+        # change that fills more of them, or all, shows here.  A solve that
+        # the first descent certifies fills none and matches all m symbols;
+        # `searched` pins the rows that the search fills without the descent
         fill = rflcs.solvers._lcs_upto
         seen = []
 
@@ -609,13 +618,17 @@ class TestExactSolver:
 
         monkeypatch.setattr(rflcs.solvers, "_lcs_upto", recording)
         n = regime_target(regime, k, **param).n
-        counts = []
-        for t in range(8):
-            inst = gen_uniform_pair(n, k, RngStream(12, 0).substream(t))
-            seen.clear()
-            _canonical_edges(inst.x, inst.y)
-            counts.append(len(seen[0]))
-        assert counts == filled
+        insts = [gen_uniform_pair(n, k, RngStream(12, 0).substream(t)) for t in range(8)]
+        for pins in (filled, searched):
+            counts = []
+            for inst in insts:
+                seen.clear()
+                edges = _canonical_edges(inst.x, inst.y)
+                if not seen:
+                    assert len(edges) == len(set(inst.x) & set(inst.y))
+                counts.append(len(seen[0]) if seen else 0)
+            assert counts == pins
+            monkeypatch.setattr(rflcs.solvers, "_first_descent", lambda tables: None)
 
     @pytest.mark.parametrize(
         "regime, k, param",
@@ -634,21 +647,113 @@ class TestExactSolver:
             monkeypatch.undo()
 
     def test_exact_sweep_is_certified(self, monkeypatch, capsys):
-        # every trial of this exact sweep reaches the ceiling min(L, m) = 13,
-        # so each makes one query, and that query returns the witness
-        queries = []
+        # every trial of this exact sweep has R = m = 13, and the first
+        # descent matches all 13 symbols, so no solve makes a query.  Without
+        # the descent each trial reaches the ceiling min(L, m) = 13, so each
+        # makes one query, and that query returns the witness
+        queries, descents = [], []
         smallest_path = rflcs.solvers._smallest_path
+        first_descent = rflcs.solvers._first_descent
 
         def counting(search, need):
             queries.append(need)
             return smallest_path(search, need)
 
+        def recording(tables):
+            edges = first_descent(tables) if descend else None
+            descents.append(edges and len(edges))
+            return edges
+
         monkeypatch.setattr(rflcs.solvers, "_smallest_path", counting)
+        monkeypatch.setattr(rflcs.solvers, "_first_descent", recording)
         argv = ["sweep", "--regime", "3", "--xi", "1", "--k-list", "13", "--trials", "8",
                 "--estimator", "exact", "--seed", "42", "--workers", "1"]
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().out.count("\n") == 2  # header and the k = 13 row
-        assert queries == [13] * 8
+        outputs = []
+        for descend in (True, False):
+            queries.clear()
+            descents.clear()
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+            assert (descents, queries) == (([13] * 8, []) if descend else ([None] * 8, [13] * 8))
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("\n") == 2  # header and the k = 13 row
+
+    @given(offset_pairs(16, 40))
+    @example(([1000 + c for c in range(16)] * 2, [1000 + c for c in range(16)] * 2))
+    @example(([0, 1, 0, 2], [1, 0, 2, 1]))  # R = m, but the first pick cannot be completed
+    @settings(max_examples=300, deadline=None)
+    def test_first_descent_is_the_canonical_witness(self, pair):
+        # the first descent gives up, or returns the frozen oracle's canonical
+        # witness, and then only where that matches all m common symbols
+        x, y = pair
+        common = sorted(set(x) & set(y))
+        edges = _first_descent(_search_tables(x, y, common)) if common else None
+        assert edges is None or (edges, len(edges)) == (loop_canonical_edges(x, y)[0], len(common))
+
+    @given(offset_pairs(16, 40))
+    @example(([1000 + c for c in range(16)] * 2, [1000 + c for c in range(16)] * 2))
+    @settings(max_examples=300, deadline=None)
+    def test_certified_solve_needs_setup_and_m_units(self, pair):
+        # a solve that the first descent certifies costs set-up plus one unit
+        # per edge but the last, as the search's first query does, so with one
+        # unit fewer it is refused, as the search alone refuses it
+        x, y = pair
+        common = sorted(set(x) & set(y))
+        if not common or _first_descent(_search_tables(x, y, common)) is None:
+            return
+        units = setup_units(len(x), len(y), len(common)) + len(common)
+        with pytest.MonkeyPatch.context() as mp:
+            for descent in (_first_descent, lambda tables: None):
+                mp.setattr(rflcs.solvers, "_first_descent", descent)
+                mp.setattr(rflcs.solvers, "EXACT_BUDGET", units)
+                assert len(_canonical_edges(x, y)) == len(common)
+                mp.setattr(rflcs.solvers, "EXACT_BUDGET", units - 1)
+                with pytest.raises(CapacityError, match="search states"):
+                    _canonical_edges(x, y)
+
+    def test_set_up_refusal_builds_no_tables(self, monkeypatch):
+        # an instance whose set-up charge exceeds the budget is refused before
+        # any table is built, although its first descent would match all m
+        # symbols within a few milliseconds
+        x = tuple(range(20)) * 3
+        setup = setup_units(len(x), len(x), 20)
+
+        def building(*args):
+            raise AssertionError("set-up tables built for a refused instance")
+
+        assert len(_canonical_edges(x, x)) == 20
+        monkeypatch.setattr(rflcs.solvers, "EXACT_BUDGET", setup - 1)
+        monkeypatch.setattr(rflcs.solvers, "_search_tables", building)
+        with pytest.raises(CapacityError, match="set-up"):
+            _canonical_edges(x, x)
+
+    @given(
+        st.tuples(st.integers(1, 24), st.integers(0, 60)).flatmap(
+            lambda kn: st.tuples(
+                st.lists(st.integers(0, kn[0] - 1), min_size=kn[1], max_size=kn[1]),
+                st.lists(st.integers(0, kn[0] - 1), min_size=kn[1], max_size=kn[1]),
+                st.lists(st.integers(0, 10**6), min_size=kn[0], max_size=kn[0], unique=True),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_length_invariant_under_swap_reverse_relabel(self, args):
+        # R does not change when x and y swap, when both are reversed, or when
+        # the symbols are renamed one-to-one; the search is not symmetric, so
+        # each orientation runs a different search (or is certified by the
+        # first descent while another searches), and each witness is a
+        # repetition-free matching of its own pair
+        x, y, pi = args
+        orientations = [
+            (x, y), (y, x), (x[::-1], y[::-1]), ([pi[c] for c in x], [pi[c] for c in y]),
+        ]
+        lengths = []
+        for a, b in orientations:
+            edges = _canonical_edges(a, b)
+            inst = Instance(n=len(a), k=10**6 + 1, x=tuple(a), y=tuple(b))
+            assert validate_matching(edges, inst, require_repetition_free=True)
+            lengths.append(len(edges))
+        assert lengths == lengths[:1] * 4
 
     def test_no_cyclic_garbage(self):
         # a solve leaves nothing for the cycle collector: cyclic garbage
@@ -724,7 +829,8 @@ class TestExactSolver:
         # seq[p:], and masks[c] the positions of c in reversed y.
         x, y = pair
         common = sorted(set(x) & set(y))
-        find_x, find_y, root, suf_x, suf_y, masks = _search_tables(x, y, common)
+        find_x, find_y, root, suf_x, suf_y, chunks = _search_tables(x, y, common)
+        masks = _reversed_masks(chunks, common)
         assert root == sorted(root)
         bit = {x[p]: b for p, _, b in root}
         assert sorted(bit) == common
