@@ -49,7 +49,7 @@ MUTANTS = (
     Mutant(
         "descent-skips-unused-bound",
         "src/rflcs/solvers.py",
-        "if masks_x[bisect_left(lasts_x, i)] & masks_y[bisect_left(lasts_y, j)] & rest == rest:",
+        "if (p < last_x or low == a) and (q < last_y or low == b):",
         "if True:",
         (SOLVER_TESTS + "test_first_descent_is_the_canonical_witness",),
     ),
@@ -63,17 +63,25 @@ MUTANTS = (
     Mutant(
         "descent-keeps-passed-over-candidates",
         "src/rflcs/solvers.py",
-        "            if rest & low:\n                if p < i or q < j:",
-        "            if rest & low:\n                if False:",
+        "        del cand[:len(passed) + 1]\n        for low, q in passed:\n"
+        "            insort(cand, (find_x(low.bit_length() - 1, i), q, low))\n",
+        "        del cand[len(passed)]\n",
         (SOLVER_TESTS + "test_first_descent_is_the_canonical_witness",),
     ),
     Mutant(
-        "descent-keeps-passed-over-y-positions",
+        "descent-keeps-examined-y-positions",
         "src/rflcs/solvers.py",
-        "                    if q < j:\n                        q = find_y(low.bit_length() - 1, j)\n"
-        "                    e = p, q, low\n                kept.append(e)",
-        "                    e = p, q, low\n                kept.append(e)",
-        (SOLVER_TESTS + "test_length_invariant_under_swap_reverse_relabel",),
+        "            if q < j:\n                q = find_y(low.bit_length() - 1, j)\n"
+        "            if (p < last_x",
+        "            if (p < last_x",
+        (SOLVER_TESTS + "test_first_descent_is_the_canonical_witness",),
+    ),
+    Mutant(
+        "descent-least-last-pointer-stuck",
+        "src/rflcs/solvers.py",
+        "        while ends_x[ax][1] & used:\n            ax += 1\n",
+        "",
+        (SOLVER_TESTS + "test_first_descent_follows_definition",),
     ),
     Mutant(
         "descent-before-set-up-charge",
@@ -134,6 +142,14 @@ MUTANTS = (
         "",
         (SOLVER_TESTS + "test_search_tables_match_definition",),
     ),
+    # the generator's range check
+    Mutant(
+        "generator-draw-unchecked",
+        "src/rflcs/generators.py",
+        "    if n and (draw.min() < 0 or int(draw.max()) >= k):",
+        "    if False:",
+        ("tests/test_generators.py::TestUniformPair::test_draw_out_of_range_refused",),
+    ),
     # the sweep's memory
     Mutant(
         "sweep-streams-made-up-front",
@@ -172,6 +188,12 @@ EQUIVALENT = (
         "                if e[1] < q_min:",
         "                if e[1] <= q_min:",
         "two symbols never share a next position in y, so no candidate ties q_min",
+    ),
+    (
+        "src/rflcs/solvers.py",
+        "if (p < last_x or low == a)",
+        "if (p <= last_x or low == a)",
+        "a candidate other than the least-last symbol never sits at that symbol's last position",
     ),
 )
 

@@ -18,8 +18,9 @@ import math
 import sys
 import warnings
 from contextlib import nullcontext
-from dataclasses import astuple, fields
+from dataclasses import fields
 from itertools import chain, combinations
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .bounds import (
@@ -57,8 +58,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_CHECK_FAILED = 4
-# the sweep CSV: one column per SweepRow field, in order
-CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+# the sweep CSV: one column per SweepRow field, in order, read directly (astuple
+# would deep-copy every field)
+_CSV_FIELDS = [f.name for f in fields(SweepRow)]
+CSV_HEADER = ",".join(_CSV_FIELDS)
+_csv_values = attrgetter(*_CSV_FIELDS)
 # The `bounds` ops that print {"op", their inputs in call order, "value"}.
 _PLAIN_BOUNDS = {
     "lambda": (lambda_empty, ("k", "s")),
@@ -184,7 +188,7 @@ def cmd_sweep(args) -> tuple[int, Iterable[str]]:
         workers=args.workers,
     )
     lines = (
-        ",".join(str(v) if isinstance(v, int) else f"{v:.10g}" for v in astuple(row)) + "\n"
+        ",".join(str(v) if isinstance(v, int) else f"{v:.10g}" for v in _csv_values(row)) + "\n"
         for row in rows
     )
     return EXIT_OK, chain([CSV_HEADER + "\n"], lines)

@@ -38,10 +38,16 @@ def _check_size(n: int, k: int) -> None:
 
 
 def gen_uniform_pair(n: int, k: int, rng: RngStream) -> Instance:
-    """Two sequences of n symbols, each uniform and independent over [0, k)."""
+    """Two sequences of n symbols, each uniform and independent over [0, k).
+
+    The draw is range-checked once, by two numpy reductions, so the
+    instance is built without scanning its tuples again."""
     _check_size(n, k)
-    xy = rng.generator().integers(0, k, size=2 * n).tolist()
-    return Instance(n=n, k=k, x=tuple(xy[:n]), y=tuple(xy[n:]), seed=rng.seed)
+    draw = rng.generator().integers(0, k, size=2 * n)
+    if n and (draw.min() < 0 or int(draw.max()) >= k):  # k may be 2^63, past int64
+        raise ValueError("symbol out of range [0, k)")
+    xy = draw.tolist()
+    return Instance._drawn(n, k, tuple(xy[:n]), tuple(xy[n:]), rng.seed)
 
 
 def gen_planted_pair(n: int, k: int, l: int, rng: RngStream) -> Instance:

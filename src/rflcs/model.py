@@ -1,13 +1,15 @@
 """Domain types: instances, planted certificates and solver results.
 
 Symbols are integers in [0, k).  All types are immutable, checked when
-built, and safe to share across concurrent workers.  An Instance's planted
-certificate is a repetition-free common subsequence of x and y at its
-recorded positions, so its length is a lower bound on the instance's
-repetition-free LCS.  A noncrossing matching is a tuple of edges (i, j),
-ascending on both sides, each with symbol x[i] = y[j]; it carries no
-symbols of its own.  Validators here double as test oracles: they
-recompute everything from the raw sequences.
+built, and safe to share across concurrent workers; a generated uniform
+pair is range-checked on its draw, before it becomes two tuples, and not
+scanned again.  An Instance's planted certificate is a repetition-free
+common subsequence of x and y at its recorded positions, so its length is
+a lower bound on the instance's repetition-free LCS.  A noncrossing
+matching is a tuple of edges (i, j), ascending on both sides, each with
+symbol x[i] = y[j]; it carries no symbols of its own.  Validators here
+double as test oracles: they recompute everything from the raw
+sequences.
 """
 
 from __future__ import annotations
@@ -68,6 +70,15 @@ class Instance:
             for c, i, j in zip(cert.z, cert.positions_x, cert.positions_y)
         ):
             raise ValueError("planted certificate does not match x and y")
+
+    @classmethod
+    def _drawn(cls, n: int, k: int, x: tuple[int, ...], y: tuple[int, ...], seed: int) -> "Instance":
+        """An instance with no planted certificate whose n and k, lengths
+        and symbols the caller has checked: built without
+        `__post_init__`, which would scan x and y again."""
+        inst = object.__new__(cls)
+        inst.__dict__.update(n=n, k=k, x=x, y=y, seed=seed, planted=None)
+        return inst
 
     def to_json(self) -> str:
         planted = None

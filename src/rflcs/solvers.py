@@ -9,30 +9,33 @@ min(L, m) down, each time to the bound that a failed query left at the
 root, so the query that proves the optimum returns the canonical
 (lexicographically smallest) maximum witness.  Before any query,
 `_first_descent` follows the first path that a query for all m symbols
-would take, on the tables it needs (no LCS row and no match mask); where
-that path matches all m symbols, it is the witness, and no query runs.  On
-the m = 13 exact-sweep shapes (regime 3 xi = 1 and 2, regime 2 rho = 4;
-eight trials at each of the seeds 0-99) R = m on every trial, and the
-descent certifies 800, 800 and 647 of the 800; each other solve makes one
-query.  Set-up codes x and y as bytes, once per 255 common symbols
-(once in all where every symbol lies in [0, 256)), so that C-level passes
-find each symbol's first, last and next positions (`bytes.find` and
-`bytes.rfind`) and its match mask in reversed y (`bytes.translate`, then
-`int(..., 2)`); no Python loop runs over the positions.  A child state
-inherits its candidates' next occurrences from its parent and finds only
-those that the chosen edge passed over.  The LCS bound reads bit-parallel
-rows of the reversed sequences, filled only as far as the search reads
-them: 21-35 of the 95 rows in the three solves of the eight trials at
-seed 12 that the descent leaves to the search.  The solver's
-only capacity gate is the work budget EXACT_BUDGET, which counts expanded
-search states and set-up words, as though a next-occurrence row at every
-position and every LCS row were built.
+would take, on the tables it needs (no LCS row, match mask or suffix
+mask); where that path matches all m symbols, it is the witness, and no
+query runs.  It tests a candidate only against the unused symbol of least
+last position in x and in y, read by two pointers into the sorted last
+positions, and finds a candidate's next position in y only when it
+examines it.  On the m = 13 exact-sweep shapes (regime 3 xi = 1 and 2,
+regime 2 rho = 4; eight trials at each of the seeds 0-99) R = m on every
+trial, and the descent certifies 800, 800 and 647 of the 800; each other
+solve makes one query.  Set-up codes x and y as bytes, once per 255
+common symbols (once in all where every symbol lies in [0, 256)), so that
+C-level passes find each symbol's first, last and next positions
+(`bytes.find` and `bytes.rfind`) and its match mask in reversed y
+(`bytes.translate`, then `int(..., 2)`); no Python loop runs over the
+positions.  A child state inherits its candidates' next occurrences from
+its parent and finds only those that the chosen edge passed over.  The
+LCS bound reads bit-parallel rows of the reversed sequences, filled only
+as far as the search reads them: 21-35 of the 95 rows in the three
+solves of the eight trials at seed 12 that the descent leaves to the
+search.  The solver's only capacity gate is the work budget EXACT_BUDGET,
+which counts expanded search states and set-up words, as though a
+next-occurrence row at every position and every LCS row were built.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -303,11 +306,10 @@ def _byte_codes(
 
 
 def _suffix_masks(ends: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    """From the (last position, bit) of every symbol of a sequence: the
-    last positions in ascending order, and masks[r] = the union of the bits
-    of the symbols from the r-th last position on; so the symbols of seq[p:]
-    are masks[bisect_left(lasts, p)]."""
-    ends = sorted(ends)
+    """From the (last position, bit) of every symbol of a sequence, sorted:
+    the last positions in ascending order, and masks[r] = the union of the
+    bits of the symbols from the r-th last position on; so the symbols of
+    seq[p:] are masks[bisect_left(lasts, p)]."""
     masks = [0]
     for _, bit in reversed(ends):
         masks.append(masks[-1] | bit)
@@ -324,9 +326,10 @@ def _search_tables(x: Sequence[int], y: Sequence[int], common: list[int]) -> tup
     after i in x, or -1 where x[i:] lacks it, and find_y(t, j) likewise in
     y.  With one chunk, t is the code and find_x is bytes.find itself.
     Returns find_x, find_y, root (the (p, q, bit) of every symbol's first
-    positions, sorted), the suffix masks of x and of y (`_suffix_masks`),
-    and the chunks, from which `_reversed_masks` builds the LCS bound's
-    match masks only for a solve that needs them.  Any one-to-one choice of
+    positions, sorted), the (last position, bit) of every symbol in x and
+    in y, each sorted, and the chunks; only a solve that searches builds
+    from them the suffix masks (`_suffix_masks`) and the LCS bound's match
+    masks (`_reversed_masks`).  Any one-to-one choice of
     bits gives the same search, since candidates are ordered by their
     positions, which differ.
     """
@@ -341,10 +344,9 @@ def _search_tables(x: Sequence[int], y: Sequence[int], common: list[int]) -> tup
             ends_x.append((bx.rfind(c), bit))
             ends_y.append((by.rfind(c), bit))
     root.sort()
-    return (
-        _chunked_find(finds_x), _chunked_find(finds_y), root,
-        _suffix_masks(ends_x), _suffix_masks(ends_y), chunks,
-    )
+    ends_x.sort()
+    ends_y.sort()
+    return _chunked_find(finds_x), _chunked_find(finds_y), root, ends_x, ends_y, chunks
 
 
 def _reversed_masks(
@@ -470,40 +472,43 @@ def _first_descent(tables: tuple) -> list[tuple[int, int]] | None:
 
     From the root of `_search_tables`, each state takes the earliest of its
     candidates after which every other unused symbol still lies in x[p+1:]
-    and y[q+1:], the search's own bound on unused symbols with need = m,
-    read from the same suffix masks.  A child inherits its parent's
-    candidates and finds again only those that the chosen edge passed
-    over, as in `_smallest_path`.
+    and y[q+1:], the search's own bound on unused symbols with need = m.
+    Every unused symbol lies in x[i:] and y[j:], so candidate c at (p, q)
+    passes on the x side iff c is the unused symbol a of least last
+    position A in x, or p < A: the others' least last position is A where
+    c is not a, and above A >= p where it is.  Likewise in y.  So the test
+    reads two pointers that walk the sorted last positions, past the used
+    symbols.  A child inherits its parent's candidates.  Those the chosen
+    edge passed over form a prefix in p order; each is found again in x
+    and put back in order.  A candidate's y position is found again only
+    when the descent examines it, as candidates are taken in p order.
     """
-    find_x, find_y, root, (lasts_x, masks_x), (lasts_y, masks_y), _ = tables
-    unused = masks_x[0]  # every common symbol
-    cand = root
+    find_x, find_y, cand, ends_x, ends_y, _ = tables
+    cand = cand[:]  # the root is the search's too
     path: list[tuple[int, int]] = []
-    while unused:
+    used = ax = ay = j = 0
+    while cand:
+        while ends_x[ax][1] & used:
+            ax += 1
+        while ends_y[ay][1] & used:
+            ay += 1
+        last_x, a = ends_x[ax]
+        last_y, b = ends_y[ay]
+        passed = []
         for p, q, low in cand:
-            i, j, rest = p + 1, q + 1, unused ^ low
-            if masks_x[bisect_left(lasts_x, i)] & masks_y[bisect_left(lasts_y, j)] & rest == rest:
+            if q < j:
+                q = find_y(low.bit_length() - 1, j)
+            if (p < last_x or low == a) and (q < last_y or low == b):
                 break
+            passed.append((low, q))
         else:
             return None
         path.append((p, q))
-        unused = rest
-        kept = []
-        moved = False
-        for e in cand:
-            p, q, low = e
-            if rest & low:
-                if p < i or q < j:  # passed over: look it up again
-                    if p < i:
-                        p = find_x(low.bit_length() - 1, i)
-                        moved = True
-                    if q < j:
-                        q = find_y(low.bit_length() - 1, j)
-                    e = p, q, low
-                kept.append(e)
-        if moved:
-            kept.sort()
-        cand = kept
+        used |= low
+        i, j = p + 1, q + 1
+        del cand[:len(passed) + 1]
+        for low, q in passed:
+            insort(cand, (find_x(low.bit_length() - 1, i), q, low))
     return path
 
 
@@ -521,9 +526,9 @@ def _canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]
     unit per 16 machine words of the tables counted below, and every
     expanded search state costs one more unit.
 
-    Before the masks and rows of the LCS bound are built, `_first_descent`
-    tries to match all m symbols.  A path of m edges proves L >= m, so the
-    first query would have need = m.  Along that path every state can still
+    Before the suffix masks and the LCS bound's masks and rows are built,
+    `_first_descent` tries to match all m symbols.  A path of m edges
+    proves L >= m, so the first query would have need = m.  Along that path every state can still
     be completed, so it passes all of the search's bounds (its unused
     symbols, its LCS, and an empty memo), while every earlier candidate
     fails the bound on unused symbols; so the query's first descent is this
@@ -555,7 +560,8 @@ def _canonical_edges(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]
     tables = _search_tables(x, y, common)
     if m <= EXACT_BUDGET - setup and (edges := _first_descent(tables)) is not None:
         return edges
-    find_x, find_y, root, suf_x, suf_y, chunks = tables
+    find_x, find_y, root, ends_x, ends_y, chunks = tables
+    suf_x, suf_y = _suffix_masks(ends_x), _suffix_masks(ends_y)
     masks = _reversed_masks(chunks, common)
     xr, rows = x[::-1], [(1 << ny) - 1]
     failed: dict[int, int] = {}

@@ -440,6 +440,32 @@ def _feasible(search: tuple, i: int, j: int, used: int, need: int) -> bool:
         i, j, used, need = p + 1, q + 1, used | low, need - 1
 
 
+def definition_first_descent(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, int]] | None:
+    """The exact search's first descent for all m common symbols, read off
+    its definition with slices: from (i, j) = (0, 0), take the unused
+    common symbol of least next position p in x[i:] after which every
+    other unused one still lies in x[p+1:] and y[q+1:], q its next position
+    in y[j:].  Returns the m edges, or None where no symbol qualifies."""
+    unused = set(x) & set(y)
+    path: list[tuple[int, int]] = []
+    i = j = 0
+    while unused:
+        for p in range(i, len(x)):
+            c = x[p]
+            if c not in unused or c in x[i:p]:
+                continue
+            q = y.index(c, j)
+            rest = unused - {c}
+            if rest <= set(x[p + 1:]) and rest <= set(y[q + 1:]):
+                break
+        else:
+            return None
+        path.append((p, q))
+        unused.remove(c)
+        i, j = p + 1, q + 1
+    return path
+
+
 def setup_units(nx: int, ny: int, m: int) -> int:
     """The units of EXACT_BUDGET that the exact solver charges for set-up on
     sequences of nx and ny symbols with m in common, frozen here."""

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy import stats
 
 from rflcs.errors import CapacityError
 from rflcs.generators import K_MAX, N_MAX, PLANTED_K_MAX, gen_planted_pair, gen_uniform_pair
+from rflcs.model import Instance
 from rflcs.rng import RngStream
 from rflcs.solvers import rflcs_exact
 
@@ -64,6 +66,28 @@ class TestUniformPair:
             g = stream.generator()
             g.integers(0, k, size=2 * n)
             assert g.integers(0, k, size=3).tolist() == after
+
+    @pytest.mark.parametrize("k", [1, 2, 13, 2**32, 2**32 + 1, 2**63])
+    @pytest.mark.parametrize("n", [0, 1, 2, 181, 1001])
+    def test_equals_checked_constructor(self, n, k):
+        # the instance built from the range-checked draw, without the
+        # constructor's checks, equals the one the constructor checks
+        inst = gen_uniform_pair(n, k, RngStream(7, n))
+        checked = Instance(n=inst.n, k=inst.k, x=inst.x, y=inst.y, seed=inst.seed)
+        assert inst == checked
+        assert (hash(inst), repr(inst)) == (hash(checked), repr(checked))
+        assert all(type(c) is int for c in inst.x + inst.y)
+
+    @pytest.mark.parametrize("bad", [-1, 13, 2**62])
+    def test_draw_out_of_range_refused(self, monkeypatch, bad):
+        # a draw outside [0, k), in x or in y, is refused on the draw itself
+        for at in (0, 5, 9):
+            draw = np.arange(10) % 13
+            draw[at] = bad
+            fake = SimpleNamespace(integers=lambda lo, hi, size: draw[:size])
+            monkeypatch.setattr(RngStream, "generator", lambda self: fake)
+            with pytest.raises(ValueError, match=r"out of range \[0, k\)"):
+                gen_uniform_pair(5, 13, RngStream(1))
 
     def test_empty(self):
         inst = gen_uniform_pair(0, 3, RngStream(1))

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import rflcs.solvers
 
 from conftest import (
+    definition_first_descent,
     degree_one_edges,
     enumerate_canonical,
     exhaustive_lcs,
@@ -40,6 +41,7 @@ from rflcs.solvers import (
     _reversed_masks,
     _segments,
     _search_tables,
+    _suffix_masks,
     lcs_length,
     lcs_witness,
     lis_indices,
@@ -691,6 +693,20 @@ class TestExactSolver:
         assert edges is None or (edges, len(edges)) == (loop_canonical_edges(x, y)[0], len(common))
 
     @given(offset_pairs(16, 40))
+    @example(([0, 1, 0, 2], [1, 0, 2, 1]))
+    @example(many_common(256, 250))  # two chunks
+    @settings(max_examples=300, deadline=None)
+    def test_first_descent_follows_definition(self, pair):
+        # the same edges, or the same None, as the descent read off its
+        # definition: the unused-symbol test from sets of suffixes, and the
+        # next positions from scans, with no table, pointer or inherited
+        # candidate
+        x, y = pair
+        common = sorted(set(x) & set(y))
+        edges = _first_descent(_search_tables(x, y, common)) if common else []
+        assert edges == definition_first_descent(x, y)
+
+    @given(offset_pairs(16, 40))
     @example(([1000 + c for c in range(16)] * 2, [1000 + c for c in range(16)] * 2))
     @settings(max_examples=300, deadline=None)
     def test_certified_solve_needs_setup_and_m_units(self, pair):
@@ -825,11 +841,12 @@ class TestExactSolver:
         # every common symbol owns one bit and sits once in the root, at its
         # first positions.  Its lookup at p is its first position at or after
         # p, else -1 (the search looks up only symbols left in both
-        # suffixes).  The suffix masks give the bits of the symbols left in
-        # seq[p:], and masks[c] the positions of c in reversed y.
+        # suffixes).  The suffix masks built from each side's (last
+        # position, bit) pairs give the bits of the symbols left in seq[p:],
+        # and masks[c] the positions of c in reversed y.
         x, y = pair
         common = sorted(set(x) & set(y))
-        find_x, find_y, root, suf_x, suf_y, chunks = _search_tables(x, y, common)
+        find_x, find_y, root, ends_x, ends_y, chunks = _search_tables(x, y, common)
         masks = _reversed_masks(chunks, common)
         assert root == sorted(root)
         bit = {x[p]: b for p, _, b in root}
@@ -838,7 +855,8 @@ class TestExactSolver:
         assert all(b.bit_count() == 1 for b in bit.values())
         for p, q, b in root:
             assert (p, q) == (x.index(x[p]), y.index(x[p]))
-        for seq, find, (lasts, suffix) in ((x, find_x, suf_x), (y, find_y, suf_y)):
+        for seq, find, ends in ((x, find_x, ends_x), (y, find_y, ends_y)):
+            lasts, suffix = _suffix_masks(ends)
             n = len(seq)
             for c, b in bit.items():
                 t = b.bit_length() - 1
